@@ -53,7 +53,7 @@ def _load(args) -> tuple[SkewShift, FiberedTrigPoly]:
     f, phi = skewshift.load_roof(args.roof)
     alpha = f.alpha if args.alpha is None else args.alpha
     beta = f.beta if args.beta is None else args.beta
-    return SkewShift(alpha, beta, precision=args.precision), phi
+    return SkewShift(alpha, beta), phi
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -175,10 +175,7 @@ def cmd_stretch(args) -> int:
     f, phi = _load(args)
     osc, _ = project(phi)
     ns = sorted(set(args.n))
-    _, mats = skewshift.fiber_coefficients_on_grid(
-        f, osc, ns, grid=args.grid, workers=args.workers
-    )
-    ks = sorted(osc.fiber.keys())
+    ks, mats = skewshift.fiber_coefficients_on_grid(f, osc, ns, grid=args.grid)
     ys = midgrid(args.grid)
     ky = np.exp(2j * np.pi * np.outer(ks, ys))
     rows = []
@@ -300,9 +297,7 @@ def cmd_weyl(args) -> int:
     times = cohomology.convergent_times(f.alpha, args.levels)
     rows = []
     for ell, N in enumerate(times.denominators, start=1):
-        val = cohomology.uniform_bound_scan(
-            f, osc, N, grid=args.grid, workers=args.workers
-        )
+        val = cohomology.uniform_bound_scan(f, osc, N, grid=args.grid)
         rows.append((ell, N, val))
     _write_csv(run.path("weyl.csv"), ("ell", "N", "value"), rows)
     run.finish({"partial_quotients": list(times.partial_quotients)})
@@ -377,14 +372,12 @@ def _add_common(sp, roof=True):
                         help="override the file's alpha")
         sp.add_argument("--beta", type=float, default=None,
                         help="override the file's beta")
-    sp.add_argument("--precision", choices=skewshift.PRECISIONS,
-                    default="double")
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("MIXLAB_WORKERS", "1")),
-        help="parallel workers for grid sweeps and sampling "
+        default=None,
+        help="parallel workers for Monte-Carlo sampling and hit counting "
              "(default: MIXLAB_WORKERS or 1)",
     )
 
@@ -505,7 +498,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _validate(args) -> None:
-    if getattr(args, "workers", 1) < 1:
+    if args.workers is None:
+        env = os.environ.get("MIXLAB_WORKERS", "1")
+        try:
+            args.workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"MIXLAB_WORKERS must be an integer, got {env!r}"
+            ) from None
+    if args.workers < 1:
         raise ValueError("--workers must be >= 1")
     for name in ("grid", "samples", "points", "count", "levels", "resolution",
                  "y_resolution"):

@@ -350,7 +350,6 @@ def uniform_bound_scan(
     phi: FiberedTrigPoly,
     N: int,
     grid: int = 256,
-    workers: int = 1,
 ) -> float:
     """max over a grid x grid lattice of |Phi_N(x, y)| / sqrt(N).
 
@@ -363,9 +362,7 @@ def uniform_bound_scan(
         raise NonzeroFiberAverage("the scan requires c_0 = 0; project first")
     if phi.is_zero():
         return 0.0
-    ks, mats = fiber_coefficients_on_grid(
-        f, phi, [N], grid=grid, workers=workers
-    )
+    ks, mats = fiber_coefficients_on_grid(f, phi, [N], grid=grid)
     ys = midgrid(grid)
     ky = np.exp(2j * np.pi * np.outer(ks, ys))
     vals = np.abs(mats[N].T @ ky)

@@ -6,7 +6,8 @@ single float product, the fractional part is lost once the integer part
 passes 2^52; the helpers here instead treat every float input as the
 exact dyadic rational it is and reduce mod 1 in integer arithmetic, so a
 phase is correct to one rounding of the final conversion no matter how
-large the step index gets.
+large the step index gets.  ``QuadraticPhase`` steps one orbit at a time;
+``PhaseNumerators`` forms the phases of whole arrays of step indices.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Tuple
+
+import numpy as np
 
 
 def frac(x: float) -> float:
@@ -100,3 +103,48 @@ class QuadraticPhase:
         if self._k <= 1000:
             return math.ldexp(num, -self._k)
         return float(Fraction(num, self._mod))   # subnormal inputs only
+
+
+class PhaseNumerators:
+    """Exact phases  m*j*alpha + k*s_j (mod 1)  for arrays of step indices j,
+    with s_j = j*beta + binom(j,2)*alpha the quadratic phase at x = 0.
+
+    alpha and beta are read as the dyadic rationals A/2^K and B/2^K they
+    are, and the phases are formed as integer numerators over 2^K.  For
+    K <= 64 the numerators are uint64 arrays: wrap-around is reduction mod
+    2^64, hence exact mod 2^K, and binom(j,2) is formed as (j/2)*(j-1) or
+    j*((j-1)/2) so that the halving loses no bit.  For K > 64 the same
+    expressions run on object arrays of Python integers.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        na, ka = _dyadic(frac(alpha))
+        nb, kb = _dyadic(frac(beta))
+        k = max(ka, kb)
+        self.k = k
+        self.dtype = np.dtype(np.uint64) if k <= 64 else np.dtype(object)
+        self._mask = self._int((1 << k) - 1)
+        self._a = self._int(na << (k - ka))
+        self._b = self._int(nb << (k - kb))
+        # uint64 / float(2^K) rounds once, in the conversion to float; a
+        # Python int / int is correctly rounded and cannot overflow.
+        self._scale = float(1 << k) if k <= 64 else 1 << k
+
+    def _int(self, v: int):
+        """v as a scalar of the numerator dtype (mod 2^64 for uint64)."""
+        return np.uint64(v % (1 << 64)) if self.dtype == np.uint64 else v
+
+    def linear_quadratic(self, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Numerators of (j*alpha, s_j) mod 1 for nonnegative integer j."""
+        j = np.asarray(j).astype(self.dtype)
+        one = self._int(1)
+        c2 = np.where(j & one, j * ((j - one) >> one), (j >> one) * (j - one))
+        return (j * self._a) & self._mask, (j * self._b + c2 * self._a) & self._mask
+
+    def mode(self, ja: np.ndarray, s: np.ndarray, m: int, k: int) -> np.ndarray:
+        """Numerators of m*j*alpha + k*s_j mod 1 from ``linear_quadratic``."""
+        return (self._int(m) * ja + self._int(k) * s) & self._mask
+
+    def to_unit(self, num: np.ndarray) -> np.ndarray:
+        """num / 2^K as floats in [0, 1], each with a single rounding."""
+        return np.asarray(num / self._scale, dtype=float)

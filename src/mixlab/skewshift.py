@@ -9,10 +9,11 @@ The closed-form iterate is
 
 so every orbit quantity reduces to the quadratic phase p_j = j*x + j*beta
 + binom(j,2)*alpha mod 1.  Scalar paths track p_j with exact dyadic
-integer arithmetic (`phases.QuadraticPhase`); grid sweeps use a float
-recursion with per-step reduction (error O(n*eps)), an exact re-anchoring
-every few thousand steps when the base points are dyadic grid points, and
-an optional double-double lane mode for orbits beyond 10^7 steps.
+integer arithmetic (`phases.QuadraticPhase`).  Grid sweeps form the
+x-independent part of every phase exactly for whole blocks of j
+(`phases.PhaseNumerators`), fold the terms by frequency with a bincount
+and take one FFT per fiber mode, so each term carries its own exactly
+reduced phase at any step count.
 """
 
 from __future__ import annotations
@@ -20,27 +21,19 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from . import ddouble
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import QuadraticPhase, binom2, frac, frac_exact
+from .phases import PhaseNumerators, QuadraticPhase, binom2, frac, frac_exact
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
-PRECISIONS = ("double", "double-double")
-
-# Engage double-double phase lanes automatically past this orbit length.
-DD_THRESHOLD = 10_000_000
-
-# Steps between exact re-anchorings of the incremental phase rotations.
-_RESYNC = 4096
-
-# Fixed column-chunk width for worker parallelism (independent of worker count).
-_COLUMN_CHUNK = 64
+# Orbit steps per grid-sweep block; bounds the sweep's memory for any n.
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class SkewShift:
-    """Map parameters plus the precision policy for long orbits.
+    """Map parameters alpha, beta, stored reduced mod 1.
 
     Unique ergodicity needs alpha irrational, which floats cannot
     certify; a rational alpha silently degrades the asymptotic
@@ -66,13 +59,10 @@ class SkewShift:
 
     alpha: float
     beta: float
-    precision: str = "double"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", frac(self.alpha))
         object.__setattr__(self, "beta", frac(self.beta))
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}")
 
     def step(self, p: TorusPoint) -> TorusPoint:
         """One application of the map; each coordinate rounds exactly once."""
@@ -94,36 +84,6 @@ class SkewShift:
         return TorusPoint(x, y)
 
 
-class PhaseAccumulator:
-    """Stepwise tracker of x_j = x + j*alpha and the quadratic phase p_j.
-
-    Advancing obeys p_{j+1} = p_j + x + beta + j*alpha (mod 1) with
-    per-step reduction; the reduction is carried out on exact integer
-    numerators, so the emitted floats carry a single rounding each
-    regardless of j.
-    """
-
-    __slots__ = ("_q",)
-
-    def __init__(self, f: SkewShift, x: float):
-        self._q = QuadraticPhase(x, f.alpha, f.beta)
-
-    @property
-    def j(self) -> int:
-        return self._q.j
-
-    @property
-    def x(self) -> float:
-        return self._q.x
-
-    @property
-    def phase(self) -> float:
-        return self._q.phase
-
-    def advance(self) -> None:
-        self._q.advance()
-
-
 def project(phi: FiberedTrigPoly) -> Tuple[FiberedTrigPoly, TrigPoly1D]:
     """Split Phi into its zero-fiber-average part and its fiber average.
 
@@ -140,7 +100,7 @@ def project(phi: FiberedTrigPoly) -> Tuple[FiberedTrigPoly, TrigPoly1D]:
 def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):
     """Phi_n(p) = sum_{j<n} Phi(f^j p), with Phi_0 = 0 (empty sum).
 
-    Evaluated with the PhaseAccumulator recursion and compensated
+    Evaluated with the exact QuadraticPhase recursion and compensated
     summation; the phases are exact, so the absolute error is
     O(n * eps * sup|Phi|) from the sum alone.
     """
@@ -148,7 +108,7 @@ def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):
         raise ValueError("n must be >= 0")
     acc = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    ph = PhaseAccumulator(f, p.x)
+    ph = QuadraticPhase(p.x, f.alpha, f.beta)
     for _ in range(n):
         y = frac(p.y + ph.phase)
         term = phi.evaluate_complex(ph.x, y) - comp
@@ -174,7 +134,7 @@ def fiber_coefficients(
         return {}
     kmax = max(abs(k) for k in ks)
     acc = {k: 0.0 + 0.0j for k in ks}
-    ph = PhaseAccumulator(f, x)
+    ph = QuadraticPhase(x, f.alpha, f.beta)
     for _ in range(n):
         xj = ph.x
         w = cmath.exp(2j * math.pi * ph.phase)
@@ -219,206 +179,82 @@ def vfrac(a: np.ndarray) -> np.ndarray:
     return np.where(out >= 1.0, out - 1.0, out)
 
 
-class _FiberSweep:
-    """Accumulates c_{k,n}(x) = sum_j c_k(x + j a) e^{2 pi i k p_j(x)}
-    simultaneously over a vector of base points.
+def _grid_sweep(
+    f: SkewShift, phi: FiberedTrigPoly, checkpoints: Sequence[int], grid: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (n, c_{k,n} on the midpoint grid) for every distinct checkpoint
+    n in increasing order; the matrix has shape (len(ks), grid).
 
-    The unit-modulus rotations are updated multiplicatively each step and
-    re-anchored every ``_RESYNC`` steps: the x-rotation from the exact
-    scalar j*alpha, the phase rotation from the float phase lanes (double
-    or double-double), which for power-of-two midpoint grids are
-    themselves re-anchored from exact int64 arithmetic.
+    Expanding c_k, the term of mode (m, k) at step j is
+
+        c_{m,k} e(theta_j) e((m + k j) x),   theta_j = m j alpha + k s_j,
+
+    with e(t) = exp(2 pi i t) and theta_j exact (``PhaseNumerators``).  On
+    x_i = (2i + 1)/(2G), e(N x_i) depends only on r = N mod 2G and changes
+    sign under r -> r + G, so the terms fold into 2G bins B by a bincount
+    and, with D[r] = (B[r] - B[r + G]) e(r/(2G)),
+
+        c_{k,n}(x_i) = sum_{r<G} D[r] e(r i / G),
+
+    one length-G FFT per k.  The cost is O(n) vector work per mode plus
+    O(G log G) per checkpoint, in blocks of at most ``_SWEEP_BLOCK`` steps.
     """
-
-    def __init__(
-        self,
-        f: SkewShift,
-        phi: FiberedTrigPoly,
-        xs: np.ndarray,
-        dd: bool = False,
-        grid_denom: Optional[int] = None,
-    ):
-        self.f = f
-        self.xs = np.asarray(xs, dtype=float)
-        G = self.xs.shape[0]
-        self.ks: List[int] = sorted(phi.fiber.keys())
-        self.kmax = max((abs(k) for k in self.ks), default=0)
-        self.modes = [
-            (
-                np.array(sorted(phi.c(k).coeffs.keys()), dtype=np.int64),
-                np.array(
-                    [phi.c(k).coeffs[m] for m in sorted(phi.c(k).coeffs.keys())],
-                    dtype=complex,
-                ),
-            )
-            for k in self.ks
-        ]
-        self.mmax = max(
-            (int(np.max(np.abs(ms))) if ms.size else 0 for ms, _ in self.modes),
-            default=0,
-        )
-        self.acc = np.zeros((len(self.ks), G), dtype=complex)
-        self.dd = dd
-        self.j = 0
-        self._aj = QuadraticPhase(0.0, f.alpha, 0.0)   # .x == j*alpha mod 1
-        self.p = np.zeros(G)
-        self.p_lo = np.zeros(G) if dd else None
-        self.U = np.ones(G, dtype=complex)
-        self.E = np.exp(2j * np.pi * self.xs)
-        self._rot_alpha = cmath.exp(2j * math.pi * f.alpha)
-        self._V = np.exp(2j * np.pi * vfrac(self.xs + f.beta))
-        # Exact int64 anchoring for dyadic midpoint grids: xs = num/denom.
-        self._grid_denom = grid_denom
-        if grid_denom is not None:
-            self._grid_num = np.round(self.xs * grid_denom).astype(np.int64)
-
-    # -- per-step work ------------------------------------------------------
-
-    def _term(self) -> None:
-        if self.kmax or self.mmax:
-            Epow = [None] * (self.mmax + 1)
-            Epow[0] = 1.0
-            for a in range(1, self.mmax + 1):
-                Epow[a] = (self.E if a == 1 else Epow[a - 1] * self.E)
-            Upow = [None] * (self.kmax + 1)
-            Upow[0] = 1.0
-            for a in range(1, self.kmax + 1):
-                Upow[a] = (self.U if a == 1 else Upow[a - 1] * self.U)
-        for idx, k in enumerate(self.ks):
-            ms, cs = self.modes[idx]
-            if ms.size == 0:
-                continue
-            vals = np.zeros_like(self.U)
-            for m, c in zip(ms, cs):
-                if m == 0:
-                    vals += c
-                elif m > 0:
-                    vals += c * Epow[m]
-                else:
-                    vals += c * np.conj(Epow[-m])
-            if k == 0:
-                self.acc[idx] += vals
-            elif k > 0:
-                self.acc[idx] += vals * Upow[k]
-            else:
-                self.acc[idx] += vals * np.conj(Upow[-k])
-
-    def _advance(self) -> None:
-        a_j = self._aj.x                       # exact j*alpha mod 1
-        w_j = cmath.exp(2j * math.pi * a_j)
-        self.U *= self._V * w_j
-        self.E *= self._rot_alpha
-        if self.dd:
-            bh, bl = ddouble.two_sum(self.f.beta, a_j)
-            hi, lo = ddouble.dd_add_float(self.p, self.p_lo, self.xs)
-            hi, lo = ddouble.dd_add_float(hi, lo, bh)
-            lo = lo + bl
-            self.p, self.p_lo = ddouble.dd_wrap(hi, lo)
-        else:
-            self.p = vfrac(self.p + self.xs + frac(self.f.beta + a_j))
-        self._aj.advance()
-        self.j += 1
-        if self.j % _RESYNC == 0:
-            self._resync()
-
-    def _resync(self) -> None:
-        a_j = self._aj.x
-        self.E = np.exp(2j * np.pi * vfrac(self.xs + a_j))
-        if self._grid_denom is not None and not self.dd:
-            # p_j = j*xs + (j*beta + binom(j,2)*alpha), first term exact.
-            d = self._grid_denom
-            jr = (self.j % d) * self._grid_num % d
-            scal = frac_exact(
-                [(self.j, self.f.beta), (binom2(self.j), self.f.alpha)]
-            )
-            self.p = vfrac(jr / d + scal)
-        if self.dd:
-            self.U = np.exp(2j * np.pi * self.p) * np.exp(2j * np.pi * self.p_lo)
-        else:
-            self.U = np.exp(2j * np.pi * self.p)
-
-    def run_checkpoints(self, checkpoints: Sequence[int]) -> Dict[int, np.ndarray]:
-        """Coefficient matrices (len(ks) x G) at each requested n."""
-        out: Dict[int, np.ndarray] = {}
-        for n in sorted(set(checkpoints)):
-            while self.j < n:
-                self._term()
-                self._advance()
-            out[n] = self.acc.copy()
-        return out
-
-    def run_until(self, stops: np.ndarray) -> np.ndarray:
-        """Per-lane capture: lane i is frozen once j reaches stops[i]."""
-        stops = np.asarray(stops, dtype=np.int64)
-        out = np.zeros_like(self.acc)
-        captured = stops == 0
-        top = int(stops.max()) if stops.size else 0
-        while self.j < top:
-            self._term()
-            self._advance()
-            hit = stops == self.j
-            if np.any(hit):
-                out[:, hit] = self.acc[:, hit]
-                captured |= hit
-        if not np.all(captured):
-            raise RuntimeError("unreached stop indices")
-        return out
-
-
-def _wants_dd(f: SkewShift, n: int) -> bool:
-    return f.precision == "double-double" or n > DD_THRESHOLD
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    stops = sorted({int(n) for n in checkpoints})
+    if not stops:
+        raise ValueError("need at least one checkpoint")
+    if stops[0] < 0:
+        raise ValueError("checkpoints must be >= 0")
+    ks = sorted(phi.fiber.keys())
+    modes = [sorted(phi.c(k).coeffs.items()) for k in ks]
+    two_g = 2 * grid
+    phases = PhaseNumerators(f.alpha, f.beta)
+    bins_re = np.zeros((len(ks), two_g))
+    bins_im = np.zeros((len(ks), two_g))
+    twiddle = np.exp(1j * np.pi * np.arange(grid) / grid)
+    j0 = 0
+    for n in stops:
+        while j0 < n:
+            j1 = min(n, j0 + _SWEEP_BLOCK)
+            j = np.arange(j0, j1, dtype=np.int64)
+            ja, s = phases.linear_quadratic(j)
+            jmod = j % two_g
+            for row, k in enumerate(ks):
+                kj = k * jmod
+                for m, c in modes[row]:
+                    num = phases.mode(ja, s, m, k)
+                    theta = 2.0 * np.pi * phases.to_unit(num)
+                    cos, sin = np.cos(theta), np.sin(theta)
+                    r = (kj + m) % two_g
+                    bins_re[row] += np.bincount(
+                        r, c.real * cos - c.imag * sin, two_g
+                    )
+                    bins_im[row] += np.bincount(
+                        r, c.real * sin + c.imag * cos, two_g
+                    )
+            j0 = j1
+        bins = bins_re + 1j * bins_im
+        folded = (bins[:, :grid] - bins[:, grid:]) * twiddle
+        yield n, np.fft.ifft(folded, axis=1, norm="forward")
 
 
 def fiber_coefficients_on_grid(
     f: SkewShift,
     phi: FiberedTrigPoly,
     checkpoints: Sequence[int],
-    grid: Optional[int] = None,
-    xs: Optional[np.ndarray] = None,
-    workers: int = 1,
+    grid: int,
 ) -> Tuple[List[int], Dict[int, np.ndarray]]:
-    """c_{k,n}(x) over an x-grid, captured at several n in one pass.
+    """c_{k,n}(x) on the midpoint x-grid of size ``grid`` at several n in
+    one pass.
 
-    Either ``grid`` (midpoint grid of that size) or an explicit ``xs``
-    vector.  Returns (ks, {n: matrix}) with matrix shape (len(ks), G).
-
-    ``workers`` > 1 splits the columns into fixed chunks processed by a
-    thread pool; every per-column value is computed by the identical
-    elementwise recursion, so results are bit-identical for any worker
-    count.
+    Returns (ks, {n: matrix}) with matrix shape (len(ks), grid); n = 0
+    gives zeros.  Every phase is reduced exactly before its one rounding,
+    and the grid points are the exact rationals (2i + 1)/(2 grid), so the
+    error is that of the float sums alone, O(n eps sup|Phi|), for any grid
+    size and step count.
     """
-    if xs is None:
-        if grid is None:
-            raise ValueError("need grid or xs")
-        xs = midgrid(grid)
-        denom = 2 * grid if grid & (grid - 1) == 0 else None
-    else:
-        xs = np.asarray(xs, dtype=float)
-        denom = None
-    if not len(checkpoints):
-        raise ValueError("need at least one checkpoint")
-    top = max(checkpoints)
-    dd = _wants_dd(f, top)
-    G = xs.shape[0]
-    ks = sorted(phi.fiber.keys())
-    if workers <= 1 or G < 2 * _COLUMN_CHUNK:
-        sweep = _FiberSweep(f, phi, xs, dd=dd, grid_denom=denom)
-        return sweep.ks, sweep.run_checkpoints(checkpoints)
-    spans = [
-        slice(i, min(i + _COLUMN_CHUNK, G)) for i in range(0, G, _COLUMN_CHUNK)
-    ]
-
-    def run(span: slice) -> Dict[int, np.ndarray]:
-        sw = _FiberSweep(f, phi, xs[span], dd=dd, grid_denom=denom)
-        return sw.run_checkpoints(checkpoints)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, spans))
-    out = {
-        n: np.concatenate([part[n] for part in parts], axis=1)
-        for n in sorted(set(checkpoints))
-    }
-    return ks, out
+    return sorted(phi.fiber.keys()), dict(_grid_sweep(f, phi, checkpoints, grid))
 
 
 def birkhoff_grid(
@@ -615,7 +451,7 @@ def visit_fraction(
     count = 0
     acc = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    ph = PhaseAccumulator(f, p.x)
+    ph = QuadraticPhase(p.x, f.alpha, f.beta)
     for n in range(N):
         if abs(acc) < C:
             count += 1

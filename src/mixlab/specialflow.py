@@ -28,7 +28,7 @@ from .skewshift import (
     OrbitLanes,
     SkewShift,
     TorusPoint,
-    fiber_coefficients_on_grid,
+    _grid_sweep,
     midgrid,
     project,
     skew_coboundary,
@@ -187,7 +187,7 @@ def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
     comp = 0.0
     n = 0
     # n is bounded by (t + z)/certified_min; guard against roundoff loops
-    limit = int((t + p.z) / roof.certified_min) + 2
+    limit = _step_limit(roof, target)
     while n < limit:
         v = roof.evaluate(cur.x, cur.y) - comp
         s = total + v
@@ -213,8 +213,7 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
         total = 0.0
         comp = 0.0
         n = 0
-        limit = int(target / roof.certified_min) + 2
-        for _ in range(limit):
+        for _ in range(_step_limit(roof, target)):
             v = roof.evaluate(cur.x, cur.y) - comp
             s = total + v
             if not s < target:
@@ -233,8 +232,7 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
     w = p.z + t
     cur = p.base
     n = 0
-    limit = int(-t / roof.certified_min) + 2
-    for _ in range(limit):
+    for _ in range(_step_limit(roof, -t)):
         if w >= 0.0:
             break
         cur = f.step_inverse(cur)
@@ -242,6 +240,13 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
         n += 1
     cur = f.orbit_at(p.base, -n)
     return FlowPoint(cur.x, cur.y, w)
+
+
+def _step_limit(roof: Roof, target: float) -> int:
+    """Steps that reach accumulated roof height ``target``, bounded through
+    the certified minimum; the scalar and lane loops stop there even when
+    roundoff, or an overstated minimum, would keep them climbing."""
+    return int(target / roof.certified_min) + 2
 
 
 def _flow_lanes(
@@ -252,13 +257,16 @@ def _flow_lanes(
     zs: np.ndarray,
     t: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised ``flow_at`` over arrays of points (single time t)."""
+    """Vectorised ``flow_at`` over arrays of points (single time t).
+
+    Takes at most the steps ``flow_at`` allows for the largest target.
+    """
     lanes = OrbitLanes(f, xs, ys)
     if t >= 0:
         target = zs + t
         total = np.zeros_like(target)
         active = np.ones(target.shape, dtype=bool)
-        while True:
+        for _ in range(_step_limit(roof, float(np.max(target, initial=0.0)))):
             v = roof.evaluate(lanes.x[active], lanes.y[active])
             nxt = total[active] + v
             adv = nxt < target[active]
@@ -279,7 +287,7 @@ def _flow_lanes(
             z = np.where(tie, 0.0, z)
         return lanes.x, lanes.y, z
     w = zs + t
-    while True:
+    for _ in range(_step_limit(roof, -t)):
         neg = w < 0.0
         if not np.any(neg):
             break
@@ -291,12 +299,12 @@ def _flow_lanes(
 def _hit_count_lanes(
     roof: Roof, f: SkewShift, xs: np.ndarray, ys: np.ndarray, t: float
 ) -> np.ndarray:
-    """Vectorised hit counts from height z = 0."""
+    """Vectorised hit counts from height z = 0, capped like ``hit_count``."""
     lanes = OrbitLanes(f, xs, ys)
     total = np.zeros(lanes.x.shape)
     counts = np.zeros(lanes.x.shape, dtype=np.int64)
     active = np.ones(lanes.x.shape, dtype=bool)
-    while True:
+    for _ in range(_step_limit(roof, t)):
         v = roof.evaluate(lanes.x[active], lanes.y[active])
         nxt = total[active] + v
         adv = nxt < t
@@ -516,33 +524,38 @@ def hitting_complement_measure(
 
     span = 32
 
-    def count_chunk(i0: int) -> int:
+    def column_stops(i0: int) -> np.ndarray:
         cols = xs[i0 : i0 + span]
         nc = cols.shape[0]
         X = np.repeat(cols, y_resolution)
         Y = np.tile(ys, nc)
         counts = _hit_count_lanes(roof, f, X, Y, t).reshape(nc, y_resolution)
-        stops = counts.min(axis=1)
-        ks, mat = _coeffs_at_stops(f, osc, cols, stops)
-        ky = np.exp(2j * np.pi * np.outer(ks, ys))
-        sup = np.abs(mat.T @ ky).max(axis=1)
-        return int(np.count_nonzero(sup > C))
+        return counts.min(axis=1)
 
     starts = range(0, grid, span)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            qualifying = sum(pool.map(count_chunk, starts))
+            stops = np.concatenate(list(pool.map(column_stops, starts)))
     else:
-        qualifying = sum(count_chunk(i0) for i0 in starts)
-    return 1.0 - qualifying / grid
+        stops = np.concatenate([column_stops(i0) for i0 in starts])
+    ks, mat = _coeffs_at_stops(f, osc, xs, stops)
+    ky = np.exp(2j * np.pi * np.outer(ks, ys))
+    sup = np.abs(mat.T @ ky).max(axis=1)
+    return 1.0 - int(np.count_nonzero(sup > C)) / grid
 
 
 def _coeffs_at_stops(f, phi, cols, stops):
-    from .skewshift import _FiberSweep
+    """(ks, matrix) with column i holding c_{k,n}(cols[i]) at n = stops[i].
 
-    sweep = _FiberSweep(f, phi, np.asarray(cols, dtype=float))
-    mat = sweep.run_until(np.asarray(stops, dtype=np.int64))
-    return np.array(sweep.ks), mat
+    ``cols`` is the midpoint grid of size len(cols).  One grid sweep with
+    the distinct stops as checkpoints serves every column.
+    """
+    stops = np.asarray(stops, dtype=np.int64)
+    mat = np.zeros((len(phi.fiber), len(cols)), dtype=complex)
+    for n, coeffs in _grid_sweep(f, phi, np.unique(stops), len(cols)):
+        hit = stops == n
+        mat[:, hit] = coeffs[:, hit]
+    return np.array(sorted(phi.fiber.keys())), mat
 
 
 # --------------------------------------------------------------------------

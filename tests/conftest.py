@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mixlab.trigpoly import FiberedTrigPoly
+
+# Property tests draw their examples from a fixed seed and keep no example
+# database, so every run of the suite checks the same cases.
+settings.register_profile("mixlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("mixlab")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

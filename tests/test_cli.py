@@ -130,6 +130,14 @@ def test_workers_env_default(tmp_path, roofs, monkeypatch):
     assert doc["config"]["workers"] == 3
 
 
+def test_workers_env_not_an_integer_exits_2(tmp_path, roofs, monkeypatch,
+                                            capsys):
+    monkeypatch.setenv("MIXLAB_WORKERS", "abc")
+    code, _ = run(tmp_path, "classify", "--roof", roofs["example1"])
+    assert code == 2
+    assert "MIXLAB_WORKERS" in capsys.readouterr().err
+
+
 def test_weyl_and_hitting_run(tmp_path, roofs):
     code, out = run(
         tmp_path / "w", "weyl", "--roof", roofs["example1"], "--levels", "5",

@@ -423,10 +423,3 @@ def test_uniform_bound_scan_trivial_cases():
     with pytest.raises(ValueError):
         uniform_bound_scan(f, sin_y, 3, grid=64)
 
-
-def test_uniform_bound_scan_workers_identical():
-    f = SkewShift(GOLDEN, 0.0)
-    sin_y = FiberedTrigPoly.from_modes({(0, 1): -0.5j, (0, -1): 0.5j}, real=True)
-    a = uniform_bound_scan(f, sin_y, 55, grid=256, workers=1)
-    b = uniform_bound_scan(f, sin_y, 55, grid=256, workers=4)
-    assert a == b

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mixlab.phases import QuadraticPhase, binom2, frac, frac_exact
+from mixlab.phases import PhaseNumerators, QuadraticPhase, binom2, frac, frac_exact
 
 
 def test_frac_corner_cases():
@@ -61,3 +63,25 @@ def test_quadratic_phase_no_drift_at_large_j():
         (n * Fraction(x) + n * Fraction(b) + binom2(n) * Fraction(a)) % 1
     )
     assert q.phase == want
+
+
+# alpha, beta in [0, 1); tiny betas push the common denominator past 2^64
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_unit_or_tiny = st.one_of(_unit, st.floats(1e-30, 1e-5))
+
+
+@given(alpha=_unit, beta=_unit_or_tiny,
+       m=st.integers(-64, 64), k=st.integers(-8, 8),
+       js=st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=8))
+def test_phase_numerators_match_fractions(alpha, beta, m, k, js):
+    ph = PhaseNumerators(alpha, beta)
+    assert (ph.dtype == np.uint64) == (ph.k <= 64)
+    ja, s = ph.linear_quadratic(np.array(js, dtype=np.int64))
+    num = ph.mode(ja, s, m, k)
+    unit = ph.to_unit(num)
+    a, b = Fraction(alpha), Fraction(beta)
+    for i, j in enumerate(js):
+        want = (m * j * a + k * (j * b + binom2(j) * a)) % 1
+        assert Fraction(int(num[i]), 2 ** ph.k) == want
+        assert unit[i] == float(want)
+

@@ -13,9 +13,9 @@ from conftest import (
     mixing_example_roof,
 )
 from mixlab.errors import SmallDivisor
+from mixlab.phases import QuadraticPhase
 from mixlab.skewshift import (
     OrbitLanes,
-    PhaseAccumulator,
     SkewShift,
     TorusPoint,
     birkhoff_grid,
@@ -86,7 +86,7 @@ def test_orbit_at_examples():
 def test_phase_accumulator_recursion_invariant():
     f = SkewShift(0.7071067811865476, 0.3)
     x = 0.1234
-    acc = PhaseAccumulator(f, x)
+    acc = QuadraticPhase(x, f.alpha, f.beta)
     p_prev = acc.phase
     for j in range(200):
         a_j = (j * f.alpha) % 1.0
@@ -200,46 +200,60 @@ def test_fiber_coefficients_match_birkhoff_on_grid():
         assert np.max(np.abs(series.real - direct)) <= 1e-9
 
 
-def test_fiber_grid_sweep_matches_scalar():
-    f = SkewShift(GOLDEN, 0.3)
-    phi = FiberedTrigPoly.from_modes(
-        {(1, 1): 0.3 - 0.2j, (-1, -1): 0.3 + 0.2j, (0, 1): -0.5j, (0, -1): 0.5j},
-        real=True,
-    )
-    G = 64
-    ks, mats = fiber_coefficients_on_grid(f, phi, [50, 5000], grid=G)
+GRID_TEST_ROOF = {
+    (1, 1): 0.3 - 0.2j, (-1, -1): 0.3 + 0.2j, (0, 1): -0.5j, (0, -1): 0.5j,
+    (2, 0): 0.1, (-2, 0): 0.1, (-3, 2): 0.05j, (3, -2): -0.05j,
+}
+
+
+def _assert_grid_matches_scalar(f, phi, ns, G, columns):
+    ks, mats = fiber_coefficients_on_grid(f, phi, ns, grid=G)
+    assert ks == sorted(phi.fiber)
     xs = midgrid(G)
-    for n in (50, 5000):
-        for idx in (0, 13, 40, 63):
+    for n in ns:
+        assert mats[n].shape == (len(ks), G)
+        for idx in columns:
             want = fiber_coefficients(f, phi, float(xs[idx]), n)
             for r, k in enumerate(ks):
                 assert abs(mats[n][r, idx] - want[k]) < 1e-9
 
 
-def test_fiber_grid_double_double_lanes_agree():
-    f = SkewShift(GOLDEN, 0.3, precision="double-double")
-    phi = FiberedTrigPoly.from_modes({(0, 1): -0.5j, (0, -1): 0.5j}, real=True)
-    G = 16
-    ks, mats = fiber_coefficients_on_grid(f, phi, [3000], grid=G)
-    f2 = SkewShift(GOLDEN, 0.3)
-    ks2, mats2 = fiber_coefficients_on_grid(f2, phi, [3000], grid=G)
-    assert np.max(np.abs(mats[3000] - mats2[3000])) < 1e-10
-
-
-def test_fiber_sweep_arbitrary_points_match_exact_scalar():
-    # off-grid base points exercise the pure float recursion (no exact
-    # re-anchoring); double-double lanes must track the exact scalar path
+def test_fiber_grid_sweep_matches_scalar():
+    # the m = 0 (k = 0) and |k| = 2 modes cover the fold of every frequency
     f = SkewShift(GOLDEN, 0.3)
-    fdd = SkewShift(GOLDEN, 0.3, precision="double-double")
-    phi = FiberedTrigPoly.from_modes({(0, 1): -0.5j, (0, -1): 0.5j}, real=True)
-    xs = np.array([0.1234567890123, 0.777000333, 0.5000001, 0.965342])
-    n = 50_000
-    for fmap, tol in ((f, 1e-9), (fdd, 1e-11)):
-        ks, mats = fiber_coefficients_on_grid(fmap, phi, [n], xs=xs)
-        for i, x in enumerate(xs):
-            want = fiber_coefficients(f, phi, float(x), n)
-            for r, k in enumerate(ks):
-                assert abs(mats[n][r, i] - want[k]) < tol * n ** 0.5
+    phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
+    _assert_grid_matches_scalar(f, phi, [50, 5000, 50_000], 64, (0, 13, 40, 63))
+
+
+def test_fiber_grid_sweep_non_power_of_two_grid():
+    f = SkewShift(GOLDEN, 0.3)
+    phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
+    _assert_grid_matches_scalar(f, phi, [7, 2000], 1000, (0, 333, 500, 999))
+
+
+def test_fiber_grid_sweep_wide_dyadic_denominator():
+    # beta = 1e-5 needs 2^69 as the common denominator: the sweep forms
+    # the phases on Python integers instead of uint64
+    f = SkewShift(GOLDEN, 1e-5)
+    phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
+    _assert_grid_matches_scalar(f, phi, [1, 300], 64, (0, 31, 63))
+
+
+def test_fiber_grid_sweep_checkpoints():
+    f = SkewShift(GOLDEN, 0.3)
+    phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
+    ns = [0, 1, 99, 70_000, 131_073]
+    ks, mats = fiber_coefficients_on_grid(f, phi, ns + [99], grid=128)
+    assert sorted(mats) == ns
+    assert not np.any(mats[0])
+    for n in ns[1:]:
+        _, single = fiber_coefficients_on_grid(f, phi, [n], grid=128)
+        scale = max(1.0, float(np.max(np.abs(single[n]))))
+        assert np.max(np.abs(mats[n] - single[n])) <= 1e-12 * scale
+    with pytest.raises(ValueError):
+        fiber_coefficients_on_grid(f, phi, [], grid=128)
+    with pytest.raises(ValueError):
+        fiber_coefficients_on_grid(f, phi, [-1, 5], grid=128)
 
 
 def test_birkhoff_grid_values():

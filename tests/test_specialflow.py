@@ -11,6 +11,8 @@ from mixlab.errors import NonPositiveRoof, NotACoboundary
 from mixlab.skewshift import SkewShift, TorusPoint, midgrid
 from mixlab.specialflow import (
     CorrelationEstimate,
+    _flow_lanes,
+    _hit_count_lanes,
     Cube,
     FlowPoint,
     Roof,
@@ -90,6 +92,26 @@ def test_hit_count_monotone_unit_jumps():
 
 
 # ---------------------------------------------------------------------- flow
+
+
+def test_lanes_stop_at_the_scalar_step_bound():
+    # certified_min = 10 overstates the unit roof: the true hit count at
+    # t = 100 is 99, but no loop may take more than int(t / 10) + 2 steps
+    f = SkewShift(GOLDEN, 0.0)
+    roof = Roof(FiberedTrigPoly.constant(1.0), 10.0, 10.0, 1.0, 0.0)
+    xs, ys = np.array([0.1, 0.6]), np.array([0.2, 0.9])
+    limit = int(100.0 / 10.0) + 2
+    counts = _hit_count_lanes(roof, f, xs, ys, 100.0)
+    for x, y, n in zip(xs, ys, counts):
+        assert n == hit_count(roof, f, FlowPoint(x, y, 0.0), 100.0) == limit
+    for t in (100.0, -100.0):
+        lx, ly, lz = _flow_lanes(roof, f, xs, ys, np.zeros(2), t)
+        for i in range(2):
+            want = flow_at(roof, f, FlowPoint(xs[i], ys[i], 0.0), t)
+            assert circle_dist(lx[i], want.x) < 1e-12
+            assert circle_dist(ly[i], want.y) < 1e-12
+            assert lz[i] == want.z
+    assert lz[0] == -100.0 + limit       # backward: limit steps of height 1
 
 
 def test_flow_identity_and_constant_suspension():
