@@ -35,8 +35,16 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: a finite number."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
 def _parse_floats(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [_finite(tok) for tok in text.split(",") if tok]
 
 
 def _parse_ints(text: str) -> List[int]:
@@ -368,9 +376,9 @@ def cmd_conjugacy(args) -> int:
 def _add_common(sp, roof=True):
     if roof:
         sp.add_argument("--roof", required=True, help="roof JSON file")
-        sp.add_argument("--alpha", type=float, default=None,
+        sp.add_argument("--alpha", type=_finite, default=None,
                         help="override the file's alpha")
-        sp.add_argument("--beta", type=float, default=None,
+        sp.add_argument("--beta", type=_finite, default=None,
                         help="override the file's beta")
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument(
@@ -392,17 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="mixing/trivial verdict for a roof")
     _add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("solve", help="emit the transfer function u")
     _add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("stretch", help="sublevel-measure decay along n")
     _add_common(sp)
-    sp.add_argument("--C", type=float, required=True)
+    sp.add_argument("--C", type=_finite, required=True)
     sp.add_argument("--n", type=_parse_ints, required=True,
                     help="comma-separated Birkhoff lengths")
     sp.add_argument("--grid", type=int, default=2048)
@@ -418,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("visits", help="orbit fraction with small phi_n")
     _add_common(sp)
-    sp.add_argument("--C", type=float, required=True)
+    sp.add_argument("--C", type=_finite, required=True)
     sp.add_argument("--N", type=_parse_ints, required=True)
-    sp.add_argument("--x", type=float, default=0.1)
-    sp.add_argument("--y", type=float, default=0.2)
+    sp.add_argument("--x", type=_finite, default=0.1)
+    sp.add_argument("--y", type=_finite, default=0.2)
     sp.set_defaults(func=cmd_visits)
 
     sp = sub.add_parser("correlate", help="Monte-Carlo mixing curve")
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fiber-profile", help="fiber arc mass carried into a cube")
     _add_common(sp)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite, required=True)
     sp.add_argument("--arc", type=_parse_floats, required=True, help="y1,y2")
     sp.add_argument("--cube", type=_parse_floats, required=True,
                     help="x1,x2,y1,y2,h")
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hitting", help="measure of fibers without large phi")
     _add_common(sp)
-    sp.add_argument("--C", type=float, required=True)
+    sp.add_argument("--C", type=_finite, required=True)
     sp.add_argument("--t", type=_parse_floats, required=True)
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--y-resolution", dest="y_resolution", type=int, default=64)
@@ -464,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("return-check", help="section return map cross-check")
     _add_common(sp, roof=False)
-    sp.add_argument("--wx", type=float, required=True)
-    sp.add_argument("--wy", type=float, required=True)
-    sp.add_argument("--wz", type=float, required=True)
+    sp.add_argument("--wx", type=_finite, required=True)
+    sp.add_argument("--wy", type=_finite, required=True)
+    sp.add_argument("--wz", type=_finite, required=True)
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_return_check)
@@ -476,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_parse_floats, required=True)
     sp.add_argument("--points", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.set_defaults(func=cmd_conjugacy)
 
     return ap

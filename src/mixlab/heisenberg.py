@@ -210,14 +210,16 @@ def poincare_return_numeric(
 
     Marches from j(x, z) in the time direction of the generator's
     y-winding until the reduced y-coordinate wraps, then bisects the
-    wrap bracket down to ``time_tol``.  Independent of the closed form
-    in ``poincare_return``; used to cross-validate it.
+    wrap bracket down to ``time_tol`` or to adjacent floats.  Independent
+    of the closed form in ``poincare_return``; used to cross-validate it.
     """
     if w.w_y == 0.0:
         raise DegenerateSection("w_y = 0: generator is tangent to the section")
     start = section_point(x, z, lattice)
     sgn = 1.0 if w.w_y > 0 else -1.0
     dt = sgn * 0.25 / abs(w.w_y)
+    if not math.isfinite(dt):
+        raise DegenerateSection(f"return time 1/w_y overflows: w_y = {w.w_y}")
 
     def ycoord(t: float) -> float:
         return nilflow_at(start, w, t).g.y
@@ -236,10 +238,14 @@ def poincare_return_numeric(
     else:
         raise RuntimeError("section crossing not bracketed")
 
-    # Bisect on the wrapped/not-wrapped predicate.
+    # Bisect on the wrapped/not-wrapped predicate, down to time_tol or to
+    # adjacent floats, whichever comes first (|t| ~ 1/|w_y| can make
+    # time_tol smaller than one ulp of t).
     lo, hi = t_prev, t_cur
     while abs(hi - lo) > time_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if ycoord(mid) < 0.5:
             hi = mid
         else:

@@ -8,12 +8,13 @@ The closed-form iterate is
     f^j(x, y) = (x + j*alpha,  y + j*x + j*beta + binom(j,2)*alpha),
 
 so every orbit quantity reduces to the quadratic phase p_j = j*x + j*beta
-+ binom(j,2)*alpha mod 1.  Scalar paths track p_j with exact dyadic
-integer arithmetic (`phases.QuadraticPhase`).  Grid sweeps form the
-x-independent part of every phase exactly for whole blocks of j
-(`phases.PhaseNumerators`), fold the terms by frequency with a bincount
-and take one FFT per fiber mode, so each term carries its own exactly
-reduced phase at any step count.
++ binom(j,2)*alpha mod 1, formed exactly in dyadic integer arithmetic
+for whole blocks of j (`phases.PhaseNumerators`).  Scalar paths take the
+orbit of their base point block by block (`_orbit`), each coordinate
+rounded once.  Grid sweeps form the x-independent part of every phase,
+fold the terms by frequency with a bincount and take one FFT per fiber
+mode, so each term carries its own exactly reduced phase at any step
+count.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from typing import (
 import numpy as np
 
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import PhaseNumerators, QuadraticPhase, binom2, frac, frac_exact
+from .phases import PhaseNumerators, binom2, frac, frac_exact
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
-# Orbit steps per grid-sweep block; bounds the sweep's memory for any n.
+# Orbit steps per block of an orbit walk or a grid sweep; bounds their
+# memory for any n.
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -97,25 +99,31 @@ def project(phi: FiberedTrigPoly) -> Tuple[FiberedTrigPoly, TrigPoly1D]:
     return FiberedTrigPoly(rest, real=phi.real), perp
 
 
+def _orbit(
+    f: SkewShift, x: float, y: float, n: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (x_j, y_j) = f^j(x, y) for j < n as float arrays, in blocks of
+    at most ``_SWEEP_BLOCK`` steps.  Every coordinate is the exact dyadic
+    value rounded once, at any step count."""
+    phases = PhaseNumerators(f.alpha, f.beta, x, y)
+    for j0 in range(0, n, _SWEEP_BLOCK):
+        j = np.arange(j0, min(n, j0 + _SWEEP_BLOCK), dtype=np.int64)
+        xs, ys = phases.orbit(j)
+        yield phases.to_unit(xs), phases.to_unit(ys)
+
+
 def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):
     """Phi_n(p) = sum_{j<n} Phi(f^j p), with Phi_0 = 0 (empty sum).
 
-    Evaluated with the exact QuadraticPhase recursion and compensated
-    summation; the phases are exact, so the absolute error is
-    O(n * eps * sup|Phi|) from the sum alone.
+    The orbit points are exact (``_orbit``) and each block is summed
+    pairwise, so the absolute error is that of the float sum alone,
+    O(n * eps * sup|Phi|).  Raises ValueError for n < 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     acc = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    ph = QuadraticPhase(p.x, f.alpha, f.beta)
-    for _ in range(n):
-        y = frac(p.y + ph.phase)
-        term = phi.evaluate_complex(ph.x, y) - comp
-        t = acc + term
-        comp = (t - acc) - term
-        acc = t
-        ph.advance()
+    for xs, ys in _orbit(f, p.x, p.y, n):
+        acc += complex(np.sum(phi.evaluate_complex(xs, ys)))
     return acc.real if phi.real else acc
 
 
@@ -125,26 +133,16 @@ def fiber_coefficients(
     """Fourier-in-y coefficients of y -> Phi_n(x, y).
 
     c_{k,n}(x) = sum_{j<n} c_k(x + j alpha) e^{2 pi i k p_j(x)}, computed
-    with exact phases.  Keys are the fiber frequencies of Phi.
+    with exact phases p_j, the fiber coordinate of f^j(x, 0).  Keys are
+    the fiber frequencies of Phi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = sorted(phi.fiber.keys())
-    if not ks:
-        return {}
-    kmax = max(abs(k) for k in ks)
-    acc = {k: 0.0 + 0.0j for k in ks}
-    ph = QuadraticPhase(x, f.alpha, f.beta)
-    for _ in range(n):
-        xj = ph.x
-        w = cmath.exp(2j * math.pi * ph.phase)
-        wpow = [1.0 + 0.0j] * (kmax + 1)
-        for a in range(1, kmax + 1):
-            wpow[a] = wpow[a - 1] * w
-        for k in ks:
-            wk = wpow[k] if k >= 0 else wpow[-k].conjugate()
-            acc[k] += phi.c(k).evaluate_complex(xj) * wk
-        ph.advance()
+    acc = {k: 0.0 + 0.0j for k in phi.fiber}
+    for xs, ps in _orbit(f, x, 0.0, n):
+        for k, c in phi.fiber.items():
+            terms = c.evaluate_complex(xs) * np.exp(2j * np.pi * k * ps)
+            acc[k] += complex(np.sum(terms))
     return acc
 
 
@@ -441,7 +439,8 @@ def visit_fraction(
 ) -> float:
     """(1/N) #{0 <= n < N : |phi_n(p)| < C} for the oscillating part of Phi.
 
-    Single incremental pass; phi_0 = 0 always counts.
+    One pass over the exact orbit, a cumulative sum per block seeded with
+    the running total; phi_0 = 0 always counts.
     """
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -450,16 +449,11 @@ def visit_fraction(
     osc, _ = project(phi)
     count = 0
     acc = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    ph = QuadraticPhase(p.x, f.alpha, f.beta)
-    for n in range(N):
-        if abs(acc) < C:
-            count += 1
-        term = osc.evaluate_complex(ph.x, frac(p.y + ph.phase)) - comp
-        t = acc + term
-        comp = (t - acc) - term
-        acc = t
-        ph.advance()
+    for xs, ys in _orbit(f, p.x, p.y, N):
+        # sums[i] = phi_{j0 + i}: the running total, then one term per step
+        sums = np.cumsum(np.concatenate(([acc], osc.evaluate_complex(xs, ys))))
+        count += int(np.count_nonzero(np.abs(sums[:-1]) < C))
+        acc = sums[-1]
     return count / N
 
 

@@ -29,6 +29,7 @@ from .skewshift import (
     SkewShift,
     TorusPoint,
     _grid_sweep,
+    _orbit,
     midgrid,
     project,
     skew_coboundary,
@@ -40,6 +41,10 @@ from .trigpoly import FiberedTrigPoly
 # Fixed Monte-Carlo block size; the per-block Philox key makes sample i
 # depend only on (seed, i // _BLOCK, i % _BLOCK).
 _BLOCK = 65536
+
+# Most base steps a flow or hit count may take: the range over which the
+# exact orbit phases are checked.
+_MAX_STEPS = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -176,28 +181,13 @@ def _require_cube_fits(roof: Roof, cube: Cube) -> None:
 def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
     """Largest n with Phi_n(x, y) < t + z (0 for t = z = 0).
 
-    Incremental accumulation with strict crossing; a float tie resolves
-    to the smaller n.
+    Strict crossing of the running roof sum; a float tie resolves to the
+    smaller n.  Raises ValueError for t < 0 and for a time the step bound
+    cannot reach (``_step_limit``).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    target = t + p.z
-    cur = p.base
-    total = 0.0
-    comp = 0.0
-    n = 0
-    # n is bounded by (t + z)/certified_min; guard against roundoff loops
-    limit = _step_limit(roof, target)
-    while n < limit:
-        v = roof.evaluate(cur.x, cur.y) - comp
-        s = total + v
-        if not s < target:
-            break
-        comp = (s - total) - v
-        total = s
-        cur = f.step(cur)
-        n += 1
-    return n
+    return _climb(roof, f, p, t + p.z)[0]
 
 
 def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
@@ -209,19 +199,7 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
     """
     if t >= 0:
         target = t + p.z
-        cur = p.base
-        total = 0.0
-        comp = 0.0
-        n = 0
-        for _ in range(_step_limit(roof, target)):
-            v = roof.evaluate(cur.x, cur.y) - comp
-            s = total + v
-            if not s < target:
-                break
-            comp = (s - total) - v
-            total = s
-            cur = f.step(cur)
-            n += 1
+        n, total = _climb(roof, f, p, target)
         cur = f.orbit_at(p.base, n)    # exact closed form for the base point
         z = target - total
         v = roof.evaluate(cur.x, cur.y)
@@ -242,11 +220,42 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
     return FlowPoint(cur.x, cur.y, w)
 
 
+def _climb(
+    roof: Roof, f: SkewShift, p: FlowPoint, target: float
+) -> Tuple[int, float]:
+    """(n, Phi_n(x, y)) for the largest n with Phi_n(x, y) < target, at most
+    ``_step_limit`` steps.
+
+    The roof is summed along the exact orbit one block at a time, a
+    cumulative sum seeded with the running total; the sums never decrease,
+    so a search finds the first one that is not below the target.
+    """
+    n, total = 0, 0.0
+    for xs, ys in _orbit(f, p.x, p.y, _step_limit(roof, target)):
+        sums = np.cumsum(np.concatenate(([total], roof.evaluate(xs, ys))))
+        below = int(np.searchsorted(sums[1:], target, side="left"))
+        n += below
+        total = float(sums[below])
+        if below < len(xs):
+            break
+    return n, total
+
+
 def _step_limit(roof: Roof, target: float) -> int:
     """Steps that reach accumulated roof height ``target``, bounded through
     the certified minimum; the scalar and lane loops stop there even when
-    roundoff, or an overstated minimum, would keep them climbing."""
-    return int(target / roof.certified_min) + 2
+    roundoff, or an overstated minimum, would keep them climbing.
+
+    Raises ValueError for a target that is not finite or that would need
+    more than 2^62 steps, the range of the exact orbit phases.
+    """
+    steps = target / roof.certified_min
+    if not math.isfinite(steps) or steps > _MAX_STEPS:
+        raise ValueError(
+            f"time {float(target):g} is out of range: the flow takes at most "
+            "2^62 base steps"
+        )
+    return int(steps) + 2
 
 
 def _flow_lanes(
@@ -514,6 +523,8 @@ def hitting_complement_measure(
     |phi_{n(x)}(x, .)| exceeds C (phi the zero-fiber-average part of the
     roof).  Returns the fraction that fails to qualify.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if C <= 1.0:
         raise ValueError("C must be > 1")
     if grid < 256:

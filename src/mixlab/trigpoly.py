@@ -255,9 +255,6 @@ class FiberedTrigPoly:
             {k: p.scale(s) for k, p in self.fiber.items()}, real=keep_real
         )
 
-    def add_constant(self, c: float) -> "FiberedTrigPoly":
-        return self + FiberedTrigPoly.constant(c)
-
     def dy(self) -> "FiberedTrigPoly":
         """Partial derivative in the fiber variable y."""
         return FiberedTrigPoly(

@@ -221,6 +221,62 @@ def test_invalid_inputs_exit_2(tmp_path, roofs, capsys):
     assert code == 2
 
 
+def exit_code(tmp_path, *argv):
+    """Exit code of one run, argparse's own exit on a bad option included."""
+    try:
+        return run(tmp_path, *argv)[0]
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["visits", "--roof", "example1", "--C", "nan", "--N", "10"],
+    ["stretch", "--roof", "example1", "--C", "inf", "--n", "10"],
+    ["correlate", "--roof", "example1", "--alpha", "nan",
+     "--cube", "0,0.5,0,0.5,0.5", "--t", "1", "--samples", "2000"],
+    ["correlate", "--roof", "example1", "--cube", "0,0.5,0,0.5,0.5",
+     "--t", "inf", "--samples", "2000"],
+    ["correlate", "--roof", "example1", "--cube", "0,nan,0,0.5,0.5",
+     "--t", "1", "--samples", "2000"],
+    ["hitting", "--roof", "example1", "--C", "2", "--t", "inf"],
+    ["fiber-profile", "--roof", "example1", "--x", "0.3", "--arc", "0.2,0.6",
+     "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "inf"],
+    ["conjugacy", "--roof", "coboundary", "--t", "inf"],
+    ["conjugacy", "--roof", "coboundary", "--t=-inf"],
+    ["sublevel", "--roof", "example3", "--deltas", "0.1,inf"],
+    ["classify", "--roof", "example1", "--tol", "nan"],
+    ["return-check", "--wx", "0.3", "--wy=-inf", "--wz", "0"],
+])
+def test_non_finite_floats_exit_2(tmp_path, roofs, capsys, argv):
+    argv = [roofs.get(a, a) for a in argv]
+    assert exit_code(tmp_path, *argv) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugacy", "--roof", "coboundary", "--t", "1e300"],
+    ["conjugacy", "--roof", "coboundary", "--t=-1e300"],
+    ["correlate", "--roof", "example1", "--cube", "0,0.5,0,0.5,0.5",
+     "--t", "1e300", "--samples", "2000"],
+    ["hitting", "--roof", "example1", "--C", "2", "--t", "1e300"],
+    ["fiber-profile", "--roof", "example1", "--x", "0.3", "--arc", "0.2,0.6",
+     "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1e300"],
+])
+def test_unreachable_times_exit_2(tmp_path, roofs, capsys, argv):
+    argv = [roofs.get(a, a) for a in argv]
+    assert exit_code(tmp_path, *argv) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_negative_hitting_time_exits_2(tmp_path, roofs, capsys):
+    code = exit_code(
+        tmp_path, "hitting", "--roof", roofs["example1"], "--C", "2",
+        "--t=-5",
+    )
+    assert code == 2
+    assert "t must be >= 0" in capsys.readouterr().err
+
+
 def test_rational_alpha_small_divisor_exit_3(tmp_path, capsys):
     # rational alpha hits the resonant frequency m = 2 during solve
     roof = tmp_path / "xonly.json"

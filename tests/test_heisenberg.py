@@ -233,6 +233,19 @@ def test_poincare_numeric_matches_closed_form():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("wy", [1e-20, -1e-20, 1e-300])
+def test_poincare_numeric_bisection_stops_at_adjacent_floats(wy):
+    # one ulp of t ~ 1/w_y is far above time_tol: the bracket stops
+    # shrinking before it reaches the tolerance
+    res = poincare_return_numeric(AlgebraVector(0.3, wy, -0.2), 0.1, 0.2)
+    assert math.isclose(res.time, 1.0 / wy, rel_tol=1e-15)
+
+
+def test_poincare_numeric_overflowing_return_time():
+    with pytest.raises(DegenerateSection):
+        poincare_return_numeric(AlgebraVector(0.3, 1e-320, -0.2), 0.1, 0.2)
+
+
 def test_section_iterates_match_skewshift_orbit():
     w = AlgebraVector(0.415926, 1.1, -0.23)
     alpha = w.w_x / w.w_y

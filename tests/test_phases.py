@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixlab.phases import PhaseNumerators, QuadraticPhase, binom2, frac, frac_exact
+from mixlab.phases import PhaseNumerators, binom2, frac, frac_exact
 
 
 def test_frac_corner_cases():
@@ -37,35 +37,8 @@ def test_binom2_negative_indices():
     assert binom2(-3) == 6
 
 
-def test_quadratic_phase_closed_form():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x, a, b = rng.random(), rng.random(), rng.random()
-        q = QuadraticPhase(x, a, b)
-        for j in range(1, 40):
-            q.advance()
-            want_x = float((Fraction(x) + j * Fraction(a)) % 1)
-            want_p = float(
-                (j * Fraction(x) + j * Fraction(b) + binom2(j) * Fraction(a)) % 1
-            )
-            assert q.x == want_x
-            assert q.phase == want_p
-        assert q.j == 39
-
-
-def test_quadratic_phase_no_drift_at_large_j():
-    x, a, b = 0.1234567891234, 0.7071067811865476, 0.3
-    q = QuadraticPhase(x, a, b)
-    n = 50_000
-    for _ in range(n):
-        q.advance()
-    want = float(
-        (n * Fraction(x) + n * Fraction(b) + binom2(n) * Fraction(a)) % 1
-    )
-    assert q.phase == want
-
-
-# alpha, beta in [0, 1); tiny betas push the common denominator past 2^64
+# alpha, beta, x, y in [0, 1); tiny values push the common denominator
+# past 2^64
 _unit = st.floats(0.0, 1.0, exclude_max=True)
 _unit_or_tiny = st.one_of(_unit, st.floats(1e-30, 1e-5))
 
@@ -84,4 +57,21 @@ def test_phase_numerators_match_fractions(alpha, beta, m, k, js):
         want = (m * j * a + k * (j * b + binom2(j) * a)) % 1
         assert Fraction(int(num[i]), 2 ** ph.k) == want
         assert unit[i] == float(want)
+
+
+
+@given(alpha=_unit, beta=_unit_or_tiny, x=_unit_or_tiny, y=_unit,
+       js=st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=8))
+def test_phase_numerators_orbit_matches_fractions(alpha, beta, x, y, js):
+    ph = PhaseNumerators(alpha, beta, x, y)
+    assert (ph.dtype == np.uint64) == (ph.k <= 64)
+    xs, ys = ph.orbit(np.array(js, dtype=np.int64))
+    ux, uy = ph.to_unit(xs), ph.to_unit(ys)
+    a, b, x0, y0 = Fraction(alpha), Fraction(beta), Fraction(x), Fraction(y)
+    for i, j in enumerate(js):
+        want_x = (x0 + j * a) % 1
+        want_y = (y0 + j * x0 + j * b + binom2(j) * a) % 1
+        assert Fraction(int(xs[i]), 2 ** ph.k) == want_x
+        assert Fraction(int(ys[i]), 2 ** ph.k) == want_y
+        assert (ux[i], uy[i]) == (float(want_x), float(want_y))
 

@@ -1,6 +1,7 @@
 """Skew-shift orbits, Birkhoff sums, and the estimators built on them."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from conftest import (
     mixing_example_roof,
 )
 from mixlab.errors import SmallDivisor
-from mixlab.phases import QuadraticPhase
 from mixlab.skewshift import (
     OrbitLanes,
     SkewShift,
@@ -83,20 +83,6 @@ def test_orbit_at_examples():
     assert f.orbit_at(p, 0) == p
 
 
-def test_phase_accumulator_recursion_invariant():
-    f = SkewShift(0.7071067811865476, 0.3)
-    x = 0.1234
-    acc = QuadraticPhase(x, f.alpha, f.beta)
-    p_prev = acc.phase
-    for j in range(200):
-        a_j = (j * f.alpha) % 1.0
-        acc.advance()
-        predicted = (p_prev + x + f.beta + a_j) % 1.0
-        assert circle_dist(acc.phase, predicted) < 1e-12
-        p_prev = acc.phase
-        assert circle_dist(acc.x, (x + (j + 1) * f.alpha) % 1.0) < 1e-9
-
-
 # ------------------------------------------------------------- projections
 
 
@@ -164,6 +150,20 @@ def test_cocycle_identity():
         first = birkhoff_sum(f, phi, p, n)
         rest = birkhoff_sum(f, phi, f.orbit_at(p, n), m)
         assert abs(whole - (first + rest)) <= 1e-8
+
+
+def test_cocycle_identity_across_orbit_blocks():
+    # n + m passes the 2^16-step block of the orbit walk, n and m do not
+    f = SkewShift(GOLDEN, 0.11)
+    phi = mixing_example_roof()
+    n, m = 40_000, 30_000
+    for x, y in [(0.3, 0.7), (0.123, 0.456), (0.9, 0.05)]:
+        p = TorusPoint(x, y)
+        whole = birkhoff_sum(f, phi, p, n + m)
+        first = birkhoff_sum(f, phi, p, n)
+        rest = birkhoff_sum(f, phi, f.orbit_at(p, n), m)
+        # float sums of 7e4 terms of size <= 3, and the once-rounded f^n p
+        assert abs(whole - (first + rest)) <= 1e-12 * (n + m) * 3.0
 
 
 # ------------------------------------------------------- fiber coefficients
@@ -403,6 +403,26 @@ def test_visit_fraction_against_direct_iteration():
         x, y = (x + f.alpha) % 1, (y + x + f.beta) % 1
     got = visit_fraction(f, phi, p, C, N)
     assert got == count / N
+
+
+def test_visit_fraction_across_orbit_blocks_against_exact_iteration():
+    # N passes the 2^16-step block; the oracle steps the map on exact
+    # rationals, one point at a time, and sums in plain floats
+    f = SkewShift(GOLDEN, 0.0)
+    phi = mixing_example_roof()
+    p = TorusPoint(0.1, 0.2)
+    C, N = 2.0, 70_000
+    a, b = Fraction(f.alpha), Fraction(f.beta)
+    x, y = Fraction(p.x), Fraction(p.y)
+    count = 0
+    acc = 0.0
+    for n in range(N):
+        assert abs(abs(acc) - C) > 1e-9     # no count hangs on a rounding
+        if abs(acc) < C:
+            count += 1
+        acc += math.sin(2 * math.pi * float(y))
+        x, y = (x + a) % 1, (y + x + b) % 1
+    assert visit_fraction(f, phi, p, C, N) == count / N
 
 
 # frozen from the direct-iteration oracle at development time

@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN, circle_dist, coboundary_roof, mixing_example_roof
 from mixlab.cohomology import classify_roof
 from mixlab.errors import NonPositiveRoof, NotACoboundary
-from mixlab.skewshift import SkewShift, TorusPoint, midgrid
+from mixlab.skewshift import SkewShift, TorusPoint, birkhoff_sum, midgrid
 from mixlab.specialflow import (
     CorrelationEstimate,
     _flow_lanes,
@@ -89,6 +89,40 @@ def test_hit_count_monotone_unit_jumps():
         assert n >= prev
         assert n - prev <= 1
         prev = n
+
+
+def test_hit_count_and_flow_across_orbit_blocks():
+    # ~70000 steps pass the 2^16-step block of the orbit walk
+    f = SkewShift(GOLDEN, 0.2)
+    unit = certify_roof(FiberedTrigPoly.constant(1.0))
+    p = FlowPoint(0.3, 0.8, 0.0)
+    assert hit_count(unit, f, p, 70_000.5) == 70_000
+    q = flow_at(unit, f, p, 70_000.5)
+    base = f.orbit_at(p.base, 70_000)
+    assert (q.x, q.y, q.z) == (base.x, base.y, 0.5)
+
+    roof = certify_roof(mixing_example_roof())
+    p = FlowPoint(0.13, 0.57, 0.3)
+    t = 140_000.0
+    n = hit_count(roof, f, p, t)
+    assert n > 1 << 16
+    assert birkhoff_sum(f, roof.phi, p.base, n) < t + p.z
+    assert birkhoff_sum(f, roof.phi, p.base, n + 1) >= t + p.z
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 2.0 ** 63, 1e300])
+def test_unreachable_times_raise(t):
+    f = SkewShift(GOLDEN, 0.2)
+    roof = certify_roof(FiberedTrigPoly.constant(1.0))
+    p = FlowPoint(0.3, 0.8, 0.0)
+    with pytest.raises(ValueError):
+        hit_count(roof, f, p, t)
+    with pytest.raises(ValueError):
+        flow_at(roof, f, p, t)
+    with pytest.raises(ValueError):
+        flow_at(roof, f, p, -t)
+    with pytest.raises(ValueError):
+        _hit_count_lanes(roof, f, np.array([0.3]), np.array([0.8]), t)
 
 
 # ---------------------------------------------------------------------- flow
