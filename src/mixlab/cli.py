@@ -43,6 +43,17 @@ def _finite(text: str) -> float:
     return v
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: an integer in [0, 2^64)."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= v < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64): {text}")
+    return v
+
+
 def _parse_floats(text: str) -> List[float]:
     return [_finite(tok) for tok in text.split(",") if tok]
 
@@ -113,6 +124,16 @@ class _Run:
             doc.update(extra)
         summary = os.path.join(self.args.out, f"{self.args.command}_summary.json")
         _write_json(summary, doc)
+
+
+def _certificate(roof: specialflow.Roof) -> dict:
+    """The roof's certified bounds, for a run summary."""
+    return {
+        "certified_min": roof.certified_min,
+        "certified_max": roof.certified_max,
+        "slack": roof.slack,
+        "slack_target": roof.slack_target,
+    }
 
 
 def _transfer_function(f: SkewShift, phi: FiberedTrigPoly, tol: float):
@@ -244,18 +265,21 @@ def cmd_correlate(args) -> int:
     roof = specialflow.certify_roof(phi)
     c = args.cube
     cube = specialflow.Cube(c[0], c[1], c[2], c[3], c[4])
-    rows = []
-    for t in args.t:
-        est = specialflow.correlate_cubes(
-            roof, f, cube, cube, t, args.samples, args.seed, workers=args.workers
-        )
-        rows.append((t, est.value, est.std_error, est.samples, est.seed))
+    ests = specialflow.correlate_cubes(
+        roof, f, cube, cube, args.t, args.samples, args.seed, workers=args.workers
+    )
+    rows = [
+        (t, est.value, est.std_error, est.samples, est.seed)
+        for t, est in zip(args.t, ests)
+    ]
     _write_csv(
         run.path("correlate.csv"),
         ("t", "value", "stderr", "samples", "seed"),
         rows,
     )
-    run.finish({"mu_cube": specialflow.cube_measure(roof, cube)})
+    run.finish(
+        {"mu_cube": specialflow.cube_measure(roof, cube), **_certificate(roof)}
+    )
     return 0
 
 
@@ -276,7 +300,8 @@ def cmd_fiber_profile(args) -> int:
     run.finish(
         {
             "target": (args.arc[1] - args.arc[0])
-            * specialflow.cube_measure(roof, cube)
+            * specialflow.cube_measure(roof, cube),
+            **_certificate(roof),
         }
     )
     return 0
@@ -294,7 +319,7 @@ def cmd_hitting(args) -> int:
         )
         rows.append((t, val))
     _write_csv(run.path("hitting.csv"), ("t", "measure"), rows)
-    run.finish()
+    run.finish(_certificate(roof))
     return 0
 
 
@@ -366,7 +391,7 @@ def cmd_conjugacy(args) -> int:
         )
         rows.append((t, dev))
     _write_csv(run.path("conjugacy.csv"), ("t", "measure"), rows)
-    run.finish({"mean": mean})
+    run.finish({"mean": mean, **_certificate(roof)})
     return 0
 
 
@@ -438,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="x1,x2,y1,y2,h")
     sp.add_argument("--t", type=_parse_floats, required=True)
     sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("fiber-profile", help="fiber arc mass carried into a cube")
@@ -476,14 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wy", type=_finite, required=True)
     sp.add_argument("--wz", type=_finite, required=True)
     sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_return_check)
 
     sp = sub.add_parser("conjugacy", help="shear conjugacy check for trivial roofs")
     _add_common(sp)
     sp.add_argument("--t", type=_parse_floats, required=True)
     sp.add_argument("--points", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.set_defaults(func=cmd_conjugacy)
 

@@ -7,11 +7,13 @@ passes 2^52; the helpers here instead treat every float input as the
 exact dyadic rational it is and reduce mod 1 in integer arithmetic, so a
 phase is correct to one rounding of the final conversion no matter how
 large the step index gets.  ``PhaseNumerators`` forms the phases, and the
-orbit points of one base point, for whole arrays of step indices.
+orbit points of one base point or of many, for whole arrays of step
+indices of either sign.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -38,37 +40,80 @@ def binom2(j: int) -> int:
     return j * (j - 1) // 2
 
 
-def _dyadic(v: float) -> Tuple[int, int]:
-    """Return (num, k) with v == num / 2^k exactly."""
-    num, den = float(v).as_integer_ratio()
-    return num, den.bit_length() - 1
+def vfrac(a: np.ndarray) -> np.ndarray:
+    """Elementwise mod 1 into [0, 1) with the == 1.0 rounding guard."""
+    out = a - np.floor(a)
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+def _dyadic(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(num, k) with v == num / 2^k exactly, elementwise, for v in [0, 1).
+
+    num is odd (or 0, with k = 0): the 53-bit mantissa of v with its
+    trailing zeros shifted out.
+    """
+    mant, e = np.frexp(v)
+    m = np.ldexp(mant, 53).astype(np.int64)
+    tz = np.maximum(np.frexp((m & -m).astype(float))[1] - 1, 0)
+    return m >> tz, np.where(m == 0, 0, 53 - e - tz)
+
+
+# The denominator exponent used whenever it covers every input; floats in
+# [0, 1) with at most 62 fraction bits (every random() draw, every bundled
+# roof) need no per-value scan.
+_K_COMMON = 62
 
 
 class PhaseNumerators:
     """Exact phases  m*j*alpha + k*s_j (mod 1)  for arrays of step indices j,
     with s_j = j*beta + binom(j,2)*alpha the quadratic phase at x = 0, and
-    the orbit f^j(x, y) of one base point.
+    the orbits f^j(x, y) of one base point or of many (lanes).
 
-    alpha, beta, x and y are read as the dyadic rationals A/2^K, B/2^K,
-    X/2^K and Y/2^K they are, and the phases are formed as integer
-    numerators over 2^K.  For K <= 64 the numerators are uint64 arrays:
-    wrap-around is reduction mod 2^64, hence exact mod 2^K, and binom(j,2)
-    is formed as (j/2)*(j-1) or j*((j-1)/2) so that the halving loses no
-    bit.  For K > 64 the same expressions run on object arrays of Python
+    alpha, beta and every x and y are read as the dyadic rationals A/2^K,
+    B/2^K, X/2^K and Y/2^K they are, one K for all of them (62 when that
+    suffices, else the largest exponent any of them needs), and the phases
+    are formed as integer numerators over 2^K.  For K <= 64 the numerators
+    are uint64 arrays: wrap-around is reduction mod 2^64, hence exact mod
+    2^K, and binom(j,2) is a product of two int64 factors, one of them
+    halved by an arithmetic shift, so that negative j and j past 2^32 lose
+    no bit.  For K > 64 the same expressions run on object arrays of Python
     integers.
+
+    Scalar x and y give one base point; arrays give L lanes, stored as a
+    row of shape (1, L).  ``orbit`` of a block of steps shared by all
+    lanes, a column j of shape (B, 1), then has shape (B, L), each row one
+    step of every lane; ``orbit`` of one index per lane, j of shape (L,),
+    has shape (1, L).
     """
 
-    def __init__(
-        self, alpha: float, beta: float, x: float = 0.0, y: float = 0.0
-    ):
-        parts = [_dyadic(frac(v)) for v in (alpha, beta, x, y)]
-        k = max(kv for _, kv in parts)
+    def __init__(self, alpha: float, beta: float, x=0.0, y=0.0):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        vals = vfrac(np.concatenate(([alpha, beta], x.ravel(), y.ravel())))
+        scaled = np.ldexp(vals, _K_COMMON)
+        if np.array_equal(scaled, np.floor(scaled)):
+            # every value is a multiple of 2^-62: no need for each one's K
+            k = _K_COMMON
+            nums = scaled.astype(np.int64).astype(np.uint64)
+        else:
+            num, kv = _dyadic(vals)
+            k = int(kv.max())
+            shift = np.where(num == 0, 0, k - kv)
+            if k <= 64:
+                nums = num.astype(np.uint64) << shift.astype(np.uint64)
+            else:
+                nums = np.array(
+                    [int(a) << int(b) for a, b in zip(num, shift)], dtype=object
+                )
         self.k = k
         self.dtype = np.dtype(np.uint64) if k <= 64 else np.dtype(object)
         self._mask = self._int((1 << k) - 1)
-        self._a, self._b, self._x, self._y = (
-            self._int(num << (k - kv)) for num, kv in parts
-        )
+        self._a, self._b = nums[0], nums[1]
+        if x.ndim == 0:
+            self._x, self._y = nums[2], nums[3]
+        else:
+            lanes = x.size
+            self._x = nums[2 : 2 + lanes].reshape(1, lanes)
+            self._y = nums[2 + lanes :].reshape(1, lanes)
         # uint64 / float(2^K) rounds once, in the conversion to float; a
         # Python int / int is correctly rounded and cannot overflow.
         self._scale = float(1 << k) if k <= 64 else 1 << k
@@ -77,23 +122,47 @@ class PhaseNumerators:
         """v as a scalar of the numerator dtype (mod 2^64 for uint64)."""
         return np.uint64(v % (1 << 64)) if self.dtype == np.uint64 else v
 
+    def lanes(self, idx: np.ndarray) -> "PhaseNumerators":
+        """The same phases for the lanes ``idx`` only."""
+        out = copy.copy(self)
+        out._x, out._y = self._x[:, idx], self._y[:, idx]
+        return out
+
+    def _j(self, j) -> np.ndarray:
+        """Integer step indices as numerator-dtype values (mod 2^64)."""
+        j = np.asarray(j, dtype=np.int64)
+        return j.astype(np.uint64) if self.k <= 64 else j.astype(object)
+
     def linear_quadratic(self, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Numerators of (j*alpha, s_j) mod 1 for nonnegative integer j."""
-        j = np.asarray(j).astype(self.dtype)
-        one = self._int(1)
-        c2 = np.where(j & one, j * ((j - one) >> one), (j >> one) * (j - one))
-        return (j * self._a) & self._mask, (j * self._b + c2 * self._a) & self._mask
+        """Numerators of (j*alpha, s_j) mod 1 for integer j of either sign."""
+        j = np.asarray(j, dtype=np.int64)
+        if self.k <= 64:
+            # binom(j, 2) = j * (j - 1) / 2: halve the even factor in int64
+            # (an arithmetic shift, exact for either sign), then wrap
+            odd = (j & 1).astype(bool)
+            a = np.where(odd, j, j >> 1).astype(np.uint64)
+            b = np.where(odd, (j - 1) >> 1, j - 1).astype(np.uint64)
+            c2 = a * b
+        else:
+            c2 = (j.astype(object) * (j - 1).astype(object)) // 2
+        ju = self._j(j)
+        return (ju * self._a) & self._mask, (ju * self._b + c2 * self._a) & self._mask
 
     def orbit(self, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Numerators of f^j(x, y) = (x + j*alpha, y + j*x + s_j) mod 1 for
-        nonnegative integer j."""
-        j = np.asarray(j).astype(self.dtype)
+        integer j of either sign; negative j is the backward orbit.  The
+        shape is that of j broadcast against the base points."""
         ja, s = self.linear_quadratic(j)
-        mask = self._mask
-        return (self._x + ja) & mask, (self._y + j * self._x + s) & mask
+        ju, mask = self._j(j), self._mask
+        return (self._x + ja) & mask, (self._y + ju * self._x + s) & mask
 
     def mode(self, ja: np.ndarray, s: np.ndarray, m: int, k: int) -> np.ndarray:
-        """Numerators of m*j*alpha + k*s_j mod 1 from ``linear_quadratic``."""
+        """Numerators of m*a + k*b mod 1 for numerators a, b: the mode (m, k)
+        of the phase pair from ``linear_quadratic``, or of a point."""
+        if m == 0:
+            return (self._int(k) * s) & self._mask
+        if k == 0:
+            return (self._int(m) * ja) & self._mask
         return (self._int(m) * ja + self._int(k) * s) & self._mask
 
     def to_unit(self, num: np.ndarray) -> np.ndarray:

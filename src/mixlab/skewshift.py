@@ -24,13 +24,13 @@ import json
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union,
 )
 
 import numpy as np
 
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import PhaseNumerators, binom2, frac, frac_exact
+from .phases import PhaseNumerators, binom2, frac, frac_exact, vfrac
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 # Orbit steps per block of an orbit walk or a grid sweep; bounds their
@@ -171,12 +171,6 @@ def midgrid(G: int) -> np.ndarray:
     return (np.arange(G) + 0.5) / G
 
 
-def vfrac(a: np.ndarray) -> np.ndarray:
-    """Elementwise mod 1 into [0, 1) with the == 1.0 rounding guard."""
-    out = a - np.floor(a)
-    return np.where(out >= 1.0, out - 1.0, out)
-
-
 def _grid_sweep(
     f: SkewShift, phi: FiberedTrigPoly, checkpoints: Sequence[int], grid: int
 ) -> Iterator[Tuple[int, np.ndarray]]:
@@ -264,31 +258,6 @@ def birkhoff_grid(
     ky = np.exp(2j * np.pi * np.outer(ks, ys))
     vals = mats[n].T @ ky
     return vals.real if phi.real else vals
-
-
-class OrbitLanes:
-    """Many torus points stepped under f in lock-step (float recursion)."""
-
-    def __init__(self, f: SkewShift, xs: np.ndarray, ys: np.ndarray):
-        self.f = f
-        self.x = vfrac(np.array(xs, dtype=float, copy=True))
-        self.y = vfrac(np.array(ys, dtype=float, copy=True))
-
-    def step(self, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.y = vfrac(self.y + self.x + self.f.beta)
-            self.x = vfrac(self.x + self.f.alpha)
-        else:
-            self.y[mask] = vfrac(self.y[mask] + self.x[mask] + self.f.beta)
-            self.x[mask] = vfrac(self.x[mask] + self.f.alpha)
-
-    def step_inverse(self, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.x = vfrac(self.x - self.f.alpha)
-            self.y = vfrac(self.y - self.x - self.f.beta)
-        else:
-            self.x[mask] = vfrac(self.x[mask] - self.f.alpha)
-            self.y[mask] = vfrac(self.y[mask] - self.x[mask] - self.f.beta)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,14 @@ largest n with Phi_n(x, y) < t + z; large oscillation of Phi_n along
 y-fibers shears vertical segments across many fundamental domains, which
 is the mechanism the estimators here quantify.
 
+Every flow and hit count, of one point or of many, runs one kernel
+(``_climb_lanes``): the lanes walk the exact orbit of their base points
+(``phases.PhaseNumerators``) in tiles of steps, the roof is evaluated on
+the exact orbit numerators (``Roof.at``), and a cumulative sum per tile
+finds each lane's crossing.  A lane's result does not depend on the other
+lanes, so the scalar and the many-lane paths agree bit for bit, and no
+position drifts from the exact orbit at any time.
+
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
 count or scheduling.
@@ -17,19 +25,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NonPositiveRoof, NotACoboundary
-from .phases import frac
+from .phases import PhaseNumerators, frac
 from .skewshift import (
-    OrbitLanes,
+    _SWEEP_BLOCK,
     SkewShift,
     TorusPoint,
     _grid_sweep,
-    _orbit,
     midgrid,
     project,
     skew_coboundary,
@@ -46,6 +53,13 @@ _BLOCK = 65536
 # exact orbit phases are checked.
 _MAX_STEPS = 2 ** 62
 
+# Lanes climbed together, so that a tile of _SWEEP_BLOCK lane-steps can
+# span 16 steps.
+_LANE_GROUP = _SWEEP_BLOCK // 16
+
+# Fewest steps a climb tile spans, unless the step limit comes first.
+_MIN_TILE = 8
+
 
 @dataclass(frozen=True)
 class Roof:
@@ -53,7 +67,13 @@ class Roof:
 
     certified_min <= Phi <= certified_max everywhere, with certified_min
     > 0; ``slack`` is the width of the certification margin actually
-    achieved by the grid + Lipschitz bound.
+    achieved by the grid + Lipschitz bound and ``slack_target`` the width
+    asked for; ``slack`` exceeds it when the evaluation budget forced a
+    coarser grid.
+
+    ``const`` and ``terms`` hold the roof in independent modes: one (m, k)
+    of each conjugate pair, with c = c_{m,k} + conj(c_{-m,-k}), so that
+    Phi(x, y) = const + sum Re(c e(m x + k y)), e(t) = exp(2 pi i t).
     """
 
     phi: FiberedTrigPoly
@@ -61,9 +81,46 @@ class Roof:
     certified_max: float
     mean: float
     slack: float
+    slack_target: Optional[float] = None
+    const: float = field(init=False, repr=False, compare=False)
+    terms: Tuple[Tuple[int, int, complex], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        pairs: Dict[Tuple[int, int], complex] = {}
+        for m, k, c in self.phi.modes():
+            if (k, m) > (0, 0):
+                pairs[(m, k)] = pairs.get((m, k), 0.0) + c
+            elif (k, m) < (0, 0):
+                pairs[(-m, -k)] = pairs.get((-m, -k), 0.0) + c.conjugate()
+        terms = tuple((m, k, c) for (m, k), c in sorted(pairs.items()) if c != 0)
+        object.__setattr__(self, "const", self.phi.c(0).coeff(0).real)
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, x, y):
         return self.phi.evaluate(x, y)
+
+    def at(self, phases: PhaseNumerators, xn, yn) -> np.ndarray:
+        """Roof values at the points with numerators (xn, yn) over 2^K.
+
+        Each phase m x + k y is reduced exactly mod 1 before its one
+        rounding; a term costs one cos or sin (both for a complex c) and
+        nothing per fiber.  Every flow, hit count and sample evaluates the
+        roof here, so one point always gets one value.
+        """
+        vals = np.full(np.broadcast(xn, yn).shape, self.const)
+        for m, k, c in self.terms:
+            theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
+            if c.real:
+                vals += c.real * np.cos(theta)
+            if c.imag:
+                vals -= c.imag * np.sin(theta)
+        return vals
+
+
+# Most points certify_roof evaluates; past it the slack target is relaxed.
+_CERTIFY_BUDGET = 2.5e8
 
 
 def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
@@ -71,23 +128,32 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
 
     Per-axis Lipschitz constants come from the coefficients
     (L = 2 pi sum |freq| |c|); the per-axis grid is sized so the combined
-    slack meets ``slack_target`` (relaxed only if that would exceed the
-    evaluation budget).  Raises NonPositiveRoof when the certified lower
-    bound is not positive.
+    slack meets ``slack_target``, relaxed by doubling when that would
+    exceed the evaluation budget; the Roof records both the target and the
+    slack achieved.  Raises NonPositiveRoof when the certified lower bound
+    is not positive, and ValueError when even the coarsest grid the
+    frequencies allow exceeds the budget.
     """
     if not phi.real:
         raise ValueError("roof must be real-flagged")
     lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
     lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
+    floor_x = max(16, 8 * phi.max_freq_x)
+    floor_y = max(16, 8 * phi.degree_y)
+    if floor_x * floor_y > _CERTIFY_BUDGET:
+        raise ValueError(
+            f"roof frequencies too high to certify: a {floor_x} x {floor_y} "
+            f"grid exceeds {_CERTIFY_BUDGET:g} points"
+        )
 
     def grids(target: float) -> Tuple[int, int]:
-        gx = max(16, 8 * phi.max_freq_x, math.ceil(lip_x / target))
-        gy = max(16, 8 * phi.degree_y, math.ceil(lip_y / target))
+        gx = max(floor_x, math.ceil(lip_x / target))
+        gy = max(floor_y, math.ceil(lip_y / target))
         return gx, gy
 
     target = slack_target
     gx, gy = grids(target)
-    while gx * gy > 2.5e8:
+    while gx * gy > _CERTIFY_BUDGET:
         target *= 2.0
         gx, gy = grids(target)
 
@@ -109,7 +175,7 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         raise NonPositiveRoof(
             f"certified lower bound {cmin:.6g} is not positive"
         )
-    return Roof(phi, cmin, cmax, phi.mean(), slack)
+    return Roof(phi, cmin, cmax, phi.mean(), slack, slack_target)
 
 
 @dataclass(frozen=True)
@@ -183,68 +249,26 @@ def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
 
     Strict crossing of the running roof sum; a float tie resolves to the
     smaller n.  Raises ValueError for t < 0 and for a time the step bound
-    cannot reach (``_step_limit``).
+    cannot reach (``_step_limit``).  The one-lane case of ``_climb_lanes``.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _climb(roof, f, p, t + p.z)[0]
+    return int(_climb_lanes(roof, f, [p.x], [p.y], [t + p.z])[0][0])
 
 
 def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
     """Time-t image of p under the suspension flow; t may be negative.
 
-    Forward: climb until the accumulated roof passes t + z.  Negative
-    times run the exact inverse: step the inverse base map and add roofs
-    until the height becomes nonnegative.
+    The one-lane case of ``_flow_lanes``.
     """
-    if t >= 0:
-        target = t + p.z
-        n, total = _climb(roof, f, p, target)
-        cur = f.orbit_at(p.base, n)    # exact closed form for the base point
-        z = target - total
-        v = roof.evaluate(cur.x, cur.y)
-        if z >= v:     # float tie at the roof: same point, canonical form
-            cur = f.step(cur)
-            z = 0.0
-        return FlowPoint(cur.x, cur.y, z)
-    w = p.z + t
-    cur = p.base
-    n = 0
-    for _ in range(_step_limit(roof, -t)):
-        if w >= 0.0:
-            break
-        cur = f.step_inverse(cur)
-        w += roof.evaluate(cur.x, cur.y)
-        n += 1
-    cur = f.orbit_at(p.base, -n)
-    return FlowPoint(cur.x, cur.y, w)
-
-
-def _climb(
-    roof: Roof, f: SkewShift, p: FlowPoint, target: float
-) -> Tuple[int, float]:
-    """(n, Phi_n(x, y)) for the largest n with Phi_n(x, y) < target, at most
-    ``_step_limit`` steps.
-
-    The roof is summed along the exact orbit one block at a time, a
-    cumulative sum seeded with the running total; the sums never decrease,
-    so a search finds the first one that is not below the target.
-    """
-    n, total = 0, 0.0
-    for xs, ys in _orbit(f, p.x, p.y, _step_limit(roof, target)):
-        sums = np.cumsum(np.concatenate(([total], roof.evaluate(xs, ys))))
-        below = int(np.searchsorted(sums[1:], target, side="left"))
-        n += below
-        total = float(sums[below])
-        if below < len(xs):
-            break
-    return n, total
+    x, y, z = _flow_lanes(roof, f, [p.x], [p.y], [p.z], t)
+    return FlowPoint(float(x[0]), float(y[0]), float(z[0]))
 
 
 def _step_limit(roof: Roof, target: float) -> int:
     """Steps that reach accumulated roof height ``target``, bounded through
-    the certified minimum; the scalar and lane loops stop there even when
-    roundoff, or an overstated minimum, would keep them climbing.
+    the certified minimum; every climb stops there even when roundoff, or
+    an overstated minimum, would keep it climbing.
 
     Raises ValueError for a target that is not finite or that would need
     more than 2^62 steps, the range of the exact orbit phases.
@@ -258,6 +282,80 @@ def _step_limit(roof: Roof, target: float) -> int:
     return int(steps) + 2
 
 
+def _climb_lanes(
+    roof: Roof,
+    f: SkewShift,
+    xs,
+    ys,
+    targets,
+    backward: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, total) per lane: n the largest with Phi_n(x, y) < target, at most
+    ``_step_limit(target)`` steps, and total = Phi_n(x, y).
+
+    With ``backward`` the sums run along the backward orbit instead,
+    Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
+    limit.  The lanes walk the exact orbit in lock-step, in tiles of at
+    most ``_SWEEP_BLOCK`` lane-steps: a tile takes the orbit numerators of
+    one block of steps (``PhaseNumerators.orbit``), their roof values
+    (``Roof.at``) and a cumulative sum seeded with the running totals.
+    The sums never decrease, so the count of those below the target is the
+    strict crossing, ties going to the smaller n; a lane that has crossed
+    drops out.  Each lane's sums are sequential and its own, so its result
+    does not depend on the other lanes or on the tiling: one lane is
+    ``hit_count``.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    _step_limit(roof, float(np.max(targets, initial=0.0)))   # range check
+    room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
+    room += 1 if backward else 2
+    n = np.zeros(targets.shape, dtype=np.int64)
+    total = np.zeros(targets.shape)
+    for g in range(0, targets.size, _LANE_GROUP):
+        lanes = np.arange(g, min(g + _LANE_GROUP, targets.size))
+        phases = PhaseNumerators(f.alpha, f.beta, xs[lanes], ys[lanes])
+        done = 0                  # steps taken by every lane still climbing
+        while lanes.size:
+            # no lane can cross in fewer steps than its gap to the target
+            # over the roof's maximum: long tiles far from the crossings,
+            # short ones near them, which saves evaluations past a crossing
+            gap = float(np.min(targets[lanes] - total[lanes])) / roof.certified_max
+            block = min(
+                _SWEEP_BLOCK // lanes.size,
+                max(_MIN_TILE, int(gap)),
+                int(room[lanes].max()) - done,
+            )
+            j = done + np.arange(block, dtype=np.int64)[:, None]
+            xn, yn = phases.orbit(-1 - j if backward else j)       # (B, L)
+            sums = _running_sums(total[lanes], roof.at(phases, xn, yn))
+            left = room[lanes] - done
+            below = np.minimum(
+                np.count_nonzero(sums[1:] < targets[lanes], axis=0), left
+            )
+            n[lanes] = done + below
+            total[lanes] = sums[below, np.arange(lanes.size)]
+            climbing = (below == block) & (left > block)
+            lanes = lanes[climbing]
+            phases = phases.lanes(climbing)
+            done += block
+    return n, total
+
+
+def _running_sums(start: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Rows start, start + vals[0], (start + vals[0]) + vals[1], ...: one
+    sequential sum down each column.  Tiles of 64 lanes or more add row by
+    row, which numpy does several times faster than a cumulative sum down
+    the columns; both add in the same order."""
+    if vals.shape[1] < 64:
+        return np.cumsum(np.concatenate((start[None], vals)), axis=0)
+    sums = np.empty((vals.shape[0] + 1, vals.shape[1]))
+    sums[0] = start
+    for i, row in enumerate(vals):
+        np.add(sums[i], row, out=sums[i + 1])
+    return sums
+
+
 def _flow_lanes(
     roof: Roof,
     f: SkewShift,
@@ -266,68 +364,45 @@ def _flow_lanes(
     zs: np.ndarray,
     t: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised ``flow_at`` over arrays of points (single time t).
+    """Time-t images of the points (xs, ys, zs) under the suspension flow,
+    for one time t of either sign; one lane is ``flow_at``, bit for bit.
 
-    Takes at most the steps ``flow_at`` allows for the largest target.
+    Forward, a lane climbs (``_climb_lanes``) to the largest n with
+    Phi_n < t + z and keeps the rest as its height; on a float tie with the
+    roof it moves to f^{n+1} p at height 0.  Backward, it descends to the
+    smallest n with z + t + Phi(f^-1 p) + ... + Phi(f^-n p) >= 0.  Both
+    take at most the ``_step_limit`` steps, and the positions are exact
+    orbit points rounded once.
     """
-    lanes = OrbitLanes(f, xs, ys)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
     if t >= 0:
         target = zs + t
-        total = np.zeros_like(target)
-        active = np.ones(target.shape, dtype=bool)
-        for _ in range(_step_limit(roof, float(np.max(target, initial=0.0)))):
-            v = roof.evaluate(lanes.x[active], lanes.y[active])
-            nxt = total[active] + v
-            adv = nxt < target[active]
-            if not np.any(adv):
-                break
-            idx = np.flatnonzero(active)
-            keep = idx[adv]
-            total[keep] = nxt[adv]
-            mask = np.zeros_like(active)
-            mask[keep] = True
-            lanes.step(mask)
-            active = mask
+        n, total = _climb_lanes(roof, f, xs, ys, target)
         z = target - total
-        v = roof.evaluate(lanes.x, lanes.y)
-        tie = z >= v
+        xn, yn = phases.orbit(n)
+        tie = z >= roof.at(phases, xn, yn)[0]
         if np.any(tie):
-            lanes.step(tie)
+            xn, yn = phases.orbit(n + tie)
             z = np.where(tie, 0.0, z)
-        return lanes.x, lanes.y, z
-    w = zs + t
-    for _ in range(_step_limit(roof, -t)):
-        neg = w < 0.0
-        if not np.any(neg):
-            break
-        lanes.step_inverse(neg)
-        w = np.where(neg, w + roof.evaluate(lanes.x, lanes.y), w)
-    return lanes.x, lanes.y, w
+    else:
+        w = zs + t
+        n, total = _climb_lanes(roof, f, xs, ys, -w, backward=True)
+        down = w < 0.0
+        n = n + down                     # the step that crosses height 0
+        xn, yn = phases.orbit(-n)
+        last = roof.at(phases, xn, yn)[0]
+        z = np.where(down, w + (total + last), w)
+    return phases.to_unit(xn)[0], phases.to_unit(yn)[0], z
 
 
 def _hit_count_lanes(
     roof: Roof, f: SkewShift, xs: np.ndarray, ys: np.ndarray, t: float
 ) -> np.ndarray:
-    """Vectorised hit counts from height z = 0, capped like ``hit_count``."""
-    lanes = OrbitLanes(f, xs, ys)
-    total = np.zeros(lanes.x.shape)
-    counts = np.zeros(lanes.x.shape, dtype=np.int64)
-    active = np.ones(lanes.x.shape, dtype=bool)
-    for _ in range(_step_limit(roof, t)):
-        v = roof.evaluate(lanes.x[active], lanes.y[active])
-        nxt = total[active] + v
-        adv = nxt < t
-        if not np.any(adv):
-            break
-        idx = np.flatnonzero(active)
-        keep = idx[adv]
-        total[keep] = nxt[adv]
-        counts[keep] += 1
-        mask = np.zeros_like(active)
-        mask[keep] = True
-        lanes.step(mask)
-        active = mask
-    return counts
+    """Hit counts from height z = 0 at time t; one lane is ``hit_count``."""
+    target = t + 0.0                      # as hit_count forms t + z at z = 0
+    return _climb_lanes(roof, f, xs, ys, np.full(np.shape(xs), target))[0]
 
 
 # --------------------------------------------------------------------------
@@ -340,9 +415,10 @@ def _sample_block(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` accepted samples from the normalised invariant measure.
 
-    Rejection against the box of height certified_max; the stream is a
-    Philox generator keyed by (seed, block_index), so the accepted
-    points are a pure function of those two integers.
+    Rejection against the box of height certified_max, with the roof
+    values of ``Roof.at``; the stream is a Philox generator keyed by
+    (seed, block_index), so the accepted points are a pure function of
+    those two integers.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
@@ -356,7 +432,9 @@ def _sample_block(
         x = draw[:, 0]
         y = draw[:, 1]
         z = draw[:, 2] * roof.certified_max
-        ok = z < roof.evaluate(x, y)
+        # random() draws are multiples of 2^-53: exact numerators over 2^53
+        phases = PhaseNumerators(0.0, 0.0, x, y)
+        ok = z < roof.at(phases, *phases.orbit(0))[0]
         got = need[ok]
         xs[got] = x[ok]
         ys[got] = y[ok]
@@ -386,44 +464,50 @@ def correlate_cubes(
     f: SkewShift,
     q1: Cube,
     q2: Cube,
-    t: float,
+    times: Sequence[float],
     samples: int,
     seed: int,
     workers: int = 1,
-) -> CorrelationEstimate:
-    """Estimate mu(Q1 and flow_{-t} Q2) - mu(Q1) mu(Q2).
+) -> List[CorrelationEstimate]:
+    """Estimate mu(Q1 and flow_{-t} Q2) - mu(Q1) mu(Q2) for every t in
+    ``times``, one estimate per time.
 
     The joint indicator is averaged over ``samples`` invariant-measure
-    draws; mu(Q1) mu(Q2) is computed analytically.  Block-wise integer
-    counting keeps the result independent of the worker count.
+    draws; each block of draws is sampled once and its points in Q1 are
+    flowed to every time.  mu(Q1) mu(Q2) is computed analytically.
+    Block-wise integer counting keeps the result independent of the worker
+    count, and of which other times are asked for.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _require_cube_fits(roof, q1)
     _require_cube_fits(roof, q2)
+    times = [float(t) for t in times]
 
-    def block_count(b: int) -> int:
+    def block_counts(b: int) -> List[int]:
         start = b * _BLOCK
         count = min(_BLOCK, samples - start)
         xs, ys, zs = _sample_block(roof, seed, b, count)
         in1 = q1.contains(xs, ys, zs)
-        if not np.any(in1):
-            return 0
-        fx, fy, fz = _flow_lanes(
-            roof, f, xs[in1], ys[in1], zs[in1], t
-        )
-        return int(np.count_nonzero(q2.contains(fx, fy, fz)))
+        xs, ys, zs = xs[in1], ys[in1], zs[in1]
+        return [
+            int(np.count_nonzero(q2.contains(*_flow_lanes(roof, f, xs, ys, zs, t))))
+            for t in times
+        ]
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(block_count, blocks))
+            counts = list(pool.map(block_counts, blocks))
     else:
-        hits = sum(block_count(b) for b in blocks)
-    phat = hits / samples
-    std = math.sqrt(phat * (1.0 - phat) / (samples - 1))
-    value = phat - cube_measure(roof, q1) * cube_measure(roof, q2)
-    return CorrelationEstimate(value, std, samples, seed)
+        counts = [block_counts(b) for b in blocks]
+    product = cube_measure(roof, q1) * cube_measure(roof, q2)
+    out = []
+    for i in range(len(times)):
+        phat = sum(c[i] for c in counts) / samples
+        std = math.sqrt(phat * (1.0 - phat) / (samples - 1))
+        out.append(CorrelationEstimate(phat - product, std, samples, seed))
+    return out
 
 
 def fiber_mixing_profile(

@@ -268,6 +268,55 @@ def test_unreachable_times_exit_2(tmp_path, roofs, capsys, argv):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--roof", "example1", "--cube", "0,0.5,0,0.5,0.5",
+     "--t", "1", "--samples", "2000"],
+    ["conjugacy", "--roof", "coboundary", "--t", "1"],
+    ["return-check", "--wx", "0.3", "--wy", "1.1", "--wz", "0", "--count", "2"],
+])
+def test_bad_seed_exits_2(tmp_path, roofs, capsys, argv, seed):
+    argv = [roofs.get(a, a) for a in argv]
+    assert exit_code(tmp_path, *argv, "--seed", seed) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_largest_seed_runs(tmp_path, roofs):
+    code, out = run(
+        tmp_path, "correlate", "--roof", roofs["example1"],
+        "--cube", "0,0.5,0,0.5,0.5", "--t", "1", "--samples", "2000",
+        "--seed", str(2 ** 64 - 1),
+    )
+    assert code == 0
+    row = read(out / "correlate.csv").decode().splitlines()[1]
+    assert row.endswith(f",2000,{2 ** 64 - 1}")
+
+
+def test_summaries_report_the_roof_certificate(tmp_path, roofs):
+    keys = {"certified_min", "certified_max", "slack", "slack_target"}
+    runs = {
+        "correlate": ["--roof", roofs["example1"], "--cube", "0,0.5,0,0.5,0.5",
+                      "--t", "0,1", "--samples", "2000"],
+        "hitting": ["--roof", roofs["example1"], "--C", "2", "--t", "10"],
+        "fiber-profile": ["--roof", roofs["example1"], "--x", "0.3",
+                          "--arc", "0.2,0.6", "--cube", "0.2,0.6,0.1,0.7,0.5",
+                          "--t", "5"],
+        "conjugacy": ["--roof", roofs["coboundary"], "--t", "1", "--points", "5"],
+    }
+    for command, argv in runs.items():
+        code, out = run(tmp_path / command, command, *argv)
+        assert code == 0
+        doc = json.loads(read(out / f"{command}_summary.json"))
+        assert keys <= set(doc)
+        assert doc["slack_target"] == 1e-3
+        assert 0.0 < doc["certified_min"] <= doc["certified_max"]
+        assert 0.0 < doc["slack"] <= doc["slack_target"]
+        for name in doc["outputs"]:
+            header = read(out / name).decode().splitlines()[0].split(",")
+            assert not keys & set(header)
+
+
 def test_negative_hitting_time_exits_2(tmp_path, roofs, capsys):
     code = exit_code(
         tmp_path, "hitting", "--roof", roofs["example1"], "--C", "2",

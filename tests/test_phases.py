@@ -75,3 +75,50 @@ def test_phase_numerators_orbit_matches_fractions(alpha, beta, x, y, js):
         assert Fraction(int(ys[i]), 2 ** ph.k) == want_y
         assert (ux[i], uy[i]) == (float(want_x), float(want_y))
 
+
+
+@given(alpha=_unit, beta=_unit_or_tiny,
+       pts=st.lists(st.tuples(_unit_or_tiny, _unit), min_size=1, max_size=6),
+       js=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=6))
+def test_lane_orbits_match_fractions(alpha, beta, pts, js):
+    # many base points share one K; a column of steps gives (B, L), one
+    # step per lane gives (1, L), negative steps the backward orbit
+    xs, ys = np.array(pts).T
+    ph = PhaseNumerators(alpha, beta, xs, ys)
+    assert (ph.dtype == np.uint64) == (ph.k <= 64)
+    a, b = Fraction(alpha), Fraction(beta)
+
+    def want(x, y, j):
+        x0, y0 = Fraction(x), Fraction(y)
+        return (x0 + j * a) % 1, (y0 + j * x0 + j * b + binom2(j) * a) % 1
+
+    block = np.array(js, dtype=np.int64)[:, None]
+    bx, by = ph.orbit(block)
+    assert bx.shape == by.shape == (len(js), len(pts))
+    ux, uy = ph.to_unit(bx), ph.to_unit(by)
+    for r, j in enumerate(js):
+        for c, (x, y) in enumerate(pts):
+            wx, wy = want(x, y, j)
+            assert Fraction(int(bx[r, c]), 2 ** ph.k) == wx
+            assert Fraction(int(by[r, c]), 2 ** ph.k) == wy
+            assert (ux[r, c], uy[r, c]) == (float(wx), float(wy))
+    per_lane = np.resize(np.array(js, dtype=np.int64), len(pts))
+    lx, ly = ph.orbit(per_lane)
+    assert lx.shape == (1, len(pts))
+    for c, (x, y) in enumerate(pts):
+        wx, wy = want(x, y, int(per_lane[c]))
+        assert Fraction(int(lx[0, c]), 2 ** ph.k) == wx
+        assert Fraction(int(ly[0, c]), 2 ** ph.k) == wy
+
+
+def test_square_lane_block_keeps_its_axes():
+    # B == L: a block of steps and one step per lane must not be confused
+    rng = np.random.default_rng(3)
+    xs, ys = rng.random(4), rng.random(4)
+    ph = PhaseNumerators(0.6180339887498949, 0.25, xs, ys)
+    js = np.array([0, 1, 2, 3], dtype=np.int64)
+    bx, _ = ph.orbit(js[:, None])
+    lx, _ = ph.orbit(js)
+    assert bx.shape == (4, 4) and lx.shape == (1, 4)
+    assert np.array_equal(np.diag(bx), lx[0])
+    assert np.array_equal(ph.to_unit(bx[0]), xs)       # step 0 of every lane

@@ -15,7 +15,6 @@ from conftest import (
 )
 from mixlab.errors import SmallDivisor
 from mixlab.skewshift import (
-    OrbitLanes,
     SkewShift,
     TorusPoint,
     birkhoff_grid,
@@ -575,22 +574,3 @@ def test_roof_json_rejects_bad_documents(tmp_path):
     with pytest.raises(InvalidRoofFile):
         roof_from_dict(bad)
 
-
-def test_orbit_lanes_match_scalar_steps():
-    f = SkewShift(GOLDEN, 0.12)
-    rng = np.random.default_rng(9)
-    xs, ys = rng.random(16), rng.random(16)
-    lanes = OrbitLanes(f, xs, ys)
-    pts = [TorusPoint(float(a), float(b)) for a, b in zip(xs, ys)]
-    for _ in range(100):
-        lanes.step()
-        pts = [f.step(p) for p in pts]
-    for i, p in enumerate(pts):
-        assert circle_dist(lanes.x[i], p.x) < 1e-12
-        assert circle_dist(lanes.y[i], p.y) < 1e-12
-    # inverse stepping returns to the start
-    for _ in range(100):
-        lanes.step_inverse()
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        assert circle_dist(lanes.x[i], a) < 1e-12
-        assert circle_dist(lanes.y[i], b) < 1e-12

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN, circle_dist, coboundary_roof, mixing_example_roof
 from mixlab.cohomology import classify_roof
@@ -56,6 +58,44 @@ def test_certify_bounds_are_global():
     vals = phi.evaluate(xs, ys)
     assert np.all(vals >= roof.certified_min - 1e-12)
     assert np.all(vals <= roof.certified_max + 1e-12)
+
+
+def test_certify_reports_relaxed_slack():
+    roof = certify_roof(mixing_example_roof())
+    assert roof.slack_target == 1e-3 and roof.slack <= roof.slack_target
+    # 2 + cos(2 pi 20000 y): meeting slack 1e-3 needs a 16 x 1.3e8 grid, past
+    # the 2.5e8-point budget, so the target is relaxed and the slack says so
+    phi = FiberedTrigPoly.from_modes(
+        {(0, 20_000): 0.25, (0, -20_000): 0.25, (0, 0): 2.0}, real=True
+    )
+    roof = certify_roof(phi)
+    assert roof.slack_target == 1e-3
+    assert roof.slack > roof.slack_target
+    assert roof.certified_min <= 1.5 <= roof.certified_min + roof.slack
+    assert roof.certified_max - roof.slack <= 2.5 <= roof.certified_max
+
+
+def test_certify_rejects_frequencies_beyond_the_budget():
+    # the coarsest grid these frequencies allow (8|m| x 8|k|) is already
+    # past the budget; relaxing the slack target cannot help
+    phi = FiberedTrigPoly.from_modes(
+        {(40_000, 1_000): 0.1, (-40_000, -1_000): 0.1, (0, 0): 2.0}, real=True
+    )
+    with pytest.raises(ValueError, match="too high to certify"):
+        certify_roof(phi)
+
+
+def test_roof_independent_modes_match_evaluate():
+    from mixlab.phases import PhaseNumerators
+
+    roof = certify_roof(coboundary_roof(0.3, const=3.0))
+    assert len(roof.terms) == 2 and roof.const == 3.0
+    rng = np.random.default_rng(4)
+    xs, ys = rng.random(500), rng.random(500)
+    ph = PhaseNumerators(GOLDEN, 0.3, xs, ys)
+    vals = roof.at(ph, *ph.orbit(np.zeros(500, dtype=np.int64)))[0]
+    assert np.allclose(vals, roof.evaluate(xs, ys), rtol=0, atol=1e-14)
+    assert len(certify_roof(mixing_example_roof()).terms) == 1    # one sin
 
 
 def test_certify_rejects_nonpositive():
@@ -146,6 +186,47 @@ def test_lanes_stop_at_the_scalar_step_bound():
             assert circle_dist(ly[i], want.y) < 1e-12
             assert lz[i] == want.z
     assert lz[0] == -100.0 + limit       # backward: limit steps of height 1
+
+
+_KERNEL_ROOF = certify_roof(coboundary_roof(0.25, const=3.0))
+
+
+def _assert_lanes_match_scalar(f, xs, ys, zs, t, check):
+    roof = _KERNEL_ROOF
+    fx, fy, fz = _flow_lanes(roof, f, xs, ys, zs, t)
+    counts = _hit_count_lanes(roof, f, xs, ys, abs(t))
+    for i in check:
+        q = flow_at(roof, f, FlowPoint(xs[i], ys[i], zs[i]), t)
+        assert (q.x, q.y, q.z) == (fx[i], fy[i], fz[i])
+        n = hit_count(roof, f, FlowPoint(xs[i], ys[i], 0.0), abs(t))
+        assert n == counts[i]
+
+
+@settings(max_examples=15)
+@given(beta=st.sampled_from([0.31, 1e-5]),
+       t=st.floats(-400.0, 400.0),
+       lanes=st.sampled_from([1, 5, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lanes_equal_scalar_paths(beta, t, lanes, seed):
+    # beta = 1e-5 needs K > 64 (object numerators); t up to 400 takes about
+    # 130 steps, past the first tile of every lane count here
+    f = SkewShift(GOLDEN, beta)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random(lanes), rng.random(lanes)
+    zs = _KERNEL_ROOF.certified_min * rng.random(lanes)
+    _assert_lanes_match_scalar(f, xs, ys, zs, t, range(0, lanes, max(1, lanes // 8)))
+
+
+@pytest.mark.parametrize("beta", [0.25, 1e-5])
+@pytest.mark.parametrize("t", [1500.0, -1500.0])
+def test_square_tiles_equal_scalar_paths(t, beta):
+    # 256 lanes climb in tiles of 2^16 / 256 = 256 steps (a square tile)
+    # and need about 500 steps, so every lane crosses tile boundaries
+    f = SkewShift(GOLDEN, beta)
+    rng = np.random.default_rng(12)
+    xs, ys = rng.random(256), rng.random(256)
+    zs = _KERNEL_ROOF.certified_min * rng.random(256)
+    _assert_lanes_match_scalar(f, xs, ys, zs, t, range(256))
 
 
 def test_flow_identity_and_constant_suspension():
@@ -250,7 +331,7 @@ def test_correlation_t0_identity():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
     q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
-    est = correlate_cubes(roof, f, q, q, 0.0, 50_000, seed=3)
+    est, = correlate_cubes(roof, f, q, q, [0.0], 50_000, seed=3)
     mu = cube_measure(roof, q)
     want = mu * (1 - mu)
     assert abs(est.value - want) <= 3 * est.std_error
@@ -262,7 +343,7 @@ def test_correlation_full_space_is_zero():
     roof = certify_roof(FiberedTrigPoly.constant(2.0))
     # degenerate cube spanning everything below the roof
     q = Cube(0.0, 1.0, 0.0, 1.0, 2.0 - 1e-9)
-    est = correlate_cubes(roof, f, q, q, 5.0, 10_000, seed=4)
+    est, = correlate_cubes(roof, f, q, q, [5.0], 10_000, seed=4)
     mu = cube_measure(roof, q)
     assert abs(est.value - (mu - mu * mu)) < 1e-6
 
@@ -272,17 +353,26 @@ def test_correlation_constant_roof_periodicity():
     f = SkewShift(GOLDEN, 0.3)
     roof = certify_roof(FiberedTrigPoly.constant(1.0))
     q = Cube(0.0, 1.0, 0.0, 1.0, 0.5)
-    a = correlate_cubes(roof, f, q, q, 0.0, 20_000, seed=5)
-    b = correlate_cubes(roof, f, q, q, 1.0, 20_000, seed=5)
+    a, b = correlate_cubes(roof, f, q, q, [0.0, 1.0], 20_000, seed=5)
     assert a.value == b.value
+
+
+def test_correlation_times_share_samples():
+    f = SkewShift(GOLDEN, 0.0)
+    roof = certify_roof(mixing_example_roof())
+    q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
+    times = [0.0, 3.0, 7.0]
+    together = correlate_cubes(roof, f, q, q, times, 140_000, seed=9)
+    alone = [correlate_cubes(roof, f, q, q, [t], 140_000, seed=9)[0] for t in times]
+    assert together == alone
 
 
 def test_correlation_workers_identical():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
     q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
-    one = correlate_cubes(roof, f, q, q, 3.0, 150_000, seed=6, workers=1)
-    four = correlate_cubes(roof, f, q, q, 3.0, 150_000, seed=6, workers=4)
+    one = correlate_cubes(roof, f, q, q, [3.0], 150_000, seed=6, workers=1)
+    four = correlate_cubes(roof, f, q, q, [3.0], 150_000, seed=6, workers=4)
     assert one == four
 
 
@@ -413,7 +503,7 @@ def test_correlation_stderr_definition():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
     q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
-    est = correlate_cubes(roof, f, q, q, 2.0, 10_000, seed=13)
+    est, = correlate_cubes(roof, f, q, q, [2.0], 10_000, seed=13)
     phat = est.value + cube_measure(roof, q) ** 2
     n = est.samples
     sample_sd = math.sqrt(phat * (1 - phat) * n / (n - 1))
@@ -457,8 +547,7 @@ def test_trivial_roof_correlations_do_not_decay():
     roof = certify_roof(coboundary_roof(beta, const=3.0))
     slab = Cube(0.0, 1.0, 0.0, 1.0, 0.6)
     t0 = 40.0
-    a = correlate_cubes(roof, f, slab, slab, t0, 200_000, seed=11)
-    b = correlate_cubes(roof, f, slab, slab, t0 + 3.0, 200_000, seed=11)
+    a, b = correlate_cubes(roof, f, slab, slab, [t0, t0 + 3.0], 200_000, seed=11)
     gap = abs(a.value - b.value)
     assert gap <= 3 * math.hypot(a.std_error, b.std_error)
     # and the correlation stays significantly away from 0 (no decay)
