@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from importlib import resources
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -136,36 +136,6 @@ def _certificate(roof: specialflow.Roof) -> dict:
     }
 
 
-def _transfer_function(f: SkewShift, phi: FiberedTrigPoly, tol: float):
-    """Full transfer u and mean with u o f - u = Phi - mean.
-
-    Solves block by block on the zero-fiber-average part and through the
-    circle-rotation divisors on the fiber average.  Raises
-    ObstructionNonzero on a block with a large invariant functional and
-    SmallDivisor on a resonant circle frequency.
-    """
-    osc, perp = project(phi)
-    _, components = cohomology.decompose_components(osc)
-    modes: Dict[tuple, complex] = {}
-    for S in components:
-        u = cohomology.solve_component(f, S, tol=tol)
-        n = u.label.n
-        for j, c in u.coeffs.items():
-            key = (u.label.m + j * n, n)
-            modes[key] = modes.get(key, 0.0) + c
-    g, mean = skewshift.rotation_transfer(perp, f.alpha)
-    for m, c in g.coeffs.items():
-        modes[(m, 0)] = modes.get((m, 0), 0.0) + c
-    u_total = FiberedTrigPoly.from_modes(modes, real=False)
-    if phi.real:
-        # conjugate symmetry holds to rounding; rebuild with the flag
-        sym = {}
-        for (m, k), c in modes.items():
-            sym[(m, k)] = 0.5 * (c + modes.get((-m, -k), 0.0).conjugate())
-        u_total = FiberedTrigPoly.from_modes(sym, real=True)
-    return u_total, float(np.real(mean))
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -182,7 +152,7 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
-    u, mean = _transfer_function(f, phi, args.tol)
+    u, mean = cohomology.solve_roof(f, phi, args.tol)
     skewshift.save_roof(run.path("transfer_u.json"), f, u)
     xs = midgrid(128)
     residual = skewshift.skew_coboundary(u, f) - (
@@ -383,7 +353,7 @@ def cmd_conjugacy(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
     roof = specialflow.certify_roof(phi)
-    u, mean = _transfer_function(f, phi, args.tol)
+    u, mean = cohomology.solve_roof(f, phi, args.tol)
     rows = []
     for t in args.t:
         dev = specialflow.trivial_conjugacy_check(

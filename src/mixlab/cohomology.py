@@ -12,10 +12,11 @@ difference equation u o f - u = Phi: with the quadratic phases
 
 it is D(Phi) = sum_j Phi_j e^{-2 pi i theta_j}.  When D vanishes the
 transfer function has the explicit one-sided-sum solution implemented in
-``solve_component``; the same phases give an exact window-sum formula
-for the L^2 norm of Birkhoff sums, an effective test of the N^{1/2}
-growth along continued-fraction denominators of alpha, and the
-mixing/trivial classification of roof functions.
+``solve_component`` (``solve_roof`` solves a whole roof, the fiber
+average through the circle rotation); the same phases give an exact
+closed-form window sum for the L^2 norm of Birkhoff sums, an effective
+test of the N^{1/2} growth along continued-fraction denominators of
+alpha, and the mixing/trivial classification of roof functions.
 """
 
 from __future__ import annotations
@@ -24,13 +25,19 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
 from .phases import binom2, frac_exact
-from .skewshift import SkewShift, fiber_coefficients_on_grid, midgrid
+from .skewshift import (
+    SkewShift,
+    fiber_coefficients_on_grid,
+    midgrid,
+    project,
+    rotation_transfer,
+)
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 
@@ -203,18 +210,6 @@ def solve_component(
     return ComponentSpectrum(S.label, out)
 
 
-def sobolev_norm(obj: Union[FiberedTrigPoly, ComponentSpectrum], s: float) -> float:
-    """Fourier-weighted norm (sum (1 + a^2 + b^2)^s |c|^2)^{1/2}."""
-    if isinstance(obj, ComponentSpectrum):
-        n = obj.label.n
-        terms = (
-            ((obj.label.m + j * n) ** 2 + n * n, c) for j, c in obj.coeffs.items()
-        )
-    else:
-        terms = ((m * m + k * k, c) for m, k, c in obj.modes())
-    return math.sqrt(sum((1.0 + q) ** s * abs(c) ** 2 for q, c in terms))
-
-
 @dataclass(frozen=True)
 class ClassifierReport:
     """Outcome of the mixing/trivial decision with all block values."""
@@ -263,8 +258,6 @@ def classify_roof(
     change the verdict.  Positivity of the input is NOT required here:
     the classification is a formal Fourier evaluation.
     """
-    from .skewshift import project
-
     osc, _ = project(phi)
     _, components = decompose_components(osc)
     entries = tuple(evaluate_distribution(f, S) for S in components)
@@ -278,26 +271,58 @@ def classify_roof(
 def ergodic_sum_l2(f: SkewShift, S: ComponentSpectrum, N: int) -> float:
     """Exact squared L^2 norm of the N-th Birkhoff sum of a block element.
 
-    Equals sum over l of |sum_{j=l-N+1}^{l} Phi_j e^{-2 pi i theta_j}|^2;
-    finite support makes the sum over l finite.
+    With r_j = Phi_j e^{-2 pi i theta_j}, it equals the sum over l of the
+    windows |sum_{j=l-N+1}^{l} r_j|^2; each pair j, j' of the support
+    shares max(0, N - |j - j'|) windows, so the total is
+
+        sum_{j, j'} r_j conj(r_j') max(0, N - |j - j'|),
+
+    O(|S|^2) work for any N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if S.is_zero():
         return 0.0
-    lo, hi = S.support()
-    reduced = {
-        j: c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
+    js = np.array(list(S.coeffs))
+    r = np.array([
+        c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
         for j, c in S.coeffs.items()
-    }
-    total = 0.0
-    window = 0.0 + 0.0j
-    # slide l from lo to hi + N - 1; enter j = l, leave j = l - N
-    for ell in range(lo, hi + N):
-        window += reduced.get(ell, 0.0)
-        window -= reduced.get(ell - N, 0.0)
-        total += abs(window) ** 2
-    return total
+    ])
+    shared = np.maximum(0.0, float(N) - np.abs(js[:, None] - js[None, :]))
+    return float((r @ shared @ r.conj()).real)
+
+
+def solve_roof(
+    f: SkewShift, phi: FiberedTrigPoly, tol: float = 1e-9
+) -> Tuple[FiberedTrigPoly, float]:
+    """Full transfer u and mean with u o f - u = Phi - mean.
+
+    Solves block by block on the zero-fiber-average part
+    (``solve_component``) and through the circle-rotation divisors on the
+    fiber average.  Raises ObstructionNonzero on a block with a large
+    invariant functional and SmallDivisor on a resonant circle frequency.
+    A real Phi gives a real-flagged u.
+    """
+    osc, perp = project(phi)
+    _, components = decompose_components(osc)
+    modes: Dict[Tuple[int, int], complex] = {}
+    for S in components:
+        u = solve_component(f, S, tol=tol)
+        n = u.label.n
+        for j, c in u.coeffs.items():
+            key = (u.label.m + j * n, n)
+            modes[key] = modes.get(key, 0.0) + c
+    g, mean = rotation_transfer(perp, f.alpha)
+    for m, c in g.coeffs.items():
+        modes[(m, 0)] = modes.get((m, 0), 0.0) + c
+    u_total = FiberedTrigPoly.from_modes(modes, real=False)
+    if phi.real:
+        # conjugate symmetry holds to rounding; rebuild with the flag
+        sym = {}
+        for (m, k), c in modes.items():
+            sym[(m, k)] = 0.5 * (c + modes.get((-m, -k), 0.0).conjugate())
+        u_total = FiberedTrigPoly.from_modes(sym, real=True)
+    return u_total, float(np.real(mean))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ The closed-form iterate is
 so every orbit quantity reduces to the quadratic phase p_j = j*x + j*beta
 + binom(j,2)*alpha mod 1, formed exactly in dyadic integer arithmetic
 for whole blocks of j (`phases.PhaseNumerators`).  Scalar paths take the
-orbit of their base point block by block (`_orbit`), each coordinate
-rounded once.  Grid sweeps form the x-independent part of every phase,
-fold the terms by frequency with a bincount and take one FFT per fiber
-mode, so each term carries its own exactly reduced phase at any step
-count.
+values of their polynomials on the orbit of one base point block by
+block (`_orbit`), evaluated on the exact orbit numerators
+(`FiberedTrigPoly.at`), so each phase rounds once.  Grid sweeps form the
+x-independent part of every phase, fold the terms by frequency with a
+bincount and take one FFT per fiber mode, so each term carries its own
+exactly reduced phase at any step count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import (
 import numpy as np
 
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import PhaseNumerators, binom2, frac, frac_exact, vfrac
+from .phases import PhaseNumerators, frac, frac_exact, vfrac
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 # Orbit steps per block of an orbit walk or a grid sweep; bounds their
@@ -56,7 +57,8 @@ class SkewShift:
 
     Unique ergodicity needs alpha irrational, which floats cannot
     certify; a rational alpha silently degrades the asymptotic
-    experiments while all finite formulas remain exact.
+    experiments while all finite formulas remain exact.  Orbit points are
+    formed by ``phases.PhaseNumerators``.
     """
 
     alpha: float
@@ -65,25 +67,6 @@ class SkewShift:
     def __post_init__(self):
         object.__setattr__(self, "alpha", frac(self.alpha))
         object.__setattr__(self, "beta", frac(self.beta))
-
-    def step(self, p: TorusPoint) -> TorusPoint:
-        """One application of the map; each coordinate rounds exactly once."""
-        return TorusPoint(
-            frac_exact([(1, p.x), (1, self.alpha)]),
-            frac_exact([(1, p.y), (1, p.x), (1, self.beta)]),
-        )
-
-    def step_inverse(self, p: TorusPoint) -> TorusPoint:
-        x0 = frac_exact([(1, p.x), (-1, self.alpha)])
-        return TorusPoint(x0, frac_exact([(1, p.y), (-1, x0), (-1, self.beta)]))
-
-    def orbit_at(self, p: TorusPoint, j: int) -> TorusPoint:
-        """f^j(p) by the closed form, phases reduced exactly."""
-        x = frac_exact([(1, p.x), (j, self.alpha)])
-        y = frac_exact(
-            [(1, p.y), (j, p.x), (j, self.beta), (binom2(j), self.alpha)]
-        )
-        return TorusPoint(x, y)
 
 
 def project(phi: FiberedTrigPoly) -> Tuple[FiberedTrigPoly, TrigPoly1D]:
@@ -100,31 +83,32 @@ def project(phi: FiberedTrigPoly) -> Tuple[FiberedTrigPoly, TrigPoly1D]:
 
 
 def _orbit(
-    f: SkewShift, x: float, y: float, n: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (x_j, y_j) = f^j(x, y) for j < n as float arrays, in blocks of
-    at most ``_SWEEP_BLOCK`` steps.  Every coordinate is the exact dyadic
-    value rounded once, at any step count."""
+    f: SkewShift, polys: Sequence[FiberedTrigPoly], x: float, y: float, n: int
+) -> Iterator[List[np.ndarray]]:
+    """Yield the values of every poly in ``polys`` on f^j(x, y), j < n, in
+    blocks of at most ``_SWEEP_BLOCK`` steps: one array per poly, from the
+    exact orbit numerators (``FiberedTrigPoly.at``), so every phase rounds
+    once at any step count."""
     phases = PhaseNumerators(f.alpha, f.beta, x, y)
     for j0 in range(0, n, _SWEEP_BLOCK):
         j = np.arange(j0, min(n, j0 + _SWEEP_BLOCK), dtype=np.int64)
-        xs, ys = phases.orbit(j)
-        yield phases.to_unit(xs), phases.to_unit(ys)
+        xn, yn = phases.orbit(j)
+        yield [phi.at(phases, xn, yn) for phi in polys]
 
 
 def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):
     """Phi_n(p) = sum_{j<n} Phi(f^j p), with Phi_0 = 0 (empty sum).
 
-    The orbit points are exact (``_orbit``) and each block is summed
-    pairwise, so the absolute error is that of the float sum alone,
-    O(n * eps * sup|Phi|).  Raises ValueError for n < 0.
+    The values come from the exact orbit numerators (``_orbit``), and each
+    block is summed pairwise, so the absolute error is that of the float
+    sum alone, O(n * eps * sup|Phi|).  Raises ValueError for n < 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc = 0.0 + 0.0j
-    for xs, ys in _orbit(f, p.x, p.y, n):
-        acc += complex(np.sum(phi.evaluate_complex(xs, ys)))
-    return acc.real if phi.real else acc
+    acc = 0.0 if phi.real else 0.0j
+    for (vals,) in _orbit(f, [phi], p.x, p.y, n):
+        acc += np.sum(vals)
+    return acc
 
 
 def fiber_coefficients(
@@ -132,33 +116,17 @@ def fiber_coefficients(
 ) -> Dict[int, complex]:
     """Fourier-in-y coefficients of y -> Phi_n(x, y).
 
-    c_{k,n}(x) = sum_{j<n} c_k(x + j alpha) e^{2 pi i k p_j(x)}, computed
-    with exact phases p_j, the fiber coordinate of f^j(x, 0).  Keys are
-    the fiber frequencies of Phi.
+    c_{k,n}(x) = sum_{j<n} c_k(x + j alpha) e^{2 pi i k p_j(x)}, with p_j
+    the fiber coordinate of f^j(x, 0): the sum of fiber k alone, as a
+    complex poly, along that orbit.  Keys are the fiber frequencies of Phi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = {k: 0.0 + 0.0j for k in phi.fiber}
-    for xs, ps in _orbit(f, x, 0.0, n):
-        for k, c in phi.fiber.items():
-            terms = c.evaluate_complex(xs) * np.exp(2j * np.pi * k * ps)
-            acc[k] += complex(np.sum(terms))
-    return acc
-
-
-def decoupling_difference(
-    f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int, N: int
-) -> Union[float, complex]:
-    """phi_N(f^n p) - phi_N(p) for the zero-fiber-average part of Phi.
-
-    By the two cocycle decompositions of phi_{N+n} this equals
-    phi_n(f^N p) - phi_n(p); callers cross-check the identity.
-    """
-    if n < 1 or N < 1:
-        raise ValueError("n and N must be >= 1")
-    osc, _ = project(phi)
-    q = f.orbit_at(p, n)
-    return birkhoff_sum(f, osc, q, N) - birkhoff_sum(f, osc, p, N)
+    fibers = [FiberedTrigPoly({k: c}) for k, c in phi.fiber.items()]
+    acc = [0.0j] * len(fibers)
+    for vals in _orbit(f, fibers, x, 0.0, n):
+        acc = [a + np.sum(v) for a, v in zip(acc, vals)]
+    return {k: complex(a) for k, a in zip(phi.fiber, acc)}
 
 
 # --------------------------------------------------------------------------
@@ -356,39 +324,15 @@ class SublevelEstimate(NamedTuple):
     grid: int
 
 
-def sublevel_measure(
-    g, C: float, grid: int = 256
-) -> SublevelEstimate:
-    """Fraction of the torus (or circle) where |g| < C, midpoint rule.
+def sublevel_measure(samples: np.ndarray, C: float) -> SublevelEstimate:
+    """Fraction of the torus (or circle) where |g| < C, midpoint rule, from
+    the samples of g on a 1-D or 2-D midpoint grid.
 
-    ``g`` may be a TrigPoly1D, a FiberedTrigPoly, a callable of one or
-    two array arguments, or a precomputed 1-D/2-D sample array.  The
-    reported error counts grid cells where the indicator flips between
+    The reported error counts grid cells where the indicator flips between
     neighbours, i.e. cells crossed by the level set.
     """
     if C <= 0:
         raise ValueError("C must be > 0")
-    if isinstance(g, np.ndarray):
-        samples = g
-    elif isinstance(g, TrigPoly1D):
-        if grid < 64:
-            raise ValueError("grid must be >= 64")
-        samples = g.evaluate_complex(midgrid(grid))
-    elif isinstance(g, FiberedTrigPoly):
-        if grid < 64:
-            raise ValueError("grid must be >= 64")
-        xs = midgrid(grid)
-        samples = g.evaluate_complex(xs[:, None], xs[None, :])
-    elif callable(g):
-        if grid < 64:
-            raise ValueError("grid must be >= 64")
-        xs = midgrid(grid)
-        try:
-            samples = np.asarray(g(xs[:, None], xs[None, :]))
-        except TypeError:
-            samples = np.asarray(g(xs))
-    else:
-        raise TypeError(f"cannot evaluate {type(g)!r}")
     ind = np.abs(samples) < C
     total = ind.size
     inside = int(np.count_nonzero(ind))
@@ -417,10 +361,10 @@ def visit_fraction(
         raise ValueError("N must be >= 1")
     osc, _ = project(phi)
     count = 0
-    acc = 0.0 + 0.0j
-    for xs, ys in _orbit(f, p.x, p.y, N):
+    acc = 0.0 if osc.real else 0.0j
+    for (vals,) in _orbit(f, [osc], p.x, p.y, N):
         # sums[i] = phi_{j0 + i}: the running total, then one term per step
-        sums = np.cumsum(np.concatenate(([acc], osc.evaluate_complex(xs, ys))))
+        sums = np.cumsum(np.concatenate(([acc], vals)))
         count += int(np.count_nonzero(np.abs(sums[:-1]) < C))
         acc = sums[-1]
     return count / N
@@ -486,27 +430,48 @@ def roof_from_dict(d: dict) -> Tuple[SkewShift, FiberedTrigPoly]:
     missing = _ROOF_KEYS - set(d)
     if missing:
         raise InvalidRoofFile(f"missing roof keys: {sorted(missing)}")
+    if not isinstance(d["coeffs"], list):
+        raise InvalidRoofFile("roof coeffs must be a JSON list")
     modes: Dict[Tuple[int, int], complex] = {}
     for entry in d["coeffs"]:
-        if set(entry) != {"k", "m", "re", "im"}:
+        if not isinstance(entry, dict) or set(entry) != {"k", "m", "re", "im"}:
             raise InvalidRoofFile(f"bad coefficient entry: {entry}")
-        key = (int(entry["m"]), int(entry["k"]))
+        key = (_number(entry["m"], int), _number(entry["k"], int))
         if key in modes:
             raise InvalidRoofFile(f"duplicate mode {key}")
-        modes[key] = complex(float(entry["re"]), float(entry["im"]))
-    if any(abs(k) > int(d["degree_y"]) for _, k in modes):
+        modes[key] = complex(
+            _number(entry["re"], float), _number(entry["im"], float)
+        )
+    degree_y = _number(d["degree_y"], int)
+    if any(abs(k) > degree_y for _, k in modes):
         raise InvalidRoofFile("coefficient exceeds declared degree_y")
     try:
         phi = FiberedTrigPoly.from_modes(modes, real=bool(d["real"]))
     except ValueError as exc:
         raise InvalidRoofFile(str(exc)) from exc
-    f = SkewShift(float(d["alpha"]), float(d["beta"]))
+    f = SkewShift(_number(d["alpha"], float), _number(d["beta"], float))
     return f, phi
 
 
+def _number(v, kind: type):
+    """kind(v), finite; anything else raises InvalidRoofFile."""
+    try:
+        out = kind(v)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidRoofFile(f"roof value {v!r} is not a finite number")
+
+
 def load_roof(path) -> Tuple[SkewShift, FiberedTrigPoly]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return roof_from_dict(json.load(fh))
+    """Read a roof file; an unreadable file raises InvalidRoofFile."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidRoofFile(f"cannot read roof file {path}: {exc}") from exc
+    return roof_from_dict(doc)
 
 
 def save_roof(path, f: SkewShift, phi: FiberedTrigPoly) -> None:

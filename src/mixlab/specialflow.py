@@ -11,10 +11,12 @@ is the mechanism the estimators here quantify.
 Every flow and hit count, of one point or of many, runs one kernel
 (``_climb_lanes``): the lanes walk the exact orbit of their base points
 (``phases.PhaseNumerators``) in tiles of steps, the roof is evaluated on
-the exact orbit numerators (``Roof.at``), and a cumulative sum per tile
-finds each lane's crossing.  A lane's result does not depend on the other
-lanes, so the scalar and the many-lane paths agree bit for bit, and no
-position drifts from the exact orbit at any time.
+the exact orbit numerators (``FiberedTrigPoly.at``), and a cumulative sum
+per tile finds each lane's crossing.  A lane's result does not depend on
+the other lanes, so the scalar and the many-lane paths agree bit for bit,
+and no position drifts from the exact orbit at any time.  The
+trivial-roof conjugacy check flows all its points as lanes and reduces
+them in the constant suspension on the same exact orbits.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .phases import PhaseNumerators, frac
 from .skewshift import (
     _SWEEP_BLOCK,
     SkewShift,
-    TorusPoint,
     _grid_sweep,
     midgrid,
     project,
@@ -70,10 +71,6 @@ class Roof:
     achieved by the grid + Lipschitz bound and ``slack_target`` the width
     asked for; ``slack`` exceeds it when the evaluation budget forced a
     coarser grid.
-
-    ``const`` and ``terms`` hold the roof in independent modes: one (m, k)
-    of each conjugate pair, with c = c_{m,k} + conj(c_{-m,-k}), so that
-    Phi(x, y) = const + sum Re(c e(m x + k y)), e(t) = exp(2 pi i t).
     """
 
     phi: FiberedTrigPoly
@@ -82,41 +79,9 @@ class Roof:
     mean: float
     slack: float
     slack_target: Optional[float] = None
-    const: float = field(init=False, repr=False, compare=False)
-    terms: Tuple[Tuple[int, int, complex], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        pairs: Dict[Tuple[int, int], complex] = {}
-        for m, k, c in self.phi.modes():
-            if (k, m) > (0, 0):
-                pairs[(m, k)] = pairs.get((m, k), 0.0) + c
-            elif (k, m) < (0, 0):
-                pairs[(-m, -k)] = pairs.get((-m, -k), 0.0) + c.conjugate()
-        terms = tuple((m, k, c) for (m, k), c in sorted(pairs.items()) if c != 0)
-        object.__setattr__(self, "const", self.phi.c(0).coeff(0).real)
-        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, x, y):
         return self.phi.evaluate(x, y)
-
-    def at(self, phases: PhaseNumerators, xn, yn) -> np.ndarray:
-        """Roof values at the points with numerators (xn, yn) over 2^K.
-
-        Each phase m x + k y is reduced exactly mod 1 before its one
-        rounding; a term costs one cos or sin (both for a complex c) and
-        nothing per fiber.  Every flow, hit count and sample evaluates the
-        roof here, so one point always gets one value.
-        """
-        vals = np.full(np.broadcast(xn, yn).shape, self.const)
-        for m, k, c in self.terms:
-            theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
-            if c.real:
-                vals += c.real * np.cos(theta)
-            if c.imag:
-                vals -= c.imag * np.sin(theta)
-        return vals
 
 
 # Most points certify_roof evaluates; past it the slack target is relaxed.
@@ -189,10 +154,6 @@ class FlowPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", frac(self.x))
         object.__setattr__(self, "y", frac(self.y))
-
-    @property
-    def base(self) -> TorusPoint:
-        return TorusPoint(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -298,7 +259,8 @@ def _climb_lanes(
     limit.  The lanes walk the exact orbit in lock-step, in tiles of at
     most ``_SWEEP_BLOCK`` lane-steps: a tile takes the orbit numerators of
     one block of steps (``PhaseNumerators.orbit``), their roof values
-    (``Roof.at``) and a cumulative sum seeded with the running totals.
+    (``FiberedTrigPoly.at``) and a cumulative sum seeded with the running
+    totals.
     The sums never decrease, so the count of those below the target is the
     strict crossing, ties going to the smaller n; a lane that has crossed
     drops out.  Each lane's sums are sequential and its own, so its result
@@ -328,7 +290,7 @@ def _climb_lanes(
             )
             j = done + np.arange(block, dtype=np.int64)[:, None]
             xn, yn = phases.orbit(-1 - j if backward else j)       # (B, L)
-            sums = _running_sums(total[lanes], roof.at(phases, xn, yn))
+            sums = _running_sums(total[lanes], roof.phi.at(phases, xn, yn))
             left = room[lanes] - done
             below = np.minimum(
                 np.count_nonzero(sums[1:] < targets[lanes], axis=0), left
@@ -382,7 +344,7 @@ def _flow_lanes(
         n, total = _climb_lanes(roof, f, xs, ys, target)
         z = target - total
         xn, yn = phases.orbit(n)
-        tie = z >= roof.at(phases, xn, yn)[0]
+        tie = z >= roof.phi.at(phases, xn, yn)[0]
         if np.any(tie):
             xn, yn = phases.orbit(n + tie)
             z = np.where(tie, 0.0, z)
@@ -392,7 +354,7 @@ def _flow_lanes(
         down = w < 0.0
         n = n + down                     # the step that crosses height 0
         xn, yn = phases.orbit(-n)
-        last = roof.at(phases, xn, yn)[0]
+        last = roof.phi.at(phases, xn, yn)[0]
         z = np.where(down, w + (total + last), w)
     return phases.to_unit(xn)[0], phases.to_unit(yn)[0], z
 
@@ -416,9 +378,9 @@ def _sample_block(
     """``count`` accepted samples from the normalised invariant measure.
 
     Rejection against the box of height certified_max, with the roof
-    values of ``Roof.at``; the stream is a Philox generator keyed by
-    (seed, block_index), so the accepted points are a pure function of
-    those two integers.
+    values of ``FiberedTrigPoly.at``; the stream is a Philox generator
+    keyed by (seed, block_index), so the accepted points are a pure
+    function of those two integers.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
@@ -434,19 +396,13 @@ def _sample_block(
         z = draw[:, 2] * roof.certified_max
         # random() draws are multiples of 2^-53: exact numerators over 2^53
         phases = PhaseNumerators(0.0, 0.0, x, y)
-        ok = z < roof.at(phases, *phases.orbit(0))[0]
+        ok = z < roof.phi.at(phases, *phases.orbit(0))[0]
         got = need[ok]
         xs[got] = x[ok]
         ys[got] = y[ok]
         zs[got] = z[ok]
         need = need[~ok]
     return xs, ys, zs
-
-
-def sample_measure(roof: Roof, seed: int) -> FlowPoint:
-    """One deterministic sample of the invariant probability measure."""
-    xs, ys, zs = _sample_block(roof, seed, 0, 1)
-    return FlowPoint(float(xs[0]), float(ys[0]), float(zs[0]))
 
 
 @dataclass(frozen=True)
@@ -599,7 +555,7 @@ def hitting_complement_measure(
     y_resolution: int = 64,
     workers: int = 1,
 ) -> float:
-    """Fraction of x whose fiber shows no large Birkhoff value at the
+    """The share of x whose fiber shows no large Birkhoff value at the
     minimal hit count.
 
     For each grid x: n(x) = min over a y-grid of the z = 0 hit count at
@@ -659,25 +615,20 @@ def _coeffs_at_stops(f, phi, cols, stops):
 
 
 def _reduce_constant_quotient(
-    f: SkewShift, x: float, y: float, z: float, height: float
-) -> Tuple[float, float, float]:
-    p = TorusPoint(x, y)
-    while z >= height:
-        z -= height
-        p = f.step(p)
-    while z < 0.0:
-        p = f.step_inverse(p)
-        z += height
-    return p.x, p.y, z
-
-
-def _constant_flow(
-    f: SkewShift, x: float, y: float, z: float, height: float, t: float
-) -> Tuple[float, float, float]:
-    w = z + t
-    n = math.floor(w / height)
-    q = f.orbit_at(TorusPoint(x, y), n)   # closed form is valid for n < 0 too
-    return _reduce_constant_quotient(f, q.x, q.y, w - n * height, height)
+    f: SkewShift, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, height: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points (xs, ys, zs) of the constant suspension of the given
+    height, moved to its fundamental domain 0 <= z < height: q = floor(z /
+    height) base steps, taken on the exact orbit, and z - q * height."""
+    q = np.floor(zs / height)
+    z = zs - q * height
+    over, under = z >= height, z < 0.0       # the rounding of the quotient
+    z = np.where(over, z - height, z)
+    z = np.where(under, z + height, z)
+    q = q.astype(np.int64) + over - under
+    phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
+    xn, yn = phases.orbit(q)
+    return phases.to_unit(xn)[0], phases.to_unit(yn)[0], z
 
 
 def trivial_conjugacy_check(
@@ -713,39 +664,31 @@ def trivial_conjugacy_check(
             f"u o f - u differs from Phi - {c_phi} by up to {residual:.3e}"
         )
     xs, ys, zs = _sample_block(roof, seed, 0, points)
-    worst = 0.0
-    for x, y, z in zip(xs, ys, zs):
-        moved = flow_at(roof, f, FlowPoint(x, y, z), t)
-        lhs = _reduce_constant_quotient(
-            f, moved.x, moved.y, moved.z + float(u.evaluate(moved.x, moved.y)),
-            c_phi,
-        )
-        sx, sy, sz = _reduce_constant_quotient(
-            f, x, y, z + float(u.evaluate(x, y)), c_phi
-        )
-        rhs = _constant_flow(f, sx, sy, sz, c_phi, t)
-        worst = max(worst, _quotient_distance(f, lhs, rhs, c_phi))
-    return worst
+    mx, my, mz = _flow_lanes(roof, f, xs, ys, zs, t)
+    lhs = _reduce_constant_quotient(f, mx, my, mz + u.evaluate(mx, my), c_phi)
+    sx, sy, sz = _reduce_constant_quotient(
+        f, xs, ys, zs + u.evaluate(xs, ys), c_phi
+    )
+    rhs = _reduce_constant_quotient(f, sx, sy, sz + t, c_phi)
+    return float(np.max(_quotient_distance(f, lhs, rhs, c_phi), initial=0.0))
 
 
-def _quotient_distance(f, a, b, height) -> float:
-    """Distance of two constant-suspension points across sheet choices."""
+def _quotient_distance(f, a, b, height) -> np.ndarray:
+    """Distance of two sets of constant-suspension points across sheet
+    choices: b is also compared one base step up and down."""
 
     def circ(p, q):
-        d = abs(p - q) % 1.0
-        return min(d, 1.0 - d)
+        d = np.abs(p - q) % 1.0
+        return np.minimum(d, 1.0 - d)
 
-    best = math.inf
+    phases = PhaseNumerators(f.alpha, f.beta, b[0], b[1])
+    best = np.full(np.shape(b[2]), math.inf)
     for k in (-1, 0, 1):
-        x, y, z = b
-        p = TorusPoint(x, y)
-        if k == 1:
-            p = f.step(p)
-        elif k == -1:
-            p = f.step_inverse(p)
-        cand = (p.x, p.y, z - k * height)
-        best = min(
-            best,
-            max(circ(a[0], cand[0]), circ(a[1], cand[1]), abs(a[2] - cand[2])),
+        xn, yn = phases.orbit(np.full(np.shape(b[2]), k))
+        x, y = phases.to_unit(xn)[0], phases.to_unit(yn)[0]
+        dist = np.maximum(
+            np.maximum(circ(a[0], x), circ(a[1], y)),
+            np.abs(a[2] - (b[2] - k * height)),
         )
+        best = np.minimum(best, dist)
     return best

@@ -10,6 +10,11 @@ A poly flagged ``real`` stores both coefficient halves and must satisfy
 c_{-m} = conj(c_m) (coefficientwise across both indices for the fibered
 type); evaluation then returns the real part.  Violations raise at
 construction time, so downstream code can trust the flag.
+
+``FiberedTrigPoly.at`` is the one evaluator on orbit points: it takes the
+exact numerators of ``phases.PhaseNumerators`` and reduces every phase
+m x + k y mod 1 before its single rounding.  ``evaluate`` and
+``evaluate_complex`` take float points and serve grids and algebra.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .phases import frac_exact
+from .phases import PhaseNumerators, frac_exact
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,6 +244,57 @@ class FiberedTrigPoly:
 
     def __call__(self, x, y):
         return self.evaluate(x, y)
+
+    @cached_property
+    def independent_modes(self) -> tuple:
+        """(const, terms), computed once per polynomial.
+
+        A real poly pairs every mode with its conjugate: one (m, k) of each
+        pair, with c = c_{m,k} + conj(c_{-m,-k}), so that Phi = const +
+        sum Re(c e(m x + k y)), e(t) = exp(2 pi i t), and const is real.
+        A complex poly keeps every mode but (0, 0), which is const.
+        """
+        if not self.real:
+            terms = tuple(
+                (m, k, c) for m, k, c in self.modes() if (m, k) != (0, 0)
+            )
+            return self.c(0).coeff(0), terms
+        pairs: Dict[Tuple[int, int], complex] = {}
+        for m, k, c in self.modes():
+            if (k, m) > (0, 0):
+                pairs[(m, k)] = pairs.get((m, k), 0.0) + c
+            elif (k, m) < (0, 0):
+                pairs[(-m, -k)] = pairs.get((-m, -k), 0.0) + c.conjugate()
+        terms = tuple(
+            (m, k, c) for (m, k), c in sorted(pairs.items()) if c != 0
+        )
+        return self.c(0).coeff(0).real, terms
+
+    def at(self, phases: PhaseNumerators, xn, yn) -> np.ndarray:
+        """Values at the points with numerators (xn, yn) over 2^K.
+
+        Each phase m x + k y is reduced exactly mod 1 before its one
+        rounding.  A real poly costs one cos or sin per conjugate pair (both
+        for a complex pair coefficient) and returns floats; a complex one
+        costs one e(theta) per mode.  Every orbit path evaluates here, so
+        one point always gets one value.
+        """
+        const, terms = self.independent_modes
+        shape = np.broadcast(xn, yn).shape
+        if not self.real:
+            vals = np.full(shape, const, dtype=complex)
+            for m, k, c in terms:
+                theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
+                vals += c * np.exp(1j * theta)
+            return vals
+        vals = np.full(shape, const)
+        for m, k, c in terms:
+            theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
+            if c.real:
+                vals += c.real * np.cos(theta)
+            if c.imag:
+                vals -= c.imag * np.sin(theta)
+        return vals
 
     # ---- algebra -----------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Shared fixtures and helper oracles for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from mixlab.skewshift import TorusPoint
 from mixlab.trigpoly import FiberedTrigPoly
 
 # Property tests draw their examples from a fixed seed and keep no example
@@ -50,6 +52,18 @@ def coboundary_roof(beta: float, const: float = 3.0) -> FiberedTrigPoly:
 
 def skew_apply(alpha, beta, x, y):
     return (x + alpha) % 1.0, (y + x + beta) % 1.0
+
+
+def orbit_exact(f, p: TorusPoint, j: int) -> TorusPoint:
+    """f^j(p) by the closed form on exact rationals, each coordinate
+    rounded once; j of either sign.  Independent of the library's integer
+    phase arithmetic."""
+    a, b = Fraction(f.alpha), Fraction(f.beta)
+    x, y = Fraction(p.x), Fraction(p.y)
+    return TorusPoint(
+        float((x + j * a) % 1),
+        float((y + j * x + j * b + j * (j - 1) // 2 * a) % 1),
+    )
 
 
 def birkhoff_oracle(alpha, beta, fn, x, y, n):

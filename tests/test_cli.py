@@ -1,9 +1,13 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlab.cli import bundled_roof_path, main
 
@@ -351,3 +355,104 @@ def test_unknown_roof_keys_rejected(tmp_path):
     }))
     code, _ = run(tmp_path, "classify", "--roof", str(bad))
     assert code == 2
+
+
+def _roof_doc(**changes):
+    doc = {
+        "alpha": 0.3, "beta": 0.0, "degree_y": 0, "real": True,
+        "coeffs": [{"k": 0, "m": 0, "re": 2.0, "im": 0.0}],
+    }
+    doc.update(changes)
+    return doc
+
+
+MALFORMED_ROOFS = {
+    "coeffs-not-a-list": _roof_doc(coeffs=5),
+    "alpha-null": _roof_doc(alpha=None),
+    "re-null": _roof_doc(coeffs=[{"k": 0, "m": 0, "re": None, "im": 0.0}]),
+}
+
+
+def _malformed_roof(directory, name):
+    """Path of the malformed roof ``name``; "directory" is a directory."""
+    if name == "directory":
+        return str(directory)
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_ROOFS[name]))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", [*MALFORMED_ROOFS, "directory"])
+def test_malformed_roof_files_exit_2(tmp_path, capsys, name):
+    roof = _malformed_roof(tmp_path, name)
+    assert exit_code(tmp_path / "out", "classify", "--roof", roof) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+
+
+# Every subcommand with tiny work sizes: each option value is a target of
+# the fuzz below.
+FUZZ_BASE = {
+    "classify": ["--roof", "example1", "--beta", "0", "--tol", "1e-9"],
+    "solve": ["--roof", "coboundary", "--tol", "1e-9"],
+    "stretch": ["--roof", "example1", "--C", "2", "--n", "1,10", "--grid", "16"],
+    "sublevel": ["--roof", "example1", "--n", "3", "--deltas", "0.1,0.01",
+                 "--grid", "16"],
+    "visits": ["--roof", "example1", "--C", "2", "--N", "1,100", "--x", "0.1",
+               "--y", "0.2"],
+    "correlate": ["--roof", "example1", "--cube", "0,0.5,0,0.5,0.5",
+                  "--t", "0,1", "--samples", "1000", "--seed", "0",
+                  "--workers", "1"],
+    "fiber-profile": ["--roof", "example1", "--x", "0.3", "--arc", "0.15,0.85",
+                      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1",
+                      "--resolution", "256"],
+    "hitting": ["--roof", "example1", "--C", "2", "--t", "1", "--grid", "256",
+                "--y-resolution", "2"],
+    "weyl": ["--roof", "example1", "--alpha", "0.6180339887498949",
+             "--levels", "3", "--grid", "128"],
+    "l2": ["--roof", "example2", "--N", "1,100"],
+    "return-check": ["--wx", "0.3", "--wy", "1.1", "--wz", "-0.2",
+                     "--count", "2", "--seed", "0"],
+    "conjugacy": ["--roof", "constant", "--t", "0.7", "--points", "5",
+                  "--seed", "0", "--tol", "1e-9"],
+}
+
+HOSTILE = ["", "abc", "nan", "-1", "0", "1e400", "0.1,0.2,0.3"]
+
+
+BUNDLED = {name: bundled_roof_path(name)
+           for name in ("example1", "example2", "constant", "coboundary")}
+
+
+@st.composite
+def hostile_argv(draw):
+    """(argv, malformed): one subcommand with one option value replaced by a
+    hostile token, or, when ``malformed`` names one, its roof replaced by a
+    malformed roof."""
+    command = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    argv = [BUNDLED.get(a, a) for a in FUZZ_BASE[command]]
+    if "--roof" in argv and draw(st.booleans()):
+        return [command, *argv], draw(
+            st.sampled_from([*MALFORMED_ROOFS, "directory"])
+        )
+    at = draw(st.sampled_from(range(1, len(argv), 2)))
+    tokens = HOSTILE + ["18446744073709551616"] * (argv[at - 1] == "--seed")
+    argv[at] = draw(st.sampled_from(tokens))
+    return [command, *argv], None
+
+
+@settings(max_examples=500)
+@given(case=hostile_argv())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
+    argv, malformed = case
+    work = tmp_path_factory.mktemp("fuzz")
+    if malformed:
+        argv[argv.index("--roof") + 1] = _malformed_roof(work, malformed)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([*argv, "--out", str(work / "out")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

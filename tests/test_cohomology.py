@@ -17,8 +17,8 @@ from mixlab.cohomology import (
     convergent_times,
     decompose_components,
     ergodic_sum_l2,
+    _theta_phase,
     evaluate_distribution,
-    sobolev_norm,
     solve_component,
     uniform_bound_scan,
 )
@@ -229,22 +229,6 @@ def test_solver_output_satisfies_difference_equation_pointwise():
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
-# ------------------------------------------------------------- Sobolev norm
-
-
-def test_sobolev_norm_examples():
-    one = FiberedTrigPoly.from_modes({(0, 0): 1.0})
-    for s in (-2.0, 0.0, 1.0, 3.5):
-        assert sobolev_norm(one, s) == 1.0
-    e11 = FiberedTrigPoly.from_modes({(1, 1): 1.0})
-    assert abs(sobolev_norm(e11, 1.0) - math.sqrt(3.0)) < 1e-12
-    two = FiberedTrigPoly.from_modes({(1, 1): 1.0, (4, -2): 1.0})
-    want = math.sqrt(3.0 ** 2.0 + 21.0 ** 2.0)
-    assert abs(sobolev_norm(two, 2.0) - want) < 1e-10
-    S = ComponentSpectrum(OrbitLabel(0, 1), {1: 1.0})   # the mode (1, 1)
-    assert abs(sobolev_norm(S, 1.0) - math.sqrt(3.0)) < 1e-12
-
-
 # ---------------------------------------------------------------- classifier
 
 
@@ -332,12 +316,43 @@ def test_classifier_report_serialization(golden):
 # ----------------------------------------------------------- exact L2 sums
 
 
+def window_sum_l2(f, S, N):
+    """The sum over l of |sum_{j=l-N+1}^{l} r_j|^2, one window per l:
+    the oracle of the closed form in ergodic_sum_l2."""
+    reduced = {
+        j: c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
+        for j, c in S.coeffs.items()
+    }
+    lo, hi = S.support()
+    total = 0.0
+    window = 0.0 + 0.0j
+    # slide l from lo to hi + N - 1; enter j = l, leave j = l - N
+    for ell in range(lo, hi + N):
+        window += reduced.get(ell, 0.0)
+        window -= reduced.get(ell - N, 0.0)
+        total += abs(window) ** 2
+    return total
+
+
 def test_ergodic_sum_l2_single_mode_is_linear():
     f = SkewShift(GOLDEN, 0.0)
     S = ComponentSpectrum(OrbitLabel(0, 1), {0: -0.5j})
     for N in (1, 10, 100, 10_000):
         val = ergodic_sum_l2(f, S, N)
         assert abs(val - 0.25 * N) <= 1e-12 * 0.25 * N
+    # the closed form costs nothing per window
+    assert ergodic_sum_l2(f, S, 10 ** 12) == 0.25 * 10 ** 12
+
+
+def test_ergodic_sum_l2_matches_window_loop():
+    rng = np.random.default_rng(13)
+    f = SkewShift(GOLDEN, 0.37)
+    js = rng.choice(np.arange(-20, 21), size=13, replace=False)
+    coeffs = {int(j): complex(rng.normal(), rng.normal()) for j in js}
+    S = ComponentSpectrum(OrbitLabel(1, -3), coeffs)
+    for N in (1, 2, 7, 40, 41, 1000, 100_000):
+        want = window_sum_l2(f, S, N)
+        assert abs(ergodic_sum_l2(f, S, N) - want) <= 1e-11 * want
 
 
 def test_ergodic_sum_l2_n1_is_l2_norm():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_dist
+from conftest import circle_dist, orbit_exact
 from mixlab.errors import DegenerateSection, NonPositiveTimeChange
 from mixlab.heisenberg import (
     AlgebraVector,
@@ -257,7 +257,7 @@ def test_section_iterates_match_skewshift_orbit():
     for n in range(1, 1001):
         cx, cz = poincare_return(w, cx, cz)
         if n % 100 == 0 or n <= 3:
-            q = f.orbit_at(p, n)
+            q = orbit_exact(f, p, n)
             assert circle_dist(cx, q.x) <= 1e-8
             assert circle_dist(cz, q.y) <= 1e-8
 

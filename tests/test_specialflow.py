@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, circle_dist, coboundary_roof, mixing_example_roof
+from conftest import (
+    GOLDEN,
+    circle_dist,
+    coboundary_roof,
+    mixing_example_roof,
+    orbit_exact,
+)
 from mixlab.cohomology import classify_roof
 from mixlab.errors import NonPositiveRoof, NotACoboundary
 from mixlab.skewshift import SkewShift, TorusPoint, birkhoff_sum, midgrid
@@ -15,6 +21,7 @@ from mixlab.specialflow import (
     CorrelationEstimate,
     _flow_lanes,
     _hit_count_lanes,
+    _sample_block,
     Cube,
     FlowPoint,
     Roof,
@@ -26,7 +33,6 @@ from mixlab.specialflow import (
     flow_at,
     hit_count,
     hitting_complement_measure,
-    sample_measure,
     trivial_conjugacy_check,
 )
 from mixlab.trigpoly import FiberedTrigPoly
@@ -89,13 +95,20 @@ def test_roof_independent_modes_match_evaluate():
     from mixlab.phases import PhaseNumerators
 
     roof = certify_roof(coboundary_roof(0.3, const=3.0))
-    assert len(roof.terms) == 2 and roof.const == 3.0
+    const, terms = roof.phi.independent_modes
+    assert len(terms) == 2 and const == 3.0
     rng = np.random.default_rng(4)
     xs, ys = rng.random(500), rng.random(500)
     ph = PhaseNumerators(GOLDEN, 0.3, xs, ys)
-    vals = roof.at(ph, *ph.orbit(np.zeros(500, dtype=np.int64)))[0]
+    xn, yn = ph.orbit(np.zeros(500, dtype=np.int64))
+    vals = roof.phi.at(ph, xn, yn)[0]
     assert np.allclose(vals, roof.evaluate(xs, ys), rtol=0, atol=1e-14)
-    assert len(certify_roof(mixing_example_roof()).terms) == 1    # one sin
+    # one fiber alone is a complex poly: one e(theta) per mode
+    fiber = FiberedTrigPoly({1: roof.phi.c(1)})
+    want = fiber.evaluate_complex(xs, ys)
+    assert np.allclose(fiber.at(ph, xn, yn)[0], want, rtol=0, atol=1e-14)
+    _, terms = certify_roof(mixing_example_roof()).phi.independent_modes
+    assert len(terms) == 1    # one sin
 
 
 def test_certify_rejects_nonpositive():
@@ -138,7 +151,7 @@ def test_hit_count_and_flow_across_orbit_blocks():
     p = FlowPoint(0.3, 0.8, 0.0)
     assert hit_count(unit, f, p, 70_000.5) == 70_000
     q = flow_at(unit, f, p, 70_000.5)
-    base = f.orbit_at(p.base, 70_000)
+    base = orbit_exact(f, TorusPoint(p.x, p.y), 70_000)
     assert (q.x, q.y, q.z) == (base.x, base.y, 0.5)
 
     roof = certify_roof(mixing_example_roof())
@@ -146,8 +159,9 @@ def test_hit_count_and_flow_across_orbit_blocks():
     t = 140_000.0
     n = hit_count(roof, f, p, t)
     assert n > 1 << 16
-    assert birkhoff_sum(f, roof.phi, p.base, n) < t + p.z
-    assert birkhoff_sum(f, roof.phi, p.base, n + 1) >= t + p.z
+    base = TorusPoint(p.x, p.y)
+    assert birkhoff_sum(f, roof.phi, base, n) < t + p.z
+    assert birkhoff_sum(f, roof.phi, base, n + 1) >= t + p.z
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, 2.0 ** 63, 1e300])
@@ -238,7 +252,7 @@ def test_flow_identity_and_constant_suspension():
 
     p = FlowPoint(0.3, 0.8, 0.0)
     q = flow_at(roof, f, p, 2.5)
-    base = f.orbit_at(TorusPoint(0.3, 0.8), 2)
+    base = orbit_exact(f, TorusPoint(0.3, 0.8), 2)
     assert circle_dist(q.x, base.x) < 1e-12
     assert circle_dist(q.y, base.y) < 1e-12
     assert abs(q.z - 0.5) < 1e-12
@@ -300,20 +314,18 @@ def test_flow_inverse_round_trip():
 
 def test_sample_measure_deterministic_and_valid():
     roof = certify_roof(mixing_example_roof())
-    a = sample_measure(roof, 42)
-    b = sample_measure(roof, 42)
-    assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
-    c = sample_measure(roof, 43)
-    assert (a.x, a.y, a.z) != (c.x, c.y, c.z)
+    a = np.concatenate(_sample_block(roof, 42, 0, 1))
+    b = np.concatenate(_sample_block(roof, 42, 0, 1))
+    assert np.array_equal(a, b)
+    c = np.concatenate(_sample_block(roof, 43, 0, 1))
+    assert not np.array_equal(a, c)
     for seed in range(50):
-        p = sample_measure(roof, seed)
-        assert p.z < roof.evaluate(p.x, p.y)
+        xs, ys, zs = _sample_block(roof, seed, 0, 1)
+        assert zs[0] < roof.evaluate(xs[0], ys[0])
 
 
 def test_sample_measure_slab_mass():
     # P(z < h) = h / integral(Phi) for h below the roof minimum
-    from mixlab.specialflow import _sample_block
-
     roof = certify_roof(mixing_example_roof())
     h = 0.5
     n = 200_000
