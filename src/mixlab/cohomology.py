@@ -37,6 +37,7 @@ from .skewshift import (
     midgrid,
     project,
     rotation_transfer,
+    skew_coboundary,
 )
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
@@ -323,6 +324,15 @@ def solve_roof(
             sym[(m, k)] = 0.5 * (c + modes.get((-m, -k), 0.0).conjugate())
         u_total = FiberedTrigPoly.from_modes(sym, real=True)
     return u_total, float(np.real(mean))
+
+
+def coboundary_residual(
+    f: SkewShift, u: FiberedTrigPoly, phi: FiberedTrigPoly, mean: float
+) -> float:
+    """sup |u o f - u - (Phi - mean)| on the 128^2 midpoint grid."""
+    residual = skew_coboundary(u, f) - (phi + FiberedTrigPoly.constant(-mean))
+    xs = midgrid(128)
+    return float(np.max(np.abs(residual.evaluate(xs[:, None], xs[None, :]))))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Tuple
 
+import numpy as np
+
 from .errors import DegenerateSection, NonPositiveTimeChange
 from .phases import frac
 
@@ -194,35 +196,44 @@ def poincare_return(
 
 
 class SectionReturn(NamedTuple):
-    x: float
-    z: float
+    """Landed section coordinates (floats, or arrays shaped like the
+    starting points) and the one return time."""
+
+    x: float | np.ndarray
+    z: float | np.ndarray
     time: float
 
 
 def poincare_return_numeric(
     w: AlgebraVector,
-    x: float,
-    z: float,
+    x,
+    z,
     lattice: Lattice = Lattice(1),
     time_tol: float = 1e-12,
 ) -> SectionReturn:
-    """Section return computed by flowing and bisecting the y-crossing.
+    """Section returns computed by flowing and bisecting the y-crossing.
 
-    Marches from j(x, z) in the time direction of the generator's
-    y-winding until the reduced y-coordinate wraps, then bisects the
-    wrap bracket down to ``time_tol`` or to adjacent floats.  Independent
-    of the closed form in ``poincare_return``; used to cross-validate it.
+    Every section point j(x, z) starts at y = 0, so the crossing time
+    depends on the generator alone and is found once: march in the time
+    direction of the y-winding until the reduced y-coordinate frac(t w_y)
+    (exact, as ``nilflow_at`` forms it) wraps, then bisect the wrap
+    bracket down to ``time_tol`` or to adjacent floats.  Each point is
+    then flowed for that time with ``nilflow_at``.  ``x`` and ``z`` are
+    floats or arrays of one shape; the landed coordinates have that shape
+    and ``time`` is the one return time.  Independent of the closed form
+    in ``poincare_return``; used to cross-validate it.
     """
     if w.w_y == 0.0:
         raise DegenerateSection("w_y = 0: generator is tangent to the section")
-    start = section_point(x, z, lattice)
     sgn = 1.0 if w.w_y > 0 else -1.0
     dt = sgn * 0.25 / abs(w.w_y)
     if not math.isfinite(dt):
         raise DegenerateSection(f"return time 1/w_y overflows: w_y = {w.w_y}")
+    wy = Fraction(w.w_y)
 
     def ycoord(t: float) -> float:
-        return nilflow_at(start, w, t).g.y
+        y = Fraction(t) * wy
+        return float(y - math.floor(y))
 
     # Stepping in the direction of the y-winding advances the reduced
     # y-coordinate by exactly +0.25 per step, so the first drop marks the
@@ -251,8 +262,15 @@ def poincare_return_numeric(
         else:
             lo = mid
     t_star = hi
-    landed = nilflow_at(start, w, t_star).g
-    return SectionReturn(landed.x, landed.z, t_star)
+    xs, zs = np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float))
+    land_x, land_z = np.empty(xs.shape), np.empty(xs.shape)
+    for i in np.ndindex(xs.shape):
+        start = section_point(float(xs[i]), float(zs[i]), lattice)
+        landed = nilflow_at(start, w, t_star).g
+        land_x[i], land_z[i] = landed.x, landed.z
+    if xs.ndim == 0:
+        return SectionReturn(float(land_x), float(land_z), t_star)
+    return SectionReturn(land_x, land_z, t_star)
 
 
 def timechange_return_time(

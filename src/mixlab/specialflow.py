@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cohomology import coboundary_residual
 from .errors import NonPositiveRoof, NotACoboundary
 from .phases import PhaseNumerators, frac
 from .skewshift import (
@@ -40,7 +41,6 @@ from .skewshift import (
     _grid_sweep,
     midgrid,
     project,
-    skew_coboundary,
     stretch,
     vfrac,
 )
@@ -50,9 +50,10 @@ from .trigpoly import FiberedTrigPoly
 # depend only on (seed, i // _BLOCK, i % _BLOCK).
 _BLOCK = 65536
 
-# Most base steps a flow or hit count may take: the range over which the
-# exact orbit phases are checked.
-_MAX_STEPS = 2 ** 62
+# Most base steps a flow or hit count may take per lane.  The exact orbit
+# phases hold to 2^62 steps, but one lane walks ~1e7 steps/s on one core,
+# so 2^40 steps is already more than a day.
+_MAX_STEPS = 2 ** 40
 
 # Lanes climbed together, so that a tile of _SWEEP_BLOCK lane-steps can
 # span 16 steps.
@@ -84,20 +85,37 @@ class Roof:
         return self.phi.evaluate(x, y)
 
 
-# Most points certify_roof evaluates; past it the slack target is relaxed.
+# Most points certify_roof's grid may hold; past it the slack target is
+# relaxed.
 _CERTIFY_BUDGET = 2.5e8
+
+# _grid_extrema evaluates every _COARSE_STRIDE-th y-row first, then bounds
+# the rows between _COARSE_SPAN coarse rows at a time.  It evaluates about
+# _CERTIFY_CHUNK complex grid values per product, in products of a
+# multiple of _ALIGN rows or in the tails of blocks of _DENSE_BLOCK values,
+# so that every value is rounded as in a whole-grid evaluation in such
+# blocks (the certificate, and every sample stream scaled by it, is fixed
+# by that evaluation).
+_COARSE_STRIDE = 32
+_COARSE_SPAN = 2 ** 14
+_CERTIFY_CHUNK = 2 ** 18
+_ALIGN = 16
+_DENSE_BLOCK = 2 ** 22
 
 
 def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
-    """Certify global bounds of a real roof by dense grids plus Lipschitz slack.
+    """Certify global bounds of a real roof by a grid plus Lipschitz slack.
 
     Per-axis Lipschitz constants come from the coefficients
     (L = 2 pi sum |freq| |c|); the per-axis grid is sized so the combined
     slack meets ``slack_target``, relaxed by doubling when that would
-    exceed the evaluation budget; the Roof records both the target and the
-    slack achieved.  Raises NonPositiveRoof when the certified lower bound
-    is not positive, and ValueError when even the coarsest grid the
-    frequencies allow exceeds the budget.
+    exceed the grid budget; the Roof records both the target and the
+    slack achieved.  The grid's extrema are exact, but only the y-rows
+    that can hold them are evaluated: every 32nd row, then the rows whose
+    Lipschitz bound from those reaches past their extrema.  Raises
+    NonPositiveRoof when the certified lower bound is not positive, and
+    ValueError when even the coarsest grid the frequencies allow exceeds
+    the budget.
     """
     if not phi.real:
         raise ValueError("roof must be real-flagged")
@@ -122,18 +140,7 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         target *= 2.0
         gx, gy = grids(target)
 
-    xs = midgrid(gx)
-    ks = sorted(phi.fiber.keys())
-    coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])   # (n_k, gx)
-    ys = midgrid(gy)
-    lo, hi = math.inf, -math.inf
-    chunk = max(1, min(gy, int(2 ** 22 // max(gx, 1)) + 1))
-    for start in range(0, gy, chunk):
-        block = ys[start : start + chunk]
-        phase = np.exp(2j * np.pi * np.outer(ks, block))
-        vals = (coeff.T @ phase).real
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
+    lo, hi = _grid_extrema(phi, gx, gy, lip_y)
     slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
     cmin, cmax = lo - slack, hi + slack
     if cmin <= 0.0:
@@ -141,6 +148,84 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
             f"certified lower bound {cmin:.6g} is not positive"
         )
     return Roof(phi, cmin, cmax, phi.mean(), slack, slack_target)
+
+
+def _grid_extrema(
+    phi: FiberedTrigPoly, gx: int, gy: int, lip_y: float
+) -> Tuple[float, float]:
+    """Min and max of the real roof over the gx x gy midpoint grid, bit for
+    bit as one evaluation of the whole grid gives them, from the y-rows
+    that can hold them.
+
+    Every _COARSE_STRIDE-th row is evaluated first.  Along a column the
+    roof moves by at most lip_y |y - y'|, so the extrema of every other
+    row lie within that of those of the coarse rows on either side (past
+    the last coarse row, row 0 one period up); only the rows whose bounds
+    reach past the coarse extrema are evaluated.
+    """
+    xs = midgrid(gx)
+    ks = sorted(phi.fiber.keys())
+    coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])   # (n_k, gx)
+    ys = midgrid(gy)
+    # Grid values are columns of one matrix product, and BLAS rounds the
+    # columns past the last multiple of its kernel width through other
+    # kernels.  Each row gets the value a whole-grid evaluation in blocks of
+    # `dense` rows gives it: a row among the last (block size mod 16) rows
+    # of its block is evaluated with that whole tail, and every other row
+    # in a product of a multiple of 16 rows.
+    dense = min(gy, _DENSE_BLOCK // gx + 1)
+    per = max(_ALIGN, _CERTIFY_CHUNK // gx // _ALIGN * _ALIGN)
+
+    def values(rows: np.ndarray) -> np.ndarray:
+        phase = np.exp(2j * np.pi * np.outer(ks, ys[rows]))
+        return (coeff.T @ phase).real                       # (gx, rows)
+
+    def row_extrema(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Min and max of the roof over the x-grid on each given y-row."""
+        low, high = np.empty(rows.size), np.empty(rows.size)
+        start = rows - rows % dense
+        end = np.minimum(start + dense, gy)
+        tail = start + (end - start) // _ALIGN * _ALIGN
+        in_tail = rows >= tail
+        for t0, t1 in set(zip(tail[in_tail].tolist(), end[in_tail].tolist())):
+            vals = values(np.arange(t0, t1))
+            pick = np.flatnonzero(in_tail & (tail == t0))
+            low[pick] = vals.min(axis=0)[rows[pick] - t0]
+            high[pick] = vals.max(axis=0)[rows[pick] - t0]
+        rest = np.flatnonzero(~in_tail)
+        for b in range(0, rest.size, per):
+            pick = rest[b : b + per]
+            # repeat rows up to a multiple of _ALIGN
+            padded = np.resize(rows[pick], -(-pick.size // _ALIGN) * _ALIGN)
+            vals = values(padded)[:, : pick.size]
+            low[pick] = vals.min(axis=0)
+            high[pick] = vals.max(axis=0)
+        return low, high
+
+    S = _COARSE_STRIDE
+    row_lo, row_hi = row_extrema(np.arange(0, gy, S))
+    lo, hi = float(row_lo.min()), float(row_hi.max())
+    row_lo = np.append(row_lo, row_lo[0])
+    row_hi = np.append(row_hi, row_hi[0])
+    # a margin far above the rounding of the values and of the bounds
+    scale = sum(abs(c) for _, _, c in phi.modes())
+    margin = 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * scale + 1e-12
+    r = np.arange(S)                  # row offsets past each coarse row
+    step = lip_y / gy
+    for b0 in range(0, row_lo.size - 1, _COARSE_SPAN):
+        b = np.arange(b0, min(b0 + _COARSE_SPAN, row_lo.size - 1))[:, None]
+        span = np.minimum(gy - b * S, S)          # rows up to the next one
+        up, down = step * r, step * (span - r)
+        low = np.maximum(row_lo[b] - up, row_lo[b + 1] - down)
+        high = np.minimum(row_hi[b] + up, row_hi[b + 1] + down)
+        reach = (low - margin < lo) | (high + margin > hi)
+        reach &= (r > 0) & (r < span)
+        rows = b0 * S + np.flatnonzero(reach)        # row b * S + r
+        if rows.size:
+            rmin, rmax = row_extrema(rows)
+            lo = min(lo, float(rmin.min()))
+            hi = max(hi, float(rmax.max()))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -232,13 +317,13 @@ def _step_limit(roof: Roof, target: float) -> int:
     an overstated minimum, would keep it climbing.
 
     Raises ValueError for a target that is not finite or that would need
-    more than 2^62 steps, the range of the exact orbit phases.
+    more than ``_MAX_STEPS`` (2^40) steps.
     """
     steps = target / roof.certified_min
     if not math.isfinite(steps) or steps > _MAX_STEPS:
         raise ValueError(
             f"time {float(target):g} is out of range: the flow takes at most "
-            "2^62 base steps"
+            "2^40 base steps"
         )
     return int(steps) + 2
 
@@ -652,13 +737,7 @@ def trivial_conjugacy_check(
     """
     if not u.real:
         raise ValueError("transfer function must be real-flagged")
-    residual_poly = skew_coboundary(u, f) - (
-        roof.phi + FiberedTrigPoly.constant(-c_phi)
-    )
-    gx = midgrid(128)
-    residual = float(
-        np.max(np.abs(residual_poly.evaluate(gx[:, None], gx[None, :])))
-    )
+    residual = coboundary_residual(f, u, roof.phi, c_phi)
     if residual > 1e-9:
         raise NotACoboundary(
             f"u o f - u differs from Phi - {c_phi} by up to {residual:.3e}"

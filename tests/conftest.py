@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mixlab.skewshift import TorusPoint
+from mixlab.heisenberg import SectionReturn, nilflow_at, section_point
+from mixlab.skewshift import TorusPoint, midgrid
+from mixlab.specialflow import _CERTIFY_BUDGET
 from mixlab.trigpoly import FiberedTrigPoly
 
 # Property tests draw their examples from a fixed seed and keep no example
@@ -74,6 +76,73 @@ def birkhoff_oracle(alpha, beta, fn, x, y, n):
         total += fn(x, y)
         x, y = skew_apply(alpha, beta, x, y)
     return total
+
+
+def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
+                         stride: int = 1):
+    """(certified_min, certified_max, slack) of ``certify_roof`` from every
+    row of its grid: the same grid sizing, every value evaluated.  With
+    ``stride`` only every stride-th y-row is evaluated."""
+    lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
+    lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
+    floor_x = max(16, 8 * phi.max_freq_x)
+    floor_y = max(16, 8 * phi.degree_y)
+
+    def grids(target):
+        gx = max(floor_x, math.ceil(lip_x / target))
+        gy = max(floor_y, math.ceil(lip_y / target))
+        return gx, gy
+
+    target = slack_target
+    gx, gy = grids(target)
+    while gx * gy > _CERTIFY_BUDGET:
+        target *= 2.0
+        gx, gy = grids(target)
+    xs = midgrid(gx)
+    ks = sorted(phi.fiber.keys())
+    coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])
+    ys = midgrid(gy)[::stride]
+    lo, hi = math.inf, -math.inf
+    chunk = max(1, min(ys.size, int(2 ** 22 // max(gx, 1)) + 1))
+    for start in range(0, ys.size, chunk):
+        phase = np.exp(2j * np.pi * np.outer(ks, ys[start : start + chunk]))
+        vals = (coeff.T @ phase).real
+        lo = min(lo, float(vals.min()))
+        hi = max(hi, float(vals.max()))
+    slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
+    return lo - slack, hi + slack, slack
+
+
+def bisect_return_per_point(w, x, z, lattice, time_tol=1e-12) -> SectionReturn:
+    """Section return of one point by marching and bisecting its own
+    y-crossing with full ``nilflow_at`` steps; no step uses the fact that
+    the crossing time is the same for every point."""
+    start = section_point(x, z, lattice)
+    dt = math.copysign(0.25 / abs(w.w_y), w.w_y)
+
+    def ycoord(t):
+        return nilflow_at(start, w, t).g.y
+
+    t_prev, y_prev, t_cur = 0.0, 0.0, dt
+    for _ in range(8):
+        y_cur = ycoord(t_cur)
+        if y_cur < y_prev - 0.5:
+            break
+        t_prev, y_prev = t_cur, y_cur
+        t_cur += dt
+    else:
+        raise AssertionError("section crossing not bracketed")
+    lo, hi = t_prev, t_cur
+    while abs(hi - lo) > time_tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if ycoord(mid) < 0.5:
+            hi = mid
+        else:
+            lo = mid
+    landed = nilflow_at(start, w, hi).g
+    return SectionReturn(landed.x, landed.z, hi)
 
 
 @pytest.fixture

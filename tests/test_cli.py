@@ -265,6 +265,7 @@ def test_non_finite_floats_exit_2(tmp_path, roofs, capsys, argv):
     ["hitting", "--roof", "example1", "--C", "2", "--t", "1e300"],
     ["fiber-profile", "--roof", "example1", "--x", "0.3", "--arc", "0.2,0.6",
      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1e300"],
+    ["conjugacy", "--roof", "coboundary", "--t", "1e18", "--points", "10"],
 ])
 def test_unreachable_times_exit_2(tmp_path, roofs, capsys, argv):
     argv = [roofs.get(a, a) for a in argv]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_dist, orbit_exact
+from conftest import bisect_return_per_point, circle_dist, orbit_exact
 from mixlab.errors import DegenerateSection, NonPositiveTimeChange
 from mixlab.heisenberg import (
     AlgebraVector,
@@ -244,6 +244,24 @@ def test_poincare_numeric_bisection_stops_at_adjacent_floats(wy):
 def test_poincare_numeric_overflowing_return_time():
     with pytest.raises(DegenerateSection):
         poincare_return_numeric(AlgebraVector(0.3, 1e-320, -0.2), 0.1, 0.2)
+
+
+@pytest.mark.parametrize("E", [1, 2])
+@pytest.mark.parametrize("wy", [1.1, -0.7, 0.013, -0.013, 1e-20, -1e-20])
+def test_poincare_numeric_matches_per_point_bisection(wy, E):
+    # one crossing time for all points, and each point landed as the
+    # point-by-point bisection lands it
+    lat = Lattice(E)
+    w = AlgebraVector(0.415926, wy, -0.23)
+    rng = np.random.default_rng(17)
+    xs, zs = rng.random(6), rng.random(6) / E
+    got = poincare_return_numeric(w, xs, zs, lat)
+    assert got.x.shape == got.z.shape == (6,)
+    for i, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+        want = bisect_return_per_point(w, x, z, lat)
+        one = poincare_return_numeric(w, x, z, lat)
+        assert (one.x, one.z, one.time) == want
+        assert (float(got.x[i]), float(got.z[i]), got.time) == want
 
 
 def test_section_iterates_match_skewshift_orbit():

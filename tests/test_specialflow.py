@@ -11,12 +11,20 @@ from conftest import (
     GOLDEN,
     circle_dist,
     coboundary_roof,
+    dense_certify_bounds,
     mixing_example_roof,
     orbit_exact,
 )
+from mixlab.cli import bundled_roof_path
 from mixlab.cohomology import classify_roof
 from mixlab.errors import NonPositiveRoof, NotACoboundary
-from mixlab.skewshift import SkewShift, TorusPoint, birkhoff_sum, midgrid
+from mixlab.skewshift import (
+    SkewShift,
+    TorusPoint,
+    birkhoff_sum,
+    load_roof,
+    midgrid,
+)
 from mixlab.specialflow import (
     CorrelationEstimate,
     _flow_lanes,
@@ -111,6 +119,86 @@ def test_roof_independent_modes_match_evaluate():
     assert len(terms) == 1    # one sin
 
 
+def _certificate(roof):
+    return roof.certified_min, roof.certified_max, roof.slack
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "coboundary", "constant"]
+)
+def test_certify_matches_dense_grid_on_bundled_roofs(name):
+    _, phi = load_roof(bundled_roof_path(name))
+    assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
+
+
+_MODE = st.tuples(
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.floats(-0.2, 0.2, allow_subnormal=False),
+    st.floats(-0.2, 0.2, allow_subnormal=False),
+)
+
+
+@settings(max_examples=40)
+@given(
+    modes=st.lists(_MODE, min_size=1, max_size=6),
+    y_scale=st.sampled_from([1.0, 1e-14, 1e-15]),
+)
+def test_certify_matches_dense_grid_on_random_roofs(modes, y_scale):
+    # up to 6 conjugate pairs (12 modes), lifted to a positive roof; a
+    # small y_scale leaves y-modes near rounding, so that many grid values
+    # tie for the extrema
+    coeffs = {}
+    for m, k, re, im in modes:
+        if (m, k) != (0, 0):
+            c = complex(re, im) * (y_scale if k else 1.0)
+            coeffs[(m, k)] = c
+            coeffs[(-m, -k)] = c.conjugate()
+    coeffs[(0, 0)] = 0.5 + 2.0 * sum(abs(c) for c in coeffs.values())
+    phi = FiberedTrigPoly.from_modes(coeffs, real=True)
+    got = _certificate(certify_roof(phi, slack_target=1e-2))
+    assert got == dense_certify_bounds(phi, slack_target=1e-2)
+
+
+def test_certify_matches_dense_grid_between_coarse_rows():
+    # with k = 40 and 41 the extrema fall between coarse rows: those of
+    # every 32nd row alone are not the grid's
+    w = np.exp(0.3j)
+    phi = FiberedTrigPoly.from_modes(
+        {(0, 40): 0.5, (0, -40): 0.5, (2, 41): 0.25 * w,
+         (-2, -41): 0.25 * np.conj(w), (0, 0): 3.0},
+        real=True,
+    )
+    want = dense_certify_bounds(phi, slack_target=0.05)
+    coarse = dense_certify_bounds(phi, slack_target=0.05, stride=32)
+    assert coarse[0] > want[0] and coarse[1] < want[1]
+    assert _certificate(certify_roof(phi, slack_target=0.05)) == want
+
+
+def test_certify_matches_dense_grid_on_x_only_roofs():
+    # lip_y = 0: every row bounds every other exactly
+    phi = FiberedTrigPoly.from_modes(
+        {(1, 0): 0.25, (-1, 0): 0.25, (5, 0): -0.15j, (-5, 0): 0.15j,
+         (0, 0): 2.0},
+        real=True,
+    )
+    assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
+
+
+@pytest.mark.parametrize("size", [0.2501, 0.251])
+@pytest.mark.parametrize("slack_target", [3e-18, 1e-18])
+def test_certify_matches_dense_grid_within_rounding(size, slack_target):
+    # 1.75 + 2 s sin(2 pi y) with 2 s just past half an ulp: the computed
+    # values move by one rounding step on a few rows only, and far less
+    # than that in true value between them and the coarse rows
+    c = 1j * size * math.ulp(1.75)
+    phi = FiberedTrigPoly.from_modes(
+        {(0, 1): c, (0, -1): np.conj(c), (0, 0): 1.75}, real=True
+    )
+    got = _certificate(certify_roof(phi, slack_target=slack_target))
+    assert got == dense_certify_bounds(phi, slack_target=slack_target)
+
+
 def test_certify_rejects_nonpositive():
     sin_y = FiberedTrigPoly.from_modes({(0, 1): -0.5j, (0, -1): 0.5j}, real=True)
     with pytest.raises(NonPositiveRoof):
@@ -164,7 +252,7 @@ def test_hit_count_and_flow_across_orbit_blocks():
     assert birkhoff_sum(f, roof.phi, base, n + 1) >= t + p.z
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan, 2.0 ** 63, 1e300])
+@pytest.mark.parametrize("t", [math.inf, math.nan, 2.0 ** 41, 2.0 ** 63, 1e300])
 def test_unreachable_times_raise(t):
     f = SkewShift(GOLDEN, 0.2)
     roof = certify_roof(FiberedTrigPoly.constant(1.0))
