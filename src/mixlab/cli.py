@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, cohomology, skewshift, specialflow
 from .errors import InvalidRoofFile, MixlabError
-from .skewshift import SkewShift, TorusPoint, midgrid, project
+from .skewshift import SkewShift, TorusPoint, project
 from .trigpoly import FiberedTrigPoly
 
 
@@ -171,13 +171,11 @@ def cmd_stretch(args) -> int:
     osc, _ = project(phi)
     ns = sorted(set(args.n))
     ks, mats = skewshift.fiber_coefficients_on_grid(f, osc, ns, grid=args.grid)
-    ys = midgrid(args.grid)
-    ky = np.exp(2j * np.pi * np.outer(ks, ys))
     rows = []
     errors = {}
     for n in ns:
-        vals = (mats[n].T @ ky).real
-        est = skewshift.sublevel_measure(vals, args.C)
+        blocks = skewshift.grid_blocks(ks, mats[n], osc.real)
+        (est,) = skewshift.sublevel_measures(blocks, [args.C])
         rows.append((n, est.value))
         errors[str(n)] = est.error
     _write_csv(run.path("stretch.csv"), ("n", "measure"), rows)
@@ -190,15 +188,21 @@ def cmd_sublevel(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
     osc, _ = project(phi)
-    vals = skewshift.birkhoff_grid(f, osc, args.n, args.grid)
-    sup = float(np.max(np.abs(vals)))
+    ks, mats = skewshift.fiber_coefficients_on_grid(
+        f, osc, [args.n], grid=args.grid
+    )
+
+    def blocks():
+        return skewshift.grid_blocks(ks, mats[args.n], osc.real)
+
+    sup = skewshift.grid_sup(blocks())
     if sup == 0.0:
         raise MixlabError("oscillating part is identically zero")
-    vals = vals / sup
+    deltas = sorted(args.deltas, reverse=True)
+    ests = skewshift.sublevel_measures((v / sup for v in blocks()), deltas)
     rows = []
     logs = []
-    for delta in sorted(args.deltas, reverse=True):
-        est = skewshift.sublevel_measure(np.abs(vals), delta)
+    for delta, est in zip(deltas, ests):
         rows.append((delta, est.value))
         if est.value > 0:
             logs.append((math.log(delta), math.log(est.value)))
@@ -496,6 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"mixlab: numeric failure: {exc.__class__.__name__}: {exc}",
               file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"mixlab: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 def _validate(args) -> None:
@@ -525,7 +532,9 @@ def _validate(args) -> None:
         if v is not None and v <= 0:
             raise ValueError(f"--{name} must be positive")
     ns = getattr(args, "n", None)
-    if isinstance(ns, list) and any(n < 1 for n in ns):
+    if isinstance(ns, int):
+        ns = [ns]
+    if ns is not None and any(n < 1 for n in ns):
         raise ValueError("--n entries must be >= 1")
     Ns = getattr(args, "N", None)
     if Ns is not None and any(n < 1 for n in Ns):

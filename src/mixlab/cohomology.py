@@ -34,6 +34,8 @@ from .phases import binom2, frac_exact
 from .skewshift import (
     SkewShift,
     fiber_coefficients_on_grid,
+    grid_blocks,
+    grid_sup,
     midgrid,
     project,
     rotation_transfer,
@@ -398,7 +400,6 @@ def uniform_bound_scan(
     if phi.is_zero():
         return 0.0
     ks, mats = fiber_coefficients_on_grid(f, phi, [N], grid=grid)
-    ys = midgrid(grid)
-    ky = np.exp(2j * np.pi * np.outer(ks, ys))
-    vals = np.abs(mats[N].T @ ky)
-    return float(vals.max()) / math.sqrt(N)
+    # the modulus of the complex values, a real roof's rounding-level
+    # imaginary parts included
+    return grid_sup(grid_blocks(ks, mats[N], real=False)) / math.sqrt(N)

@@ -15,7 +15,9 @@ block (`_orbit`), evaluated on the exact orbit numerators
 (`FiberedTrigPoly.at`), so each phase rounds once.  Grid sweeps form the
 x-independent part of every phase, fold the terms by frequency with a
 bincount and take one FFT per fiber mode, so each term carries its own
-exactly reduced phase at any step count.
+exactly reduced phase at any step count.  The grid estimators then take
+Phi_n on the G x G lattice one block of whole x-rows at a time
+(`grid_blocks`), so no G x G array is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -35,8 +38,23 @@ from .phases import PhaseNumerators, frac, frac_exact, vfrac
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 # Orbit steps per block of an orbit walk or a grid sweep; bounds their
-# memory for any n.
+# memory for any n.  Grid values are formed in blocks of about as many
+# values (``grid_blocks``).
 _SWEEP_BLOCK = 1 << 16
+
+# Most orbit steps any walk, sweep, flow or hit count may take.  The exact
+# orbit phases hold to 2^62 steps, but one lane walks ~1e7 steps/s on one
+# core, so 2^40 steps is already more than a day.
+_MAX_STEPS = 2 ** 40
+
+
+def _check_steps(n: int) -> None:
+    """Raise ValueError for an orbit length past ``_MAX_STEPS``."""
+    if n > _MAX_STEPS:
+        raise ValueError(
+            f"orbit length {n} is out of range: an orbit takes at most "
+            "2^40 steps"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,8 @@ def _orbit(
     """Yield the values of every poly in ``polys`` on f^j(x, y), j < n, in
     blocks of at most ``_SWEEP_BLOCK`` steps: one array per poly, from the
     exact orbit numerators (``FiberedTrigPoly.at``), so every phase rounds
-    once at any step count."""
+    once at any step count.  Raises ValueError for n past ``_MAX_STEPS``."""
+    _check_steps(n)
     phases = PhaseNumerators(f.alpha, f.beta, x, y)
     for j0 in range(0, n, _SWEEP_BLOCK):
         j = np.arange(j0, min(n, j0 + _SWEEP_BLOCK), dtype=np.int64)
@@ -158,6 +177,7 @@ def _grid_sweep(
 
     one length-G FFT per k.  The cost is O(n) vector work per mode plus
     O(G log G) per checkpoint, in blocks of at most ``_SWEEP_BLOCK`` steps.
+    Raises ValueError for a checkpoint past ``_MAX_STEPS``.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -166,6 +186,7 @@ def _grid_sweep(
         raise ValueError("need at least one checkpoint")
     if stops[0] < 0:
         raise ValueError("checkpoints must be >= 0")
+    _check_steps(stops[-1])
     ks = sorted(phi.fiber.keys())
     modes = [sorted(phi.c(k).coeffs.items()) for k in ks]
     two_g = 2 * grid
@@ -217,15 +238,36 @@ def fiber_coefficients_on_grid(
     return sorted(phi.fiber.keys()), dict(_grid_sweep(f, phi, checkpoints, grid))
 
 
-def birkhoff_grid(
-    f: SkewShift, phi: FiberedTrigPoly, n: int, grid: int
-) -> np.ndarray:
-    """Phi_n on the grid x grid midpoint lattice; out[i, q] = Phi_n(x_i, y_q)."""
-    ks, mats = fiber_coefficients_on_grid(f, phi, [n], grid=grid)
-    ys = midgrid(grid)
-    ky = np.exp(2j * np.pi * np.outer(ks, ys))
-    vals = mats[n].T @ ky
-    return vals.real if phi.real else vals
+def grid_blocks(
+    ks: Sequence[int], coeffs: np.ndarray, real: bool
+) -> Iterator[np.ndarray]:
+    """Phi_n on the grid x grid midpoint lattice from its fiber
+    coefficients (``fiber_coefficients_on_grid``), one block of whole
+    x-rows at a time: block[i, q] = Phi_n(x_{i0 + i}, y_q), real parts for
+    a real roof.
+
+    A block holds about ``_SWEEP_BLOCK`` values, so memory stays O(grid)
+    for any grid.  Every block has at least two rows unless the grid has
+    one: numpy takes a one-row product through gemv, not gemm, and it
+    rounds differently, while products of two or more rows round every
+    value as the whole-lattice product does.
+    """
+    grid = coeffs.shape[1]
+    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(grid)))
+    step = max(2, _SWEEP_BLOCK // grid)
+    i0 = 0
+    while i0 < grid:
+        i1 = i0 + step
+        if i1 >= grid - 1:
+            i1 = grid
+        vals = coeffs[:, i0:i1].T @ ky
+        yield vals.real if real else vals
+        i0 = i1
+
+
+def grid_sup(blocks: Iterable[np.ndarray]) -> float:
+    """max |v| over the values of ``blocks``."""
+    return max(float(np.max(np.abs(v))) for v in blocks)
 
 
 # --------------------------------------------------------------------------
@@ -324,27 +366,54 @@ class SublevelEstimate(NamedTuple):
     grid: int
 
 
-def sublevel_measure(samples: np.ndarray, C: float) -> SublevelEstimate:
-    """Fraction of the torus (or circle) where |g| < C, midpoint rule, from
-    the samples of g on a 1-D or 2-D midpoint grid.
+def sublevel_measures(
+    blocks: Iterable[np.ndarray], levels: Sequence[float]
+) -> List[SublevelEstimate]:
+    """Fraction of the torus where |g| < C, midpoint rule, for every C in
+    ``levels`` in one pass over the samples of g on a 2-D midpoint grid,
+    given as consecutive blocks of whole x-rows (``grid_blocks``).
 
     The reported error counts grid cells where the indicator flips between
-    neighbours, i.e. cells crossed by the level set.
+    neighbours along either axis, wrapping around the torus, i.e. cells
+    crossed by the level set.  The first row and each block's last row are
+    kept to compare with the last row and with the next block's first.
     """
-    if C <= 0:
+    if any(C <= 0 for C in levels):
         raise ValueError("C must be > 0")
-    ind = np.abs(samples) < C
-    total = ind.size
-    inside = int(np.count_nonzero(ind))
-    if ind.ndim == 1:
-        flips = int(np.count_nonzero(ind != np.roll(ind, 1)))
-    elif ind.ndim == 2:
-        flips = int(np.count_nonzero(ind != np.roll(ind, 1, axis=0))) + int(
-            np.count_nonzero(ind != np.roll(ind, 1, axis=1))
+    inside = [0] * len(levels)
+    flips = [0] * len(levels)
+    first: List[np.ndarray] = []
+    last: List[np.ndarray] = []
+    rows = 0
+    for block in blocks:
+        mag = np.abs(block)
+        for i, C in enumerate(levels):
+            ind = mag < C
+            inside[i] += int(np.count_nonzero(ind))
+            flips[i] += (
+                int(np.count_nonzero(ind[:, 1:] != ind[:, :-1]))
+                + int(np.count_nonzero(ind[:, 0] != ind[:, -1]))
+                + int(np.count_nonzero(ind[1:] != ind[:-1]))
+            )
+            if rows:
+                flips[i] += int(np.count_nonzero(ind[0] != last[i]))
+                last[i] = ind[-1].copy()
+            else:
+                first.append(ind[0].copy())
+                last.append(ind[-1].copy())
+        rows += block.shape[0]
+        cols = block.shape[1]
+    if not rows:
+        raise ValueError("no samples")
+    total = rows * cols
+    return [
+        SublevelEstimate(
+            inside[i] / total,
+            (flips[i] + int(np.count_nonzero(first[i] != last[i]))) / total,
+            rows,
         )
-    else:
-        raise ValueError("samples must be 1-D or 2-D")
-    return SublevelEstimate(inside / total, flips / total, int(ind.shape[0]))
+        for i in range(len(levels))
+    ]
 
 
 def visit_fraction(

@@ -36,6 +36,7 @@ from .cohomology import coboundary_residual
 from .errors import NonPositiveRoof, NotACoboundary
 from .phases import PhaseNumerators, frac
 from .skewshift import (
+    _MAX_STEPS,
     _SWEEP_BLOCK,
     SkewShift,
     _grid_sweep,
@@ -49,11 +50,6 @@ from .trigpoly import FiberedTrigPoly
 # Fixed Monte-Carlo block size; the per-block Philox key makes sample i
 # depend only on (seed, i // _BLOCK, i % _BLOCK).
 _BLOCK = 65536
-
-# Most base steps a flow or hit count may take per lane.  The exact orbit
-# phases hold to 2^62 steps, but one lane walks ~1e7 steps/s on one core,
-# so 2^40 steps is already more than a day.
-_MAX_STEPS = 2 ** 40
 
 # Lanes climbed together, so that a tile of _SWEEP_BLOCK lane-steps can
 # span 16 steps.

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import settings
 
 from mixlab.heisenberg import SectionReturn, nilflow_at, section_point
-from mixlab.skewshift import TorusPoint, midgrid
+from mixlab.skewshift import (
+    SublevelEstimate,
+    TorusPoint,
+    fiber_coefficients_on_grid,
+    midgrid,
+)
 from mixlab.specialflow import _CERTIFY_BUDGET
 from mixlab.trigpoly import FiberedTrigPoly
 
@@ -76,6 +81,38 @@ def birkhoff_oracle(alpha, beta, fn, x, y, n):
         total += fn(x, y)
         x, y = skew_apply(alpha, beta, x, y)
     return total
+
+
+def birkhoff_grid(f, phi: FiberedTrigPoly, n: int, grid: int) -> np.ndarray:
+    """Phi_n on the whole grid x grid midpoint lattice in one product;
+    out[i, q] = Phi_n(x_i, y_q).  The dense oracle of
+    ``skewshift.grid_blocks``."""
+    ks, mats = fiber_coefficients_on_grid(f, phi, [n], grid=grid)
+    ys = midgrid(grid)
+    ky = np.exp(2j * np.pi * np.outer(ks, ys))
+    vals = mats[n].T @ ky
+    return vals.real if phi.real else vals
+
+
+def sublevel_measure(samples: np.ndarray, C: float) -> SublevelEstimate:
+    """Fraction of the torus (or circle) where |g| < C, midpoint rule, from
+    the samples of g on a whole 1-D or 2-D midpoint grid, with the count
+    of level-set flips between neighbours as the error.  The dense oracle
+    of ``skewshift.sublevel_measures``."""
+    if C <= 0:
+        raise ValueError("C must be > 0")
+    ind = np.abs(samples) < C
+    total = ind.size
+    inside = int(np.count_nonzero(ind))
+    if ind.ndim == 1:
+        flips = int(np.count_nonzero(ind != np.roll(ind, 1)))
+    elif ind.ndim == 2:
+        flips = int(np.count_nonzero(ind != np.roll(ind, 1, axis=0))) + int(
+            np.count_nonzero(ind != np.roll(ind, 1, axis=1))
+        )
+    else:
+        raise ValueError("samples must be 1-D or 2-D")
+    return SublevelEstimate(inside / total, flips / total, int(ind.shape[0]))
 
 
 def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,

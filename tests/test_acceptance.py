@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from conftest import GOLDEN, circle_dist
-from mixlab import cohomology, skewshift
+from conftest import GOLDEN, birkhoff_grid, circle_dist, sublevel_measure
+from mixlab import cohomology
 from mixlab.cli import bundled_roof_path, main
 from mixlab.cohomology import (
     ComponentSpectrum,
@@ -35,7 +35,6 @@ from mixlab.skewshift import (
     load_roof,
     midgrid,
     project,
-    sublevel_measure,
 )
 from mixlab.specialflow import (
     Cube,
@@ -138,7 +137,7 @@ def test_c03_exact_l2_identity():
         worst_rel = max(worst_rel, abs(total - N / 2.0) / (N / 2.0))
     # quadrature cross-check at N = 100 on a 512^2 grid
     N = 100
-    vals = skewshift.birkhoff_grid(f, sin_y, N, 512)
+    vals = birkhoff_grid(f, sin_y, N, 512)
     quad = float(np.mean(vals ** 2))
     quad_rel = abs(quad - N / 2.0) / (N / 2.0)
     # explicit coboundary spectrum: 2 per component for all N >= 2

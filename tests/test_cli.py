@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlab import specialflow
 from mixlab.cli import bundled_roof_path, main
 
 
@@ -224,6 +226,11 @@ def test_invalid_inputs_exit_2(tmp_path, roofs, capsys):
     )
     assert code == 2
 
+    code, _ = run(
+        tmp_path / "e", "sublevel", "--roof", roofs["example3"], "--n", "0",
+    )
+    assert code == 2
+
 
 def exit_code(tmp_path, *argv):
     """Exit code of one run, argparse's own exit on a bad option included."""
@@ -266,11 +273,47 @@ def test_non_finite_floats_exit_2(tmp_path, roofs, capsys, argv):
     ["fiber-profile", "--roof", "example1", "--x", "0.3", "--arc", "0.2,0.6",
      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1e300"],
     ["conjugacy", "--roof", "coboundary", "--t", "1e18", "--points", "10"],
+    ["visits", "--roof", "example1", "--C", "2", "--N", "9223372036854775807"],
+    ["stretch", "--roof", "example1", "--C", "2", "--n", "99999999999999999999"],
+    ["sublevel", "--roof", "example3", "--n", "99999999999999999999"],
 ])
 def test_unreachable_times_exit_2(tmp_path, roofs, capsys, argv):
     argv = [roofs.get(a, a) for a in argv]
     assert exit_code(tmp_path, *argv) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3(tmp_path, roofs, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr(specialflow, "fiber_mixing_profile", exhausted)
+    code, _ = run(
+        tmp_path, "fiber-profile", "--roof", roofs["example1"], "--x", "0.3",
+        "--arc", "0.2,0.6", "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of memory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stretch", "--roof", "example1", "--C", "2", "--n", "100,10000",
+     "--grid", "2048"],
+    ["weyl", "--roof", "example1", "--grid", "2048"],
+])
+def test_grid_experiments_stream_the_lattice(tmp_path, roofs, argv):
+    # the 2048^2 lattice of complex values alone would take 64 MiB
+    argv = [roofs.get(a, a) for a in argv]
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])

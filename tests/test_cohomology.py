@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, coboundary_roof, mixing_example_roof
+from conftest import (
+    GOLDEN,
+    birkhoff_grid,
+    coboundary_roof,
+    mixing_example_roof,
+)
 from mixlab.cohomology import (
     ClassifierReport,
     ComponentSpectrum,
@@ -26,7 +31,6 @@ from mixlab.errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
 from mixlab.skewshift import (
     SkewShift,
     TorusPoint,
-    birkhoff_grid,
     midgrid,
     project,
 )
@@ -294,8 +298,6 @@ def test_ergodic_sum_l2_matches_quadrature_general_block():
     total = ergodic_sum_l2(f, S, N)
     # independent oracle: iterate the composition in mode space and
     # integrate |sum|^2 exactly on a grid finer than twice the max frequency
-    from mixlab.skewshift import birkhoff_grid
-
     fib = S.as_fibered()
     G = 256
     vals = birkhoff_grid(f, fib, N, G)

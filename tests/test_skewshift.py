@@ -1,34 +1,43 @@
 """Skew-shift orbits, Birkhoff sums, and the estimators built on them."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN,
+    birkhoff_grid,
     birkhoff_oracle,
     circle_dist,
     coboundary_roof,
     mixing_example_roof,
     orbit_exact,
+    sublevel_measure,
 )
+from mixlab import skewshift
 from mixlab.errors import SmallDivisor
 from mixlab.phases import PhaseNumerators
 from mixlab.skewshift import (
     SkewShift,
     TorusPoint,
-    birkhoff_grid,
     birkhoff_sum,
     fiber_coefficients,
     fiber_coefficients_on_grid,
+    grid_blocks,
+    grid_sup,
     midgrid,
     project,
     rotation_transfer,
     skew_coboundary,
     stretch,
-    sublevel_measure,
+    sublevel_measures,
     visit_fraction,
 )
 from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
@@ -263,6 +272,8 @@ def test_fiber_grid_sweep_checkpoints():
         fiber_coefficients_on_grid(f, phi, [], grid=128)
     with pytest.raises(ValueError):
         fiber_coefficients_on_grid(f, phi, [-1, 5], grid=128)
+    with pytest.raises(ValueError, match="out of range"):
+        fiber_coefficients_on_grid(f, phi, [5, 2 ** 40 + 1], grid=128)
 
 
 def test_birkhoff_grid_values():
@@ -274,6 +285,28 @@ def test_birkhoff_grid_values():
     for i, q in [(0, 0), (5, 40), (63, 63)]:
         direct = birkhoff_sum(f, phi, TorusPoint(float(xs[i]), float(xs[q])), 3)
         assert abs(vals[i, q] - direct) < 1e-11
+    ks, mats = fiber_coefficients_on_grid(f, phi, [3], grid=G)
+    assert np.array_equal(np.concatenate(list(grid_blocks(ks, mats[3], True))),
+                          vals)
+
+
+def test_grid_blocks_hold_whole_rows_of_at_least_two(monkeypatch):
+    # a one-row product takes gemv instead of gemm and rounds differently,
+    # so a ragged last row joins the block before it
+    def rows(G):
+        coeffs = np.ones((1, G), dtype=complex)
+        blocks = list(grid_blocks([0], coeffs, True))
+        assert all(b.shape[1] == G for b in blocks)
+        return [b.shape[0] for b in blocks]
+
+    assert rows(2048) == [32] * 64
+    assert rows(1000) == [65] * 15 + [25]
+    assert rows(721) == [90] * 7 + [91]
+    assert rows(1) == [1] and rows(33) == [33]
+    monkeypatch.setattr(skewshift, "_SWEEP_BLOCK", 64)
+    assert rows(33) == [2] * 15 + [3]
+    assert rows(20) == [3] * 6 + [2]
+    assert rows(3) == [3] and rows(2) == [2]
 
 
 # ------------------------------------------------------------- decoupling
@@ -363,6 +396,97 @@ def test_sublevel_examples():
     assert est.error < 0.01
 
 
+# one block, ragged last blocks (1000, 1601), a one-row tail joined to the
+# block before it (1601), whole blocks (2048)
+_GRIDS = [1, 7, 31, 32, 33, 1000, 1601, 2048]
+_GRID_MODE = st.tuples(
+    st.integers(-3, 3),
+    st.integers(-4, 4),
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+)
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@settings(max_examples=6)
+@given(
+    modes=st.lists(_GRID_MODE, min_size=1, max_size=5),
+    real=st.booleans(),
+    n=st.integers(1, 300),
+    picks=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=2),
+)
+def test_streamed_grid_matches_dense_oracle(grid, modes, real, n, picks):
+    # blocks, sublevel estimates and sups from the row-blocked stream are
+    # those of the whole lattice bit for bit; every level equals a grid
+    # value, so the strict < decides the counts
+    coeffs = {}
+    for m, k, re, im in modes:
+        c = complex(re, im)
+        if real and (m, k) == (0, 0):
+            c = complex(re)
+        elif real:
+            coeffs[(-m, -k)] = c.conjugate()
+        coeffs[(m, k)] = c
+    phi = FiberedTrigPoly.from_modes(coeffs, real=real)
+    f = SkewShift(GOLDEN, 0.3)
+    ks, mats = fiber_coefficients_on_grid(f, phi, [n], grid=grid)
+
+    def blocks(real=phi.real):
+        return grid_blocks(ks, mats[n], real)
+
+    dense = birkhoff_grid(f, phi, n, grid)
+    assert np.array_equal(np.concatenate(list(blocks())), dense)
+    mag = np.abs(dense).ravel()
+    levels = [float(mag[p % mag.size]) for p in picks if mag[p % mag.size] > 0]
+    levels = levels or [1.0]
+    assert sublevel_measures(blocks(), levels) == [
+        sublevel_measure(dense, C) for C in levels
+    ]
+    sup = grid_sup(blocks())
+    assert sup == float(np.max(np.abs(dense)))
+    if sup > 0:
+        scaled = np.abs(dense / sup)
+        deltas = [float(scaled.ravel()[p % mag.size]) for p in picks]
+        deltas = [d for d in deltas if d > 0] or [0.5]
+        got = sublevel_measures((v / sup for v in blocks()), deltas)
+        assert got == [sublevel_measure(scaled, d) for d in deltas]
+    # the modulus of the complex values, as uniform_bound_scan takes it
+    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(grid)))
+    assert grid_sup(blocks(False)) == float(np.abs(mats[n].T @ ky).max())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_streamed_grid_matches_dense_oracle_at_blas_threads(threads):
+    # OpenBLAS fixes its thread count when it loads, so the property runs
+    # again in a fresh process
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.pathsep.join(
+        p for p in (here, src, os.environ.get("PYTHONPATH")) if p
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    code = ("import test_skewshift as t\n"
+            "for grid in t._GRIDS:\n"
+            "    t.test_streamed_grid_matches_dense_oracle(grid=grid)\n")
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=here, check=True)
+
+
+def test_sublevel_measures_wrap_across_blocks():
+    # a band of rows at each edge of the torus: the x-flips sit at block
+    # boundaries and at the wrap from the last row to the first
+    G = 40
+    vals = np.zeros((G, G))
+    vals[:3] = vals[-5:] = 5.0
+    vals[17, 4:9] = 5.0
+    blocks = [vals[i : i + 6] for i in range(0, G, 6)]
+    for C in (1.0, 5.0, 6.0):
+        assert sublevel_measures(blocks, [C])[0] == sublevel_measure(vals, C)
+    with pytest.raises(ValueError):
+        sublevel_measures(blocks, [0.0])
+    with pytest.raises(ValueError):
+        sublevel_measures([], [1.0])
+
+
 def test_sublevel_measure_preservation_surrogate():
     f = SkewShift(GOLDEN, 0.29)
     g = FiberedTrigPoly.from_modes(
@@ -386,6 +510,19 @@ def test_visit_fraction_trivial_cases():
     assert visit_fraction(f, const, p, 0.5, 100) == 1.0
     phi = mixing_example_roof()
     assert visit_fraction(f, phi, p, 2.0, 1) == 1.0
+
+
+@pytest.mark.parametrize("n", [2 ** 40 + 1, 2 ** 63 - 1, 10 ** 20])
+def test_orbit_lengths_past_max_steps_raise(n):
+    f = SkewShift(GOLDEN, 0.0)
+    phi = mixing_example_roof()
+    p = TorusPoint(0.2, 0.6)
+    with pytest.raises(ValueError, match="out of range"):
+        visit_fraction(f, phi, p, 2.0, n)
+    with pytest.raises(ValueError, match="out of range"):
+        birkhoff_sum(f, phi, p, n)
+    with pytest.raises(ValueError, match="out of range"):
+        fiber_coefficients(f, phi, 0.2, n)
 
 
 def test_visit_fraction_against_direct_iteration():
