@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
-from .phases import binom2, frac_exact
+from .phases import PhaseNumerators
 from .skewshift import (
     SkewShift,
     fiber_coefficients_on_grid,
@@ -102,14 +102,12 @@ class ComponentSpectrum:
     def compose_map(self, f: SkewShift) -> "ComponentSpectrum":
         """Spectrum of Phi o f: index shift j -> j + 1 with a unit phase."""
         n = self.label.n
+        ph = PhaseNumerators(f.alpha, f.beta)
+        a, b = ph.linear_quadratic(np.array([1]))
         out: Dict[int, complex] = {}
         for j, c in self.coeffs.items():
-            w = cmath.exp(
-                2j
-                * math.pi
-                * frac_exact([(self.label.m + j * n, f.alpha), (n, f.beta)])
-            )
-            out[j + 1] = c * w
+            theta = float(ph.to_unit(ph.mode(a, b, self.label.m + j * n, n))[0])
+            out[j + 1] = c * cmath.exp(2j * math.pi * theta)
         return ComponentSpectrum(self.label, out)
 
 
@@ -125,14 +123,13 @@ class DistributionValue:
         return abs(self.value)
 
 
-def _theta_phase(label: OrbitLabel, f: SkewShift, j: int) -> float:
-    """theta_j mod 1, exactly: alpha (m j + n binom(j,2)) + beta (n j)."""
-    return frac_exact(
-        [
-            (label.m * j + label.n * binom2(j), f.alpha),
-            (label.n * j, f.beta),
-        ]
-    )
+def _theta_phases(label: OrbitLabel, f: SkewShift, js) -> List[float]:
+    """theta_j mod 1 for every j in ``js``, each reduced exactly before its
+    one rounding: theta_j = m (j alpha) + n s_j, with s_j = j beta +
+    binom(j, 2) alpha (``PhaseNumerators``)."""
+    ph = PhaseNumerators(f.alpha, f.beta)
+    lin, quad = ph.linear_quadratic(np.array(js, dtype=np.int64))
+    return ph.to_unit(ph.mode(lin, quad, label.m, label.n)).tolist()
 
 
 def decompose_components(
@@ -164,8 +161,9 @@ def decompose_components(
 def evaluate_distribution(f: SkewShift, S: ComponentSpectrum) -> DistributionValue:
     """D(Phi) = sum_j Phi_j e^{-2 pi i theta_j}, phases reduced exactly."""
     total = 0.0 + 0.0j
-    for j, c in S.coeffs.items():
-        total += c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
+    thetas = _theta_phases(S.label, f, list(S.coeffs))
+    for c, theta in zip(S.coeffs.values(), thetas):
+        total += c * cmath.exp(-2j * math.pi * theta)
     return DistributionValue(S.label, total)
 
 
@@ -191,7 +189,8 @@ def solve_component(
     if D.magnitude > tol * norm:
         raise ObstructionNonzero(S.label, D.value, tol * norm)
     lo, hi = S.support()
-    phases = {j: _theta_phase(S.label, f, j) for j in range(lo, hi + 1)}
+    js = range(lo, hi + 1)
+    phases = dict(zip(js, _theta_phases(S.label, f, js)))
     reduced = {
         j: S.coeffs.get(j, 0.0) * cmath.exp(-2j * math.pi * phases[j])
         for j in range(lo, hi + 1)
@@ -221,10 +220,6 @@ class ClassifierReport:
     entries: Tuple[DistributionValue, ...]
     phi_l2: float
     tol: float
-
-    @property
-    def mixing(self) -> bool:
-        return self.verdict == "mixing"
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,8 +283,8 @@ def ergodic_sum_l2(f: SkewShift, S: ComponentSpectrum, N: int) -> float:
         return 0.0
     js = np.array(list(S.coeffs))
     r = np.array([
-        c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
-        for j, c in S.coeffs.items()
+        c * cmath.exp(-2j * math.pi * theta)
+        for c, theta in zip(S.coeffs.values(), _theta_phases(S.label, f, js))
     ])
     shared = np.maximum(0.0, float(N) - np.abs(js[:, None] - js[None, :]))
     return float((r @ shared @ r.conj()).real)

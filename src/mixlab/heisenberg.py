@@ -56,10 +56,6 @@ class HeisenbergElement:
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.x, -self.y, self.x * self.y - self.z)
 
-    @staticmethod
-    def identity() -> "HeisenbergElement":
-        return HeisenbergElement(0.0, 0.0, 0.0)
-
     def matrix(self):
         """3x3 float matrix of this element (for cross-checks)."""
         return [[1.0, self.x, self.z], [0.0, 1.0, self.y], [0.0, 0.0, 1.0]]

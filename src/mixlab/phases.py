@@ -14,8 +14,7 @@ indices of either sign.
 from __future__ import annotations
 
 import copy
-from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,15 +23,6 @@ def frac(x: float) -> float:
     """x mod 1 in [0, 1).  Guards the `x % 1.0 == 1.0` rounding corner."""
     r = x % 1.0
     return 0.0 if r >= 1.0 else r
-
-
-def frac_exact(terms: Iterable[Tuple[int, float]]) -> float:
-    """(sum of k*v) mod 1 for integer k and float v, exact before one rounding."""
-    total = Fraction(0)
-    for k, v in terms:
-        if k:
-            total += k * Fraction(v)
-    return float(total % 1)
 
 
 def binom2(j: int) -> int:
@@ -44,6 +34,12 @@ def vfrac(a: np.ndarray) -> np.ndarray:
     """Elementwise mod 1 into [0, 1) with the == 1.0 rounding guard."""
     out = a - np.floor(a)
     return np.where(out >= 1.0, out - 1.0, out)
+
+
+def circle_distance(a, b):
+    """Distance on R/Z, elementwise."""
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def _dyadic(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -83,12 +79,15 @@ class PhaseNumerators:
     row of shape (1, L).  ``orbit`` of a block of steps shared by all
     lanes, a column j of shape (B, 1), then has shape (B, L), each row one
     step of every lane; ``orbit`` of one index per lane, j of shape (L,),
-    has shape (1, L).
+    has shape (1, L).  A non-finite alpha, beta, x or y raises ValueError.
     """
 
     def __init__(self, alpha: float, beta: float, x=0.0, y=0.0):
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        vals = vfrac(np.concatenate(([alpha, beta], x.ravel(), y.ravel())))
+        vals = np.concatenate(([alpha, beta], x.ravel(), y.ravel()))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("alpha, beta, x and y must be finite")
+        vals = vfrac(vals)
         scaled = np.ldexp(vals, _K_COMMON)
         if np.array_equal(scaled, np.floor(scaled)):
             # every value is a multiple of 2^-62: no need for each one's K

@@ -34,7 +34,7 @@ from typing import (
 import numpy as np
 
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import PhaseNumerators, frac, frac_exact, vfrac
+from .phases import PhaseNumerators, frac, vfrac
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 # Orbit steps per block of an orbit walk or a grid sweep; bounds their
@@ -48,9 +48,10 @@ _SWEEP_BLOCK = 1 << 16
 _MAX_STEPS = 2 ** 40
 
 
-def _check_steps(n: int) -> None:
-    """Raise ValueError for an orbit length past ``_MAX_STEPS``."""
-    if n > _MAX_STEPS:
+def _check_steps(n: float) -> None:
+    """Raise ValueError for an orbit length past ``_MAX_STEPS`` or not
+    finite."""
+    if not n <= _MAX_STEPS:
         raise ValueError(
             f"orbit length {n} is out of range: an orbit takes at most "
             "2^40 steps"
@@ -450,11 +451,14 @@ def rotation_transfer(
     which flags numerically resonant alpha at this degree.
     """
     mean = phi_perp.coeff(0)
+    ph = PhaseNumerators(alpha, 0.0)
+    a, b = ph.linear_quadratic(np.array([1]))
     out: Dict[int, complex] = {}
     for m, c in phi_perp.coeffs.items():
         if m == 0:
             continue
-        w = cmath.exp(2j * math.pi * frac_exact([(abs(m), alpha)]))
+        theta = float(ph.to_unit(ph.mode(a, b, abs(m), 0))[0])
+        w = cmath.exp(2j * math.pi * theta)
         if m < 0:
             w = w.conjugate()
         div = w - 1.0
@@ -505,31 +509,40 @@ def roof_from_dict(d: dict) -> Tuple[SkewShift, FiberedTrigPoly]:
     for entry in d["coeffs"]:
         if not isinstance(entry, dict) or set(entry) != {"k", "m", "re", "im"}:
             raise InvalidRoofFile(f"bad coefficient entry: {entry}")
-        key = (_number(entry["m"], int), _number(entry["k"], int))
+        key = (_integer(entry["m"]), _integer(entry["k"]))
         if key in modes:
             raise InvalidRoofFile(f"duplicate mode {key}")
-        modes[key] = complex(
-            _number(entry["re"], float), _number(entry["im"], float)
-        )
-    degree_y = _number(d["degree_y"], int)
+        modes[key] = complex(_number(entry["re"]), _number(entry["im"]))
+    degree_y = _integer(d["degree_y"])
     if any(abs(k) > degree_y for _, k in modes):
         raise InvalidRoofFile("coefficient exceeds declared degree_y")
+    if not isinstance(d["real"], bool):
+        raise InvalidRoofFile(f"roof value {d['real']!r} is not true or false")
     try:
-        phi = FiberedTrigPoly.from_modes(modes, real=bool(d["real"]))
+        phi = FiberedTrigPoly.from_modes(modes, real=d["real"])
     except ValueError as exc:
         raise InvalidRoofFile(str(exc)) from exc
-    f = SkewShift(_number(d["alpha"], float), _number(d["beta"], float))
+    f = SkewShift(_number(d["alpha"]), _number(d["beta"]))
     return f, phi
 
 
-def _number(v, kind: type):
-    """kind(v), finite; anything else raises InvalidRoofFile."""
-    try:
-        out = kind(v)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+def _integer(v) -> int:
+    """A JSON integer; anything else, a bool included, raises
+    InvalidRoofFile."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InvalidRoofFile(f"roof value {v!r} is not an integer")
+
+
+def _number(v) -> float:
+    """A finite JSON number as a float; anything else, a bool or a string
+    included, raises InvalidRoofFile."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            if math.isfinite(v):
+                return float(v)
+        except OverflowError:          # an integer past the float range
+            pass
     raise InvalidRoofFile(f"roof value {v!r} is not a finite number")
 
 

@@ -28,17 +28,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cohomology import coboundary_residual
 from .errors import NonPositiveRoof, NotACoboundary
-from .phases import PhaseNumerators, frac
+from .phases import PhaseNumerators, circle_distance, frac
 from .skewshift import (
-    _MAX_STEPS,
     _SWEEP_BLOCK,
     SkewShift,
+    _check_steps,
     _grid_sweep,
     midgrid,
     project,
@@ -76,9 +76,6 @@ class Roof:
     mean: float
     slack: float
     slack_target: Optional[float] = None
-
-    def evaluate(self, x, y):
-        return self.phi.evaluate(x, y)
 
 
 # Most points certify_roof's grid may hold; past it the slack target is
@@ -204,7 +201,7 @@ def _grid_extrema(
     row_lo = np.append(row_lo, row_lo[0])
     row_hi = np.append(row_hi, row_hi[0])
     # a margin far above the rounding of the values and of the bounds
-    scale = sum(abs(c) for _, _, c in phi.modes())
+    scale = phi.sup_bound()
     margin = 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * scale + 1e-12
     r = np.arange(S)                  # row offsets past each coarse row
     step = lip_y / gy
@@ -291,7 +288,7 @@ def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
 
     Strict crossing of the running roof sum; a float tie resolves to the
     smaller n.  Raises ValueError for t < 0 and for a time the step bound
-    cannot reach (``_step_limit``).  The one-lane case of ``_climb_lanes``.
+    cannot reach.  The one-lane case of ``_climb_lanes``.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -307,23 +304,6 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
     return FlowPoint(float(x[0]), float(y[0]), float(z[0]))
 
 
-def _step_limit(roof: Roof, target: float) -> int:
-    """Steps that reach accumulated roof height ``target``, bounded through
-    the certified minimum; every climb stops there even when roundoff, or
-    an overstated minimum, would keep it climbing.
-
-    Raises ValueError for a target that is not finite or that would need
-    more than ``_MAX_STEPS`` (2^40) steps.
-    """
-    steps = target / roof.certified_min
-    if not math.isfinite(steps) or steps > _MAX_STEPS:
-        raise ValueError(
-            f"time {float(target):g} is out of range: the flow takes at most "
-            "2^40 base steps"
-        )
-    return int(steps) + 2
-
-
 def _climb_lanes(
     roof: Roof,
     f: SkewShift,
@@ -332,8 +312,12 @@ def _climb_lanes(
     targets,
     backward: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, total) per lane: n the largest with Phi_n(x, y) < target, at most
-    ``_step_limit(target)`` steps, and total = Phi_n(x, y).
+    """(n, total) per lane: n the largest with Phi_n(x, y) < target, and
+    total = Phi_n(x, y).  The step limit of a lane is int(target /
+    certified_min) + 2: every climb stops there even when roundoff, or an
+    overstated minimum, would keep it climbing.  Raises ValueError for a
+    target that is not finite or whose limit passes 2^40
+    (``skewshift._check_steps``).
 
     With ``backward`` the sums run along the backward orbit instead,
     Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
@@ -350,7 +334,7 @@ def _climb_lanes(
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    _step_limit(roof, float(np.max(targets, initial=0.0)))   # range check
+    _check_steps(float(np.max(targets, initial=0.0)) / roof.certified_min)
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
     n = np.zeros(targets.shape, dtype=np.int64)
@@ -414,8 +398,8 @@ def _flow_lanes(
     Phi_n < t + z and keeps the rest as its height; on a float tie with the
     roof it moves to f^{n+1} p at height 0.  Backward, it descends to the
     smallest n with z + t + Phi(f^-1 p) + ... + Phi(f^-n p) >= 0.  Both
-    take at most the ``_step_limit`` steps, and the positions are exact
-    orbit points rounded once.
+    take at most the step limit of ``_climb_lanes``, and the positions are
+    exact orbit points rounded once.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -486,6 +470,15 @@ def _sample_block(
     return xs, ys, zs
 
 
+def _map(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(i) for i in items], on a pool of ``workers`` threads if more
+    than one; the results keep the order of ``items``."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(i) for i in items]
+
+
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Monte-Carlo correlation with its standard error and provenance."""
@@ -533,11 +526,7 @@ def correlate_cubes(
         ]
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(block_counts, blocks))
-    else:
-        counts = [block_counts(b) for b in blocks]
+    counts = _map(block_counts, blocks, workers)
     product = cube_measure(roof, q1) * cube_measure(roof, q2)
     out = []
     for i in range(len(times)):
@@ -545,6 +534,17 @@ def correlate_cubes(
         std = math.sqrt(phat * (1.0 - phat) / (samples - 1))
         out.append(CorrelationEstimate(phat - product, std, samples, seed))
     return out
+
+
+def _arc_points(
+    x: float, arc: Tuple[float, float], resolution: int
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(length, xs, ys): the midpoints of ``resolution`` equal cells of the
+    fiber arc from y1 to y2 (read as a circle arc) at x, and its length."""
+    y1, y2 = arc
+    length = y2 - y1 if y2 > y1 else y2 - y1 + 1.0
+    ys = vfrac(y1 + length * (np.arange(resolution) + 0.5) / resolution)
+    return length, np.full(resolution, frac(x)), ys
 
 
 def fiber_mixing_profile(
@@ -564,10 +564,7 @@ def fiber_mixing_profile(
     if resolution < 256:
         raise ValueError("resolution must be >= 256")
     _require_cube_fits(roof, cube)
-    y1, y2 = arc
-    length = y2 - y1 if y2 > y1 else y2 - y1 + 1.0
-    ys = vfrac(y1 + length * (np.arange(resolution) + 0.5) / resolution)
-    xs = np.full(resolution, frac(x))
+    length, xs, ys = _arc_points(x, arc, resolution)
     zs = np.zeros(resolution)
     fx, fy, fz = _flow_lanes(roof, f, xs, ys, zs, t)
     inside = cube.contains(fx, fy, fz)
@@ -608,10 +605,7 @@ def discrete_iteration_bounds(
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    y1, y2 = arc
-    length = y2 - y1 if y2 > y1 else y2 - y1 + 1.0
-    ys = vfrac(y1 + length * (np.arange(resolution) + 0.5) / resolution)
-    xs = np.full(resolution, frac(x))
+    _, xs, ys = _arc_points(x, arc, resolution)
     counts = _hit_count_lanes(roof, f, xs, ys, t)
     n_lo, n_hi = int(counts.min()), int(counts.max())
     if n_lo >= 1:
@@ -664,12 +658,7 @@ def hitting_complement_measure(
         counts = _hit_count_lanes(roof, f, X, Y, t).reshape(nc, y_resolution)
         return counts.min(axis=1)
 
-    starts = range(0, grid, span)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stops = np.concatenate(list(pool.map(column_stops, starts)))
-    else:
-        stops = np.concatenate([column_stops(i0) for i0 in starts])
+    stops = np.concatenate(_map(column_stops, range(0, grid, span), workers))
     ks, mat = _coeffs_at_stops(f, osc, xs, stops)
     ky = np.exp(2j * np.pi * np.outer(ks, ys))
     sup = np.abs(mat.T @ ky).max(axis=1)
@@ -751,18 +740,13 @@ def trivial_conjugacy_check(
 def _quotient_distance(f, a, b, height) -> np.ndarray:
     """Distance of two sets of constant-suspension points across sheet
     choices: b is also compared one base step up and down."""
-
-    def circ(p, q):
-        d = np.abs(p - q) % 1.0
-        return np.minimum(d, 1.0 - d)
-
     phases = PhaseNumerators(f.alpha, f.beta, b[0], b[1])
     best = np.full(np.shape(b[2]), math.inf)
     for k in (-1, 0, 1):
         xn, yn = phases.orbit(np.full(np.shape(b[2]), k))
         x, y = phases.to_unit(xn)[0], phases.to_unit(yn)[0]
         dist = np.maximum(
-            np.maximum(circ(a[0], x), circ(a[1], y)),
+            np.maximum(circle_distance(a[0], x), circle_distance(a[1], y)),
             np.abs(a[2] - (b[2] - k * height)),
         )
         best = np.minimum(best, dist)

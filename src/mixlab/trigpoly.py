@@ -27,9 +27,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .phases import PhaseNumerators, frac_exact
-
-TWO_PI = 2.0 * math.pi
+from .phases import PhaseNumerators
 
 _CONJ_TOL = 1e-12
 
@@ -37,14 +35,6 @@ _CONJ_TOL = 1e-12
 def _clean(coeffs: Mapping[int, complex]) -> Dict[int, complex]:
     """Sorted copy with exact zeros dropped."""
     return {m: complex(c) for m, c in sorted(coeffs.items()) if c != 0}
-
-
-def _mode_phase(m: int, a: float) -> complex:
-    """e^{2 pi i m a} with exact conjugate symmetry in m."""
-    if m == 0:
-        return 1.0 + 0.0j
-    w = cmath.exp(2j * math.pi * frac_exact([(abs(m), a)]))
-    return w if m > 0 else w.conjugate()
 
 
 @dataclass(frozen=True)
@@ -83,36 +73,22 @@ class TrigPoly1D:
     def max_freq(self) -> int:
         return max((abs(m) for m in self.coeffs), default=0)
 
-    def sup_bound(self) -> float:
-        """sum |c_m|, an upper bound for sup |g|."""
-        return sum(abs(c) for c in self.coeffs.values())
-
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     # ---- evaluation ------------------------------------------------------
 
     def evaluate_complex(self, x):
-        """Complex value(s) at x (scalar or ndarray)."""
-        if isinstance(x, np.ndarray):
-            out = np.zeros(x.shape, dtype=complex)
-            for m, c in self.coeffs.items():
-                out += c * np.exp(2j * np.pi * m * x)
-            return out
-        out = 0.0 + 0.0j
+        """Complex value(s) at x; a scalar x gives a numpy scalar."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=complex)
         for m, c in self.coeffs.items():
-            out += c * cmath.exp(2j * math.pi * m * x)
-        return out
+            out += c * np.exp(2j * np.pi * m * x)
+        return out[()]
 
     def evaluate(self, x):
         v = self.evaluate_complex(x)
         return v.real if self.real else v
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     # ---- algebra ---------------------------------------------------------
 
@@ -129,23 +105,6 @@ class TrigPoly1D:
         keep_real = self.real and complex(s).imag == 0.0
         return TrigPoly1D({m: s * c for m, c in self.coeffs.items()}, real=keep_real)
 
-    def conjugate(self) -> "TrigPoly1D":
-        return TrigPoly1D(
-            {-m: c.conjugate() for m, c in self.coeffs.items()}, real=self.real
-        )
-
-    def derivative(self) -> "TrigPoly1D":
-        return TrigPoly1D(
-            {m: 2j * math.pi * m * c for m, c in self.coeffs.items() if m != 0},
-            real=self.real,
-        )
-
-    def shift(self, a: float) -> "TrigPoly1D":
-        """g(x) -> g(x + a)."""
-        return TrigPoly1D(
-            {m: c * _mode_phase(m, a) for m, c in self.coeffs.items()},
-            real=self.real,
-        )
 
 
 @dataclass(frozen=True)
@@ -227,23 +186,17 @@ class FiberedTrigPoly:
     # ---- evaluation ------------------------------------------------------------
 
     def evaluate_complex(self, x, y):
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-            out = np.zeros(x.shape, dtype=complex)
-            for k, p in self.fiber.items():
-                out += p.evaluate_complex(x) * np.exp(2j * np.pi * k * y)
-            return out
-        out = 0.0 + 0.0j
+        """Complex values at the points (x, y), broadcast; scalars give a
+        numpy scalar."""
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        out = np.zeros(x.shape, dtype=complex)
         for k, p in self.fiber.items():
-            out += p.evaluate_complex(x) * cmath.exp(2j * math.pi * k * y)
-        return out
+            out += p.evaluate_complex(x) * np.exp(2j * np.pi * k * y)
+        return out[()]
 
     def evaluate(self, x, y):
         v = self.evaluate_complex(x, y)
         return v.real if self.real else v
-
-    def __call__(self, x, y):
-        return self.evaluate(x, y)
 
     @cached_property
     def independent_modes(self) -> tuple:
@@ -312,27 +265,24 @@ class FiberedTrigPoly:
             {k: p.scale(s) for k, p in self.fiber.items()}, real=keep_real
         )
 
-    def dy(self) -> "FiberedTrigPoly":
-        """Partial derivative in the fiber variable y."""
-        return FiberedTrigPoly(
-            {k: p.scale(2j * math.pi * k) for k, p in self.fiber.items() if k != 0},
-            real=self.real,
-        )
-
     def compose_skew(self, alpha: float, beta: float) -> "FiberedTrigPoly":
         """Phi(x + alpha, y + x + beta): mode (m, k) -> (m + k, k) with phase.
 
         The phase e^{2 pi i (m alpha + k beta)} is computed from the exact
-        dyadic reduction of m*alpha + k*beta, with conjugate modes phased
-        by explicit conjugation so realness survives bit-for-bit.
+        dyadic reduction of m*alpha + k*beta (``PhaseNumerators``), with
+        conjugate modes phased by explicit conjugation so realness
+        survives bit-for-bit.
         """
+        ph = PhaseNumerators(alpha, beta)
+        a, b = ph.linear_quadratic(np.array([1]))
         out: Dict[Tuple[int, int], complex] = {}
         for m, k, c in self.modes():
             neg = False
             mm, kk = m, k
             if k < 0 or (k == 0 and m < 0):
                 neg, mm, kk = True, -m, -k
-            w = cmath.exp(2j * math.pi * frac_exact([(mm, alpha), (kk, beta)]))
+            theta = float(ph.to_unit(ph.mode(a, b, mm, kk))[0])
+            w = cmath.exp(2j * math.pi * theta)
             if neg:
                 w = w.conjugate()
             key = (m + k, k)

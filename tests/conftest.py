@@ -25,6 +25,24 @@ settings.load_profile("mixlab")
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def frac_exact(terms) -> float:
+    """(sum of k*v) mod 1 for integer k and float v, in exact rationals,
+    rounded once: the reference of the library's integer phase numerators."""
+    total = Fraction(0)
+    for k, v in terms:
+        total += k * Fraction(v)
+    return float(total % 1)
+
+
+def theta_exact(label, f, j: int) -> float:
+    """theta_j mod 1 of the block ``label`` of f, from ``frac_exact``:
+    alpha (m j + n binom(j, 2)) + beta (n j)."""
+    return frac_exact([
+        (label.m * j + label.n * (j * (j - 1) // 2), f.alpha),
+        (label.n * j, f.beta),
+    ])
+
+
 def circle_dist(a: float, b: float) -> float:
     """Distance on R/Z."""
     d = abs(a - b) % 1.0

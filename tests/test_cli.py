@@ -414,6 +414,20 @@ MALFORMED_ROOFS = {
     "coeffs-not-a-list": _roof_doc(coeffs=5),
     "alpha-null": _roof_doc(alpha=None),
     "re-null": _roof_doc(coeffs=[{"k": 0, "m": 0, "re": None, "im": 0.0}]),
+    # JSON types are strict: no truncated floats, no strings, no bools
+    "m-fraction": _roof_doc(
+        real=False, coeffs=[{"k": 0, "m": 1.7, "re": 2.0, "im": 0.0}]),
+    "m-negative-fraction": _roof_doc(
+        real=False, coeffs=[{"k": 0, "m": -1.2, "re": 2.0, "im": 0.0}]),
+    "k-bool": _roof_doc(
+        real=False, degree_y=1,
+        coeffs=[{"k": True, "m": 0, "re": 2.0, "im": 0.0}]),
+    "degree-y-float": _roof_doc(degree_y=1.0),
+    "beta-string": _roof_doc(beta="0.1"),
+    "re-string": _roof_doc(coeffs=[{"k": 0, "m": 0, "re": "2", "im": 0.0}]),
+    "alpha-bool": _roof_doc(alpha=True),
+    "real-string": _roof_doc(real="no"),
+    "real-int": _roof_doc(real=1),
 }
 
 

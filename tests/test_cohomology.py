@@ -12,6 +12,7 @@ from conftest import (
     birkhoff_grid,
     coboundary_roof,
     mixing_example_roof,
+    theta_exact,
 )
 from mixlab.cohomology import (
     ClassifierReport,
@@ -22,7 +23,6 @@ from mixlab.cohomology import (
     convergent_times,
     decompose_components,
     ergodic_sum_l2,
-    _theta_phase,
     evaluate_distribution,
     solve_component,
     uniform_bound_scan,
@@ -322,7 +322,7 @@ def window_sum_l2(f, S, N):
     """The sum over l of |sum_{j=l-N+1}^{l} r_j|^2, one window per l:
     the oracle of the closed form in ergodic_sum_l2."""
     reduced = {
-        j: c * cmath.exp(-2j * math.pi * _theta_phase(S.label, f, j))
+        j: c * cmath.exp(-2j * math.pi * theta_exact(S.label, f, j))
         for j, c in S.coeffs.items()
     }
     lo, hi = S.support()

@@ -35,7 +35,7 @@ def as_matrix_entries(g: HeisenbergElement):
 
 
 def test_identity_and_examples():
-    e = HeisenbergElement.identity()
+    e = HeisenbergElement(0.0, 0.0, 0.0)
     g = HeisenbergElement(0.3, -1.2, 0.77)
     assert group_mul(e, g) == g
     assert group_mul(g, e) == g

@@ -1,13 +1,25 @@
 """Exact mod-1 phase arithmetic."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mixlab.phases import PhaseNumerators, binom2, frac, frac_exact
+from conftest import frac_exact, theta_exact
+from mixlab.cohomology import (
+    ComponentSpectrum,
+    OrbitLabel,
+    _theta_phases,
+    evaluate_distribution,
+)
+from mixlab.errors import SmallDivisor
+from mixlab.phases import PhaseNumerators, binom2, frac
+from mixlab.skewshift import SkewShift, TorusPoint, birkhoff_sum, rotation_transfer
+from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
 
 
 def test_frac_corner_cases():
@@ -16,16 +28,6 @@ def test_frac_corner_cases():
     assert frac(-1e-18) == 0.0          # would round to 1.0 under plain %
     assert 0.0 <= frac(-0.3) < 1.0
     assert math.isclose(frac(-0.3), 0.7)
-
-
-def test_frac_exact_matches_fraction_arithmetic():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        k1, k2 = int(rng.integers(-10**9, 10**9)), int(rng.integers(0, 10**12))
-        v1, v2 = float(rng.random()), float(rng.random())
-        want = float((k1 * Fraction(v1) + k2 * Fraction(v2)) % 1)
-        got = frac_exact([(k1, v1), (k2, v2)])
-        assert got == want
 
 
 def test_binom2_negative_indices():
@@ -122,3 +124,76 @@ def test_square_lane_block_keeps_its_axes():
     assert bx.shape == (4, 4) and lx.shape == (1, 4)
     assert np.array_equal(np.diag(bx), lx[0])
     assert np.array_equal(ph.to_unit(bx[0]), xs)       # step 0 of every lane
+
+
+def test_non_finite_inputs_raise():
+    with pytest.raises(ValueError, match="finite"):
+        PhaseNumerators(math.nan, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        PhaseNumerators(0.3, 0.1, math.inf, 0.2)
+    with pytest.raises(ValueError, match="finite"):
+        PhaseNumerators(0.3, 0.1, [0.1, math.nan, 0.5], [0.2, 0.3, 0.4])
+    phi = FiberedTrigPoly.from_modes({(0, 1): 0.5, (0, -1): 0.5}, real=True)
+    with pytest.raises(ValueError, match="finite"):
+        birkhoff_sum(SkewShift(math.nan, 0.0), phi, TorusPoint(0.1, 0.2), 10)
+    with pytest.raises(ValueError, match="finite"):
+        birkhoff_sum(SkewShift(0.3, 0.0), phi, TorusPoint(math.inf, 0.2), 10)
+
+
+def _unit_phase(terms) -> complex:
+    """e(sum of k*v) from the Fraction reference."""
+    return cmath.exp(2j * math.pi * frac_exact(terms))
+
+
+@example(alpha=0.6180339887498949, beta=1e-5, n=3,
+         modes=[(1, 1), (-2, -3), (5, 0), (-7, 0)], js=[-40, -1, 0, 7, 40])
+@given(alpha=_unit, beta=_unit_or_tiny, n=st.integers(1, 6),
+       modes=st.lists(st.tuples(st.integers(-50, 50), st.integers(-8, 8)),
+                      min_size=1, max_size=6, unique=True),
+       js=st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))
+def test_phase_sites_match_fraction_reference(alpha, beta, n, modes, js):
+    # every exact-phase site of the Fourier algebra, bit for bit against
+    # the Fraction reference; tiny beta needs a denominator past 2^64
+    f = SkewShift(alpha, beta)
+    alpha, beta = f.alpha, f.beta
+
+    # compose_skew: mode (m, k) -> (m + k, k) times e(m alpha + k beta),
+    # conjugated for the negative half
+    comp = FiberedTrigPoly.from_modes(dict.fromkeys(modes, 1.0)).compose_skew(
+        alpha, beta)
+    for m, k in modes:
+        if k < 0 or (k == 0 and m < 0):
+            want = _unit_phase([(-m, alpha), (-k, beta)]).conjugate()
+        else:
+            want = _unit_phase([(m, alpha), (k, beta)])
+        assert comp.c(k).coeff(m + k) == want
+
+    # rotation_transfer: g_m = c_m / (e(m alpha) - 1)
+    ms = sorted({m for m, _ in modes} - {0})
+    divs = {}
+    for m in ms:
+        w = _unit_phase([(abs(m), alpha)])
+        divs[m] = (w if m > 0 else w.conjugate()) - 1.0
+    perp = TrigPoly1D(dict.fromkeys(ms, 1.0))
+    if any(abs(d) < 1e-12 for d in divs.values()):
+        with pytest.raises(SmallDivisor):
+            rotation_transfer(perp, alpha)
+    else:
+        g, _ = rotation_transfer(perp, alpha)
+        assert g.coeffs == {m: complex(1.0) / d for m, d in divs.items()}
+
+    for nn in (n, -n):
+        label = OrbitLabel(n - 1, nn)
+        S = ComponentSpectrum(label, dict.fromkeys(js, 1.0))
+        # compose_map: j -> j + 1 times e((m + j n) alpha + n beta)
+        assert S.compose_map(f).coeffs == {
+            j + 1: _unit_phase([(label.m + j * nn, alpha), (nn, beta)])
+            for j in S.coeffs
+        }
+        # the block phases theta_j and the functional summed from them
+        thetas = [theta_exact(label, f, j) for j in S.coeffs]
+        assert _theta_phases(label, f, list(S.coeffs)) == thetas
+        total = 0.0 + 0.0j
+        for theta in thetas:
+            total += complex(1.0) * cmath.exp(-2j * math.pi * theta)
+        assert evaluate_distribution(f, S).value == total

@@ -687,6 +687,12 @@ def test_roof_json_rejects_bad_documents(tmp_path):
         ],
     }
     roof_from_dict(_json.loads(_json.dumps(good)))
+    # a JSON integer is a valid value of a float field
+    f, phi = roof_from_dict(dict(good, beta=0, coeffs=[
+        {"k": 1, "m": 0, "re": 0, "im": -0.5},
+        {"k": -1, "m": 0, "re": 0, "im": 0.5},
+    ]))
+    assert f.beta == 0.0 and phi.c(1).coeff(0) == -0.5j
 
     # realness violation
     bad = dict(good)

@@ -110,7 +110,7 @@ def test_roof_independent_modes_match_evaluate():
     ph = PhaseNumerators(GOLDEN, 0.3, xs, ys)
     xn, yn = ph.orbit(np.zeros(500, dtype=np.int64))
     vals = roof.phi.at(ph, xn, yn)[0]
-    assert np.allclose(vals, roof.evaluate(xs, ys), rtol=0, atol=1e-14)
+    assert np.allclose(vals, roof.phi.evaluate(xs, ys), rtol=0, atol=1e-14)
     # one fiber alone is a complex poly: one e(theta) per mode
     fiber = FiberedTrigPoly({1: roof.phi.c(1)})
     want = fiber.evaluate_complex(xs, ys)
@@ -380,7 +380,7 @@ def test_flow_group_law_mixed_signs():
                 and circle_dist(alt.y, shifted.y) < 1e-9
                 and abs(alt.z - shifted.z) < 1e-9
             )
-        z_bound = roof.evaluate(one.x, one.y)
+        z_bound = roof.phi.evaluate(one.x, one.y)
         assert 0.0 <= one.z < z_bound + 1e-12
 
 
@@ -409,7 +409,7 @@ def test_sample_measure_deterministic_and_valid():
     assert not np.array_equal(a, c)
     for seed in range(50):
         xs, ys, zs = _sample_block(roof, seed, 0, 1)
-        assert zs[0] < roof.evaluate(xs[0], ys[0])
+        assert zs[0] < roof.phi.evaluate(xs[0], ys[0])
 
 
 def test_sample_measure_slab_mass():

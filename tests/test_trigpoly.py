@@ -28,24 +28,6 @@ def test_realness_invariant_rejected():
     FiberedTrigPoly.from_modes({(1, 1): 1.0 + 2j, (-1, -1): 1.0 - 2j}, real=True)
 
 
-def test_shift_and_derivative():
-    g = TrigPoly1D({2: 0.5, -2: 0.5}, real=True)     # cos(4 pi x)
-    a = 0.37
-    xs = np.linspace(0, 1, 11)
-    assert np.allclose(g.shift(a).evaluate(xs), g.evaluate(xs + a), atol=1e-14)
-    deriv = g.derivative()
-    h = 1e-6
-    for x in (0.1, 0.4, 0.77):
-        fd = (g.evaluate(x + h) - g.evaluate(x - h)) / (2 * h)
-        assert abs(deriv.evaluate(x) - fd) < 1e-6
-
-
-def test_shift_preserves_realness_exactly():
-    g = TrigPoly1D({3: 0.2 - 0.7j, -3: 0.2 + 0.7j}, real=True)
-    shifted = g.shift(0.123456789)
-    assert shifted.coeff(-3) == shifted.coeff(3).conjugate()
-
-
 def test_fibered_evaluate_and_mean():
     # sin(2 pi y) + 2
     phi = FiberedTrigPoly.from_modes(
@@ -81,14 +63,3 @@ def test_compose_skew_pointwise():
     for x, y in rng.random((25, 2)):
         direct = phi.evaluate((x + alpha) % 1, (y + x + beta) % 1)
         assert abs(comp.evaluate(x, y) - direct) < 1e-12
-
-
-def test_dy_matches_finite_differences():
-    phi = FiberedTrigPoly.from_modes(
-        {(1, 2): 0.25, (-1, -2): 0.25, (0, 1): -0.5j, (0, -1): 0.5j}, real=True
-    )
-    dphi = phi.dy()
-    h = 1e-6
-    for x, y in [(0.1, 0.3), (0.6, 0.9)]:
-        fd = (phi.evaluate(x, y + h) - phi.evaluate(x, y - h)) / (2 * h)
-        assert abs(dphi.evaluate(x, y) - fd) < 1e-5
