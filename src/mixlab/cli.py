@@ -257,21 +257,21 @@ def cmd_correlate(args) -> int:
 def cmd_fiber_profile(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
+    arc = (args.arc[0], args.arc[1])
+    length = skewshift.arc_length(arc)
     roof = specialflow.certify_roof(phi)
     c = args.cube
     cube = specialflow.Cube(c[0], c[1], c[2], c[3], c[4])
     rows = []
     for t in args.t:
         val = specialflow.fiber_mixing_profile(
-            roof, f, args.x, (args.arc[0], args.arc[1]), cube, t,
-            resolution=args.resolution,
+            roof, f, args.x, arc, cube, t, resolution=args.resolution,
         )
         rows.append((t, val))
     _write_csv(run.path("fiber_profile.csv"), ("t", "measure"), rows)
     run.finish(
         {
-            "target": (args.arc[1] - args.arc[0])
-            * specialflow.cube_measure(roof, cube),
+            "target": length * specialflow.cube_measure(roof, cube),
             **_certificate(roof),
         }
     )

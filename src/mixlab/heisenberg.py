@@ -143,10 +143,9 @@ def reduce_mod_lattice(
     return point, lam
 
 
-def nilflow_at(
-    p: NilPoint, w: AlgebraVector, t: float, lattice: Lattice | None = None
-) -> NilPoint:
-    """Flow the point for time t: right translation by exp(t W).
+def nilflow_at(p: NilPoint, w: AlgebraVector, t: float) -> NilPoint:
+    """Flow the point for time t: right translation by exp(t W), reduced
+    mod the point's lattice.
 
     The endpoint coordinates contain t^2 * w_x * w_y / 2, which for
     |t| ~ 10^3 dwarfs the fractional part that survives the lattice
@@ -155,7 +154,6 @@ def nilflow_at(
     values of the float inputs and reduced mod the lattice before
     converting back, leaving one rounding per coordinate at any t.
     """
-    lat = lattice if lattice is not None else p.lattice
     T = Fraction(t)
     wx, wy, wz = Fraction(w.w_x), Fraction(w.w_y), Fraction(w.w_z)
     ex, ey = T * wx, T * wy
@@ -168,9 +166,9 @@ def nilflow_at(
     bx = math.floor(X)
     X -= bx
     Z -= bx * Y
-    E = lat.E
+    E = p.lattice.E
     Z -= Fraction(math.floor(Z * E), E)
-    return NilPoint(HeisenbergElement(float(X), float(Y), float(Z)), lat)
+    return NilPoint(HeisenbergElement(float(X), float(Y), float(Z)), p.lattice)
 
 
 def section_point(x: float, z: float, lattice: Lattice = Lattice(1)) -> NilPoint:
@@ -205,7 +203,6 @@ def poincare_return_numeric(
     x,
     z,
     lattice: Lattice = Lattice(1),
-    time_tol: float = 1e-12,
 ) -> SectionReturn:
     """Section returns computed by flowing and bisecting the y-crossing.
 
@@ -213,7 +210,7 @@ def poincare_return_numeric(
     depends on the generator alone and is found once: march in the time
     direction of the y-winding until the reduced y-coordinate frac(t w_y)
     (exact, as ``nilflow_at`` forms it) wraps, then bisect the wrap
-    bracket down to ``time_tol`` or to adjacent floats.  Each point is
+    bracket down to 1e-12 or to adjacent floats.  Each point is
     then flowed for that time with ``nilflow_at``.  ``x`` and ``z`` are
     floats or arrays of one shape; the landed coordinates have that shape
     and ``time`` is the one return time.  Independent of the closed form
@@ -245,11 +242,11 @@ def poincare_return_numeric(
     else:
         raise RuntimeError("section crossing not bracketed")
 
-    # Bisect on the wrapped/not-wrapped predicate, down to time_tol or to
+    # Bisect on the wrapped/not-wrapped predicate, down to 1e-12 or to
     # adjacent floats, whichever comes first (|t| ~ 1/|w_y| can make
-    # time_tol smaller than one ulp of t).
+    # 1e-12 smaller than one ulp of t).
     lo, hi = t_prev, t_cur
-    while abs(hi - lo) > time_tol:
+    while abs(hi - lo) > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

@@ -25,11 +25,6 @@ def frac(x: float) -> float:
     return 0.0 if r >= 1.0 else r
 
 
-def binom2(j: int) -> int:
-    """j*(j-1)/2 for any integer j, negative indices included."""
-    return j * (j - 1) // 2
-
-
 def vfrac(a: np.ndarray) -> np.ndarray:
     """Elementwise mod 1 into [0, 1) with the == 1.0 rounding guard."""
     out = a - np.floor(a)

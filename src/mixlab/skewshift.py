@@ -48,6 +48,10 @@ _SWEEP_BLOCK = 1 << 16
 _MAX_STEPS = 2 ** 40
 
 
+# Smallest divisor |e(m alpha) - 1| that rotation_transfer accepts.
+_DIVISOR_FLOOR = 1e-12
+
+
 def _check_steps(n: float) -> None:
     """Raise ValueError for an orbit length past ``_MAX_STEPS`` or not
     finite."""
@@ -240,27 +244,28 @@ def fiber_coefficients_on_grid(
 
 
 def grid_blocks(
-    ks: Sequence[int], coeffs: np.ndarray, real: bool
+    ks: Sequence[int], coeffs: np.ndarray, real: bool, y_size: int | None = None
 ) -> Iterator[np.ndarray]:
-    """Phi_n on the grid x grid midpoint lattice from its fiber
-    coefficients (``fiber_coefficients_on_grid``), one block of whole
-    x-rows at a time: block[i, q] = Phi_n(x_{i0 + i}, y_q), real parts for
-    a real roof.
+    """Phi_n on the midpoint lattice of coeffs.shape[1] x-points and
+    ``y_size`` y-points (by default the x-size) from its fiber coefficients
+    (``fiber_coefficients_on_grid``), one block of whole x-rows at a time:
+    block[i, q] = Phi_n(x_{i0 + i}, y_q), real parts for a real roof.
 
-    A block holds about ``_SWEEP_BLOCK`` values, so memory stays O(grid)
-    for any grid.  Every block has at least two rows unless the grid has
-    one: numpy takes a one-row product through gemv, not gemm, and it
+    A block holds about ``_SWEEP_BLOCK`` values, so memory stays O(y_size)
+    for any lattice.  Every block has at least two rows unless the lattice
+    has one: numpy takes a one-row product through gemv, not gemm, and it
     rounds differently, while products of two or more rows round every
     value as the whole-lattice product does.
     """
-    grid = coeffs.shape[1]
-    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(grid)))
-    step = max(2, _SWEEP_BLOCK // grid)
+    rows = coeffs.shape[1]
+    y_size = y_size or rows
+    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(y_size)))
+    step = max(2, _SWEEP_BLOCK // y_size)
     i0 = 0
-    while i0 < grid:
+    while i0 < rows:
         i1 = i0 + step
-        if i1 >= grid - 1:
-            i1 = grid
+        if i1 >= rows - 1:
+            i1 = rows
         vals = coeffs[:, i0:i1].T @ ky
         yield vals.real if real else vals
         i0 = i1
@@ -297,11 +302,14 @@ def _golden_extremum(
     return max(fc, fd)
 
 
-def _arc_length(a: float, b: float) -> float:
-    length = b - a
-    if length <= 0.0:
-        length += 1.0
-    return min(length, 1.0)
+def arc_length(arc: Tuple[float, float]) -> float:
+    """Length of the fiber arc from a to b, read as a circle arc: b <= a
+    wraps past 1, and (a, a) is the whole fiber.  Raises ValueError for an
+    endpoint outside [0, 1]."""
+    a, b = arc
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError("arc endpoints must lie in [0, 1]")
+    return b - a if b > a else b - a + 1.0
 
 
 def stretch(
@@ -315,32 +323,27 @@ def stretch(
     """Oscillation max - min of y -> Phi_n(x, y) on the arc [a, b].
 
     Grid values at ``resolution`` points refined once around every local
-    extremum by golden-section search.  The arc is read as a circle arc
-    from a to b; (0, 1) is the full fiber.
+    extremum by golden-section search.  The arc runs from a to b on the
+    circle (``arc_length``); (0, 1) is the full fiber.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, b = arc
-    length = _arc_length(a, b)
+    a = arc[0]
+    length = arc_length(arc)
     coeffs = fiber_coefficients(f, phi, x, n)
     if not coeffs:
         return 0.0
-    ks = np.array(sorted(coeffs.keys()))
-    cs = np.array([coeffs[k] for k in ks])
+    fiber = TrigPoly1D(coeffs)
 
     def g(y):
-        return (cs @ np.exp(2j * np.pi * ks[:, None] * np.atleast_1d(y))).real
+        return fiber.evaluate_complex(y).real
 
     full = length >= 1.0
     denom = resolution if full else resolution - 1
     ys = a + length * np.arange(resolution) / denom
     vals = g(ys)
-
-    def g1(y: float) -> float:
-        return float(g(np.array([y]))[0])
-
     best_max = float(np.max(vals))
     best_min = float(np.min(vals))
     h = length / denom
@@ -353,10 +356,10 @@ def stretch(
         if not full:
             lo, hi = max(lo, a), min(hi, a + length)
         if is_max:
-            best_max = max(best_max, _golden_extremum(g1, lo, hi))
+            best_max = max(best_max, _golden_extremum(g, lo, hi))
         if is_min:
-            best_min = min(best_min, -_golden_extremum(lambda y: -g1(y), lo, hi))
-    return best_max - best_min
+            best_min = min(best_min, -_golden_extremum(lambda y: -g(y), lo, hi))
+    return float(best_max - best_min)
 
 
 class SublevelEstimate(NamedTuple):
@@ -441,14 +444,15 @@ def visit_fraction(
 
 
 def rotation_transfer(
-    phi_perp: TrigPoly1D, alpha: float, divisor_floor: float = 1e-12
+    phi_perp: TrigPoly1D, alpha: float
 ) -> Tuple[TrigPoly1D, Union[float, complex]]:
     """Solve g(x + alpha) - g(x) = phi_perp(x) - mean over the circle.
 
     Fourier solution g_m = c_m / (e^{2 pi i m alpha} - 1) for m != 0;
     the mean (the m = 0 coefficient) is returned separately.  Raises
-    SmallDivisor when a divisor in the support falls below the floor,
-    which flags numerically resonant alpha at this degree.
+    SmallDivisor when a divisor in the support falls below
+    ``_DIVISOR_FLOOR``, which flags numerically resonant alpha at this
+    degree.
     """
     mean = phi_perp.coeff(0)
     ph = PhaseNumerators(alpha, 0.0)
@@ -462,8 +466,8 @@ def rotation_transfer(
         if m < 0:
             w = w.conjugate()
         div = w - 1.0
-        if abs(div) < divisor_floor:
-            raise SmallDivisor(m, abs(div), divisor_floor)
+        if abs(div) < _DIVISOR_FLOOR:
+            raise SmallDivisor(m, abs(div), _DIVISOR_FLOOR)
         out[m] = c / div
     g = TrigPoly1D(out, real=phi_perp.real)
     return g, (mean.real if phi_perp.real else mean)

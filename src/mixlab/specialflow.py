@@ -40,6 +40,8 @@ from .skewshift import (
     SkewShift,
     _check_steps,
     _grid_sweep,
+    arc_length,
+    grid_blocks,
     midgrid,
     project,
     stretch,
@@ -443,7 +445,7 @@ def _sample_block(
     """``count`` accepted samples from the normalised invariant measure.
 
     Rejection against the box of height certified_max, with the roof
-    values of ``FiberedTrigPoly.at``; the stream is a Philox generator
+    values of ``FiberedTrigPoly.evaluate``; the stream is a Philox generator
     keyed by (seed, block_index), so the accepted points are a pure
     function of those two integers.
     """
@@ -459,9 +461,7 @@ def _sample_block(
         x = draw[:, 0]
         y = draw[:, 1]
         z = draw[:, 2] * roof.certified_max
-        # random() draws are multiples of 2^-53: exact numerators over 2^53
-        phases = PhaseNumerators(0.0, 0.0, x, y)
-        ok = z < roof.phi.at(phases, *phases.orbit(0))[0]
+        ok = z < roof.phi.evaluate(x, y)
         got = need[ok]
         xs[got] = x[ok]
         ys[got] = y[ok]
@@ -540,10 +540,9 @@ def _arc_points(
     x: float, arc: Tuple[float, float], resolution: int
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """(length, xs, ys): the midpoints of ``resolution`` equal cells of the
-    fiber arc from y1 to y2 (read as a circle arc) at x, and its length."""
-    y1, y2 = arc
-    length = y2 - y1 if y2 > y1 else y2 - y1 + 1.0
-    ys = vfrac(y1 + length * (np.arange(resolution) + 0.5) / resolution)
+    fiber arc at x (``arc_length``), and its length."""
+    length = arc_length(arc)
+    ys = vfrac(arc[0] + length * (np.arange(resolution) + 0.5) / resolution)
     return length, np.full(resolution, frac(x)), ys
 
 
@@ -660,8 +659,10 @@ def hitting_complement_measure(
 
     stops = np.concatenate(_map(column_stops, range(0, grid, span), workers))
     ks, mat = _coeffs_at_stops(f, osc, xs, stops)
-    ky = np.exp(2j * np.pi * np.outer(ks, ys))
-    sup = np.abs(mat.T @ ky).max(axis=1)
+    sup = np.concatenate([
+        np.abs(v).max(axis=1)
+        for v in grid_blocks(ks, mat, real=False, y_size=y_resolution)
+    ])
     return 1.0 - int(np.count_nonzero(sup > C)) / grid
 
 

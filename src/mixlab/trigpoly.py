@@ -11,10 +11,11 @@ c_{-m} = conj(c_m) (coefficientwise across both indices for the fibered
 type); evaluation then returns the real part.  Violations raise at
 construction time, so downstream code can trust the flag.
 
-``FiberedTrigPoly.at`` is the one evaluator on orbit points: it takes the
+``FiberedTrigPoly.at`` is the one evaluator on torus points: it takes the
 exact numerators of ``phases.PhaseNumerators`` and reduces every phase
-m x + k y mod 1 before its single rounding.  ``evaluate`` and
-``evaluate_complex`` take float points and serve grids and algebra.
+m x + k y mod 1 before its single rounding; ``evaluate`` is ``at`` on
+float points.  Lattices go through ``skewshift.grid_blocks`` and circle
+points through ``TrigPoly1D.evaluate_complex``.
 """
 
 from __future__ import annotations
@@ -185,18 +186,13 @@ class FiberedTrigPoly:
 
     # ---- evaluation ------------------------------------------------------------
 
-    def evaluate_complex(self, x, y):
-        """Complex values at the points (x, y), broadcast; scalars give a
-        numpy scalar."""
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        out = np.zeros(x.shape, dtype=complex)
-        for k, p in self.fiber.items():
-            out += p.evaluate_complex(x) * np.exp(2j * np.pi * k * y)
-        return out[()]
-
     def evaluate(self, x, y):
-        v = self.evaluate_complex(x, y)
-        return v.real if self.real else v
+        """Values at the float points (x, y), broadcast: ``at`` on their
+        exact numerators.  A real poly gives floats; a scalar point gives
+        a numpy scalar."""
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        ph = PhaseNumerators(0.0, 0.0, np.atleast_1d(x), np.atleast_1d(y))
+        return self.at(ph, *ph.orbit(0))[0].reshape(shape)[()]
 
     @cached_property
     def independent_modes(self) -> tuple:

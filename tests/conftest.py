@@ -25,6 +25,11 @@ settings.load_profile("mixlab")
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def binom2(j: int) -> int:
+    """j*(j-1)/2 for any integer j, negative indices included."""
+    return j * (j - 1) // 2
+
+
 def frac_exact(terms) -> float:
     """(sum of k*v) mod 1 for integer k and float v, in exact rationals,
     rounded once: the reference of the library's integer phase numerators."""
@@ -38,7 +43,7 @@ def theta_exact(label, f, j: int) -> float:
     """theta_j mod 1 of the block ``label`` of f, from ``frac_exact``:
     alpha (m j + n binom(j, 2)) + beta (n j)."""
     return frac_exact([
-        (label.m * j + label.n * (j * (j - 1) // 2), f.alpha),
+        (label.m * j + label.n * binom2(j), f.alpha),
         (label.n * j, f.beta),
     ])
 
@@ -110,6 +115,17 @@ def birkhoff_grid(f, phi: FiberedTrigPoly, n: int, grid: int) -> np.ndarray:
     ky = np.exp(2j * np.pi * np.outer(ks, ys))
     vals = mats[n].T @ ky
     return vals.real if phi.real else vals
+
+
+def dense_evaluate_complex(phi: FiberedTrigPoly, x, y):
+    """Complex values of phi at the float points (x, y), broadcast, from a
+    float product of one e(k y) per fiber and point: the dense reference
+    of ``FiberedTrigPoly.evaluate`` and of lattice evaluation."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    out = np.zeros(x.shape, dtype=complex)
+    for k, p in phi.fiber.items():
+        out += p.evaluate_complex(x) * np.exp(2j * np.pi * k * y)
+    return out
 
 
 def sublevel_measure(samples: np.ndarray, C: float) -> SublevelEstimate:

@@ -11,7 +11,13 @@ import math
 
 import numpy as np
 
-from conftest import GOLDEN, birkhoff_grid, circle_dist, sublevel_measure
+from conftest import (
+    GOLDEN,
+    birkhoff_grid,
+    circle_dist,
+    dense_evaluate_complex,
+    sublevel_measure,
+)
 from mixlab import cohomology
 from mixlab.cli import bundled_roof_path, main
 from mixlab.cohomology import (
@@ -114,9 +120,11 @@ def test_c02_coboundary_round_trip():
                 abs(u_out.coeffs.get(j, 0.0) - u_in.coeffs.get(j, 0.0)),
             )
         fu = u_out.as_fibered()
-        residual = fu.evaluate_complex(
-            (X + f.alpha) % 1.0, (Y + X + f.beta) % 1.0
-        ) - fu.evaluate_complex(X, Y) - phi.as_fibered().evaluate_complex(X, Y)
+        residual = dense_evaluate_complex(
+            fu, (X + f.alpha) % 1.0, (Y + X + f.beta) % 1.0
+        ) - dense_evaluate_complex(fu, X, Y) - dense_evaluate_complex(
+            phi.as_fibered(), X, Y
+        )
         worst_pw = max(worst_pw, float(np.max(np.abs(residual))))
     report(
         2, "coboundary round-trip",

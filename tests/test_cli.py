@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mixlab import specialflow
 from mixlab.cli import bundled_roof_path, main
+from mixlab.skewshift import load_roof
 
 
 def run(tmp_path, *argv):
@@ -171,6 +172,32 @@ def test_fiber_profile_runs(tmp_path, roofs):
     assert code == 0
     lines = read(out / "fiber_profile.csv").decode().splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_fiber_profile_wrapping_arc(tmp_path, roofs):
+    # the arc from 0.85 to 0.15 wraps past 1: it is 0.3 long, and its
+    # cells in [0.1, 0.15) start inside the cube
+    code, out = run(
+        tmp_path, "fiber-profile", "--roof", roofs["example1"],
+        "--x", "0.3", "--arc", "0.85,0.15", "--cube", "0.2,0.6,0.1,0.7,0.5",
+        "--t", "0",
+    )
+    assert code == 0
+    lines = read(out / "fiber_profile.csv").decode().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(0.05, abs=0.3 / 256)
+    doc = json.loads(read(out / "fiber-profile_summary.json"))
+    _, phi = load_roof(roofs["example1"])
+    mu = 0.4 * 0.6 * 0.5 / phi.mean()
+    assert doc["target"] == pytest.approx(0.3 * mu, rel=1e-12)
+
+
+def test_fiber_profile_arc_outside_the_fiber_exits_2(tmp_path, roofs, capsys):
+    code = exit_code(
+        tmp_path, "fiber-profile", "--roof", roofs["example1"], "--x", "0.3",
+        "--arc=-0.5,0.9", "--cube", "0.2,0.6,0.1,0.7,0.5", "--t", "1",
+    )
+    assert code == 2
+    assert "arc endpoints must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_conjugacy_cli(tmp_path, roofs):

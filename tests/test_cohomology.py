@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN,
     birkhoff_grid,
     coboundary_roof,
+    dense_evaluate_complex,
     mixing_example_roof,
     theta_exact,
 )
@@ -20,6 +23,7 @@ from mixlab.cohomology import (
     ConvergentTimes,
     OrbitLabel,
     classify_roof,
+    coboundary_residual,
     convergent_times,
     decompose_components,
     ergodic_sum_l2,
@@ -33,6 +37,7 @@ from mixlab.skewshift import (
     TorusPoint,
     midgrid,
     project,
+    skew_coboundary,
 )
 from mixlab.trigpoly import FiberedTrigPoly
 
@@ -231,6 +236,60 @@ def test_solver_output_satisfies_difference_equation_pointwise():
     ) - fu.evaluate(X, Y)
     rhs = fphi.evaluate(X, Y)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+def _random_poly(rng, shape: str, real: bool) -> FiberedTrigPoly:
+    """Random modes of x alone, of y alone, or over many fibers; a real
+    poly takes every picked mode with its conjugate."""
+    ms, ks = {"x": (5, 0), "y": (0, 5), "fibers": (3, 4)}[shape]
+    support = [(m, k) for m in range(-ms, ms + 1) for k in range(-ks, ks + 1)]
+    modes = {}
+    for i in rng.choice(len(support), size=rng.integers(1, 8), replace=False):
+        m, k = support[i]
+        c = complex(*rng.normal(size=2))
+        if real:
+            c = c.real if (m, k) == (0, 0) else c
+            modes[(-m, -k)] = c.conjugate()
+        modes[(m, k)] = c
+    return FiberedTrigPoly.from_modes(modes, real=real)
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    shape=st.sampled_from(["x", "y", "fibers"]),
+    real=st.booleans(),
+)
+@settings(max_examples=60)
+def test_coboundary_residual_is_the_lattice_sup(seed, shape, real):
+    rng = np.random.default_rng(seed)
+    f = SkewShift(float(rng.random()), float(rng.random()))
+    u, phi = _random_poly(rng, shape, real), _random_poly(rng, shape, real)
+    mean = float(rng.normal())
+    residual = skew_coboundary(u, f) - (phi + FiberedTrigPoly.constant(-mean))
+    xs = midgrid(128)
+    vals = dense_evaluate_complex(residual, xs[:, None], xs[None, :])
+    want = np.max(np.abs(vals.real if real else vals))
+    got = coboundary_residual(f, u, phi, mean)
+    assert abs(got - want) <= 1e-12 * residual.sup_bound()
+
+
+def test_coboundary_residual_zero_and_one_wrong_mode():
+    f = SkewShift(GOLDEN, 0.3)
+    u = FiberedTrigPoly.from_modes(
+        {(0, 1): 0.5, (0, -1): 0.5, (2, -1): 0.2 - 0.1j, (-2, 1): 0.2 + 0.1j},
+        real=True,
+    )
+    phi = skew_coboundary(u, f) + FiberedTrigPoly.constant(3.0)
+    assert coboundary_residual(f, u, phi, 3.0) == 0.0
+    assert coboundary_residual(
+        f, FiberedTrigPoly({}, real=True), FiberedTrigPoly.constant(3.0), 3.0
+    ) == 0.0
+    c = 0.05 + 0.02j
+    wrong = FiberedTrigPoly.from_modes({(3, 2): c, (-3, -2): c.conjugate()},
+                                       real=True)
+    assert coboundary_residual(f, u + wrong, phi, 3.0) >= abs(c)
+    one = FiberedTrigPoly.from_modes({(3, 2): c})
+    assert coboundary_residual(f, u + one, phi, 3.0) >= abs(c)
 
 
 # ---------------------------------------------------------------- classifier

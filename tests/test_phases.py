@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import frac_exact, theta_exact
+from conftest import binom2, frac_exact, theta_exact
 from mixlab.cohomology import (
     ComponentSpectrum,
     OrbitLabel,
@@ -17,7 +17,7 @@ from mixlab.cohomology import (
     evaluate_distribution,
 )
 from mixlab.errors import SmallDivisor
-from mixlab.phases import PhaseNumerators, binom2, frac
+from mixlab.phases import PhaseNumerators, frac
 from mixlab.skewshift import SkewShift, TorusPoint, birkhoff_sum, rotation_transfer
 from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
 

@@ -17,6 +17,7 @@ from conftest import (
     birkhoff_oracle,
     circle_dist,
     coboundary_roof,
+    dense_evaluate_complex,
     mixing_example_roof,
     orbit_exact,
     sublevel_measure,
@@ -27,6 +28,7 @@ from mixlab.phases import PhaseNumerators
 from mixlab.skewshift import (
     SkewShift,
     TorusPoint,
+    arc_length,
     birkhoff_sum,
     fiber_coefficients,
     fiber_coefficients_on_grid,
@@ -309,6 +311,19 @@ def test_grid_blocks_hold_whole_rows_of_at_least_two(monkeypatch):
     assert rows(3) == [3] and rows(2) == [2]
 
 
+def test_grid_blocks_stream_a_rectangular_lattice():
+    # the per-x sups of hitting: 3000 x-rows and 64 y-points, in blocks of
+    # 1024 rows, bit for bit as the whole-lattice product gives them
+    rng = np.random.default_rng(8)
+    ks = np.array([-3, -1, 2, 5])
+    mat = rng.normal(size=(4, 3000)) + 1j * rng.normal(size=(4, 3000))
+    blocks = list(grid_blocks(ks, mat, False, 64))
+    assert [b.shape for b in blocks] == [(1024, 64)] * 2 + [(952, 64)]
+    sup = np.concatenate([np.abs(b).max(axis=1) for b in blocks])
+    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(64)))
+    assert np.array_equal(sup, np.abs(mat.T @ ky).max(axis=1))
+
+
 # ------------------------------------------------------------- decoupling
 
 
@@ -341,6 +356,18 @@ def test_stretch_examples():
     sin_y = FiberedTrigPoly.from_modes({(0, 1): -0.5j, (0, -1): 0.5j}, real=True)
     assert abs(stretch(f, sin_y, 0.42, (0.0, 1.0), 1) - 2.0) < 1e-9
     assert abs(stretch(f, sin_y, 0.0, (0.0, 1.0), 2) - 4.0) < 1e-9
+
+
+def test_arc_length_one_convention():
+    assert arc_length((0.2, 0.6)) == 0.6 - 0.2
+    assert arc_length((0.85, 0.15)) == 0.15 - 0.85 + 1.0     # wraps past 1
+    assert arc_length((0.4, 0.4)) == 1.0 and arc_length((0.0, 1.0)) == 1.0
+    f = SkewShift(GOLDEN, 0.0)
+    for arc in [(-0.5, 0.9), (0.1, 1.5), (math.nan, 0.2)]:
+        with pytest.raises(ValueError, match="arc endpoints"):
+            arc_length(arc)
+        with pytest.raises(ValueError, match="arc endpoints"):
+            stretch(f, mixing_example_roof(), 0.3, arc, 5)
 
 
 def test_stretch_on_subarc_and_derivative_bound():
@@ -495,8 +522,9 @@ def test_sublevel_measure_preservation_surrogate():
     comp = g.compose_skew(f.alpha, f.beta)
     xs = midgrid(512)
     for C in (0.2, 0.5, 1.0):
-        a = sublevel_measure(g.evaluate_complex(xs[:, None], xs[None, :]), C)
-        b = sublevel_measure(comp.evaluate_complex(xs[:, None], xs[None, :]), C)
+        X, Y = xs[:, None], xs[None, :]
+        a = sublevel_measure(dense_evaluate_complex(g, X, Y), C)
+        b = sublevel_measure(dense_evaluate_complex(comp, X, Y), C)
         assert abs(a.value - b.value) <= 2 * (a.error + b.error) + 1e-12
 
 

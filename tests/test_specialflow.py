@@ -12,6 +12,7 @@ from conftest import (
     circle_dist,
     coboundary_roof,
     dense_certify_bounds,
+    dense_evaluate_complex,
     mixing_example_roof,
     orbit_exact,
 )
@@ -110,10 +111,11 @@ def test_roof_independent_modes_match_evaluate():
     ph = PhaseNumerators(GOLDEN, 0.3, xs, ys)
     xn, yn = ph.orbit(np.zeros(500, dtype=np.int64))
     vals = roof.phi.at(ph, xn, yn)[0]
-    assert np.allclose(vals, roof.phi.evaluate(xs, ys), rtol=0, atol=1e-14)
+    want = dense_evaluate_complex(roof.phi, xs, ys).real
+    assert np.allclose(vals, want, rtol=0, atol=1e-14)
     # one fiber alone is a complex poly: one e(theta) per mode
     fiber = FiberedTrigPoly({1: roof.phi.c(1)})
-    want = fiber.evaluate_complex(xs, ys)
+    want = dense_evaluate_complex(fiber, xs, ys)
     assert np.allclose(fiber.at(ph, xn, yn)[0], want, rtol=0, atol=1e-14)
     _, terms = certify_roof(mixing_example_roof()).phi.independent_modes
     assert len(terms) == 1    # one sin

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixlab.phases import PhaseNumerators
 from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
 
 
@@ -39,6 +40,37 @@ def test_fibered_evaluate_and_mean():
     assert phi.mean() == 2.0
     assert phi.degree_y == 1
     assert phi.max_freq_x == 0
+
+
+def test_evaluate_is_at_on_float_points():
+    rng = np.random.default_rng(11)
+    modes = {
+        (m, k): complex(*rng.normal(size=2))
+        for m in range(-3, 4) for k in range(-2, 3)
+    }
+    sym = {
+        (m, k): 0.5 * (c + modes[(-m, -k)].conjugate())
+        for (m, k), c in modes.items()
+    }
+    # 1e-20 needs a common denominator past 2^64
+    xs = np.append(rng.random(6), 1e-20)
+    ys, ys7 = rng.random(5), rng.random(7)
+    for phi in (FiberedTrigPoly.from_modes(sym, real=True),
+                FiberedTrigPoly.from_modes(modes)):
+
+        def at(x, y):
+            """``at`` on the one point (x, y), a lane of its own."""
+            ph = PhaseNumerators(0.0, 0.0, [x], [y])
+            return phi.at(ph, *ph.orbit(0))[0, 0]
+
+        v = phi.evaluate(xs[0], ys[0])
+        assert isinstance(v, np.generic) and v == at(xs[0], ys[0])
+        line = phi.evaluate(xs, ys7)
+        assert np.array_equal(line, [at(x, y) for x, y in zip(xs, ys7)])
+        lattice = phi.evaluate(xs[:, None], ys[None, :])
+        assert lattice.shape == (7, 5) and lattice.dtype == line.dtype
+        assert np.array_equal(lattice, [[at(x, y) for y in ys] for x in xs])
+        assert (line.dtype == float) == phi.real
 
 
 def test_algebra_and_norms():
