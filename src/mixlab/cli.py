@@ -234,8 +234,7 @@ def cmd_correlate(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
     roof = specialflow.certify_roof(phi)
-    c = args.cube
-    cube = specialflow.Cube(c[0], c[1], c[2], c[3], c[4])
+    cube = specialflow.Cube(*args.cube)
     ests = specialflow.correlate_cubes(
         roof, f, cube, cube, args.t, args.samples, args.seed, workers=args.workers
     )
@@ -260,8 +259,7 @@ def cmd_fiber_profile(args) -> int:
     arc = (args.arc[0], args.arc[1])
     length = skewshift.arc_length(arc)
     roof = specialflow.certify_roof(phi)
-    c = args.cube
-    cube = specialflow.Cube(c[0], c[1], c[2], c[3], c[4])
+    cube = specialflow.Cube(*args.cube)
     rows = []
     for t in args.t:
         val = specialflow.fiber_mixing_profile(

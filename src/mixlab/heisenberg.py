@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSection, NonPositiveTimeChange
+from .errors import DegenerateSection
 from .phases import frac
 
 
@@ -264,50 +264,3 @@ def poincare_return_numeric(
     if xs.ndim == 0:
         return SectionReturn(float(land_x), float(land_z), t_star)
     return SectionReturn(land_x, land_z, t_star)
-
-
-def timechange_return_time(
-    alpha_fn: Callable[[NilPoint], float],
-    w: AlgebraVector,
-    x: float,
-    z: float,
-    tol: float = 1e-10,
-    lattice: Lattice = Lattice(1),
-) -> float:
-    """Section return time of the flow rescaled by the density ``alpha_fn``.
-
-    Equals the integral of alpha_fn along the unit-speed orbit from
-    j(x, z) over one return interval [0, 1/w_y], evaluated by adaptive
-    composite Simpson quadrature to absolute tolerance ``tol``.
-    """
-    if w.w_y == 0.0:
-        raise DegenerateSection("w_y = 0: generator is tangent to the section")
-    start = section_point(x, z, lattice)
-
-    def f(t: float) -> float:
-        v = alpha_fn(nilflow_at(start, w, t))
-        if v <= 0.0:
-            raise NonPositiveTimeChange(f"alpha({t}) = {v} <= 0")
-        return v
-
-    a, b = 0.0, 1.0 / w.w_y
-
-    def simpson(fa, fm, fb, a_, b_):
-        return (b_ - a_) * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(a_, b_, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a_, m)
-        right = simpson(fm, frm, fb, m, b_)
-        if depth > 48 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a_, m, fa, flm, fm, left, 0.5 * eps, depth + 1) + recurse(
-            m, b_, fm, frm, fb, right, 0.5 * eps, depth + 1
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(fa, fm, fb, a, b)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)

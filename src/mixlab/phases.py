@@ -70,11 +70,12 @@ class PhaseNumerators:
     no bit.  For K > 64 the same expressions run on object arrays of Python
     integers.
 
-    Scalar x and y give one base point; arrays give L lanes, stored as a
+    The base points are L lanes (L = 1 for scalar x and y), stored as a
     row of shape (1, L).  ``orbit`` of a block of steps shared by all
     lanes, a column j of shape (B, 1), then has shape (B, L), each row one
     step of every lane; ``orbit`` of one index per lane, j of shape (L,),
-    has shape (1, L).  A non-finite alpha, beta, x or y raises ValueError.
+    or of a scalar j, has shape (1, L).  A non-finite alpha, beta, x or y
+    raises ValueError.
     """
 
     def __init__(self, alpha: float, beta: float, x=0.0, y=0.0):
@@ -101,13 +102,12 @@ class PhaseNumerators:
         self.k = k
         self.dtype = np.dtype(np.uint64) if k <= 64 else np.dtype(object)
         self._mask = self._int((1 << k) - 1)
-        self._a, self._b = nums[0], nums[1]
-        if x.ndim == 0:
-            self._x, self._y = nums[2], nums[3]
-        else:
-            lanes = x.size
-            self._x = nums[2 : 2 + lanes].reshape(1, lanes)
-            self._y = nums[2 + lanes :].reshape(1, lanes)
+        # numerators are arrays, never numpy scalars: scalar uint64
+        # arithmetic warns on the wrap that arrays take silently
+        self._a, self._b = nums[:1], nums[1:2]
+        lanes = x.size
+        self._x = nums[2 : 2 + lanes].reshape(1, lanes)
+        self._y = nums[2 + lanes :].reshape(1, lanes)
         # uint64 / float(2^K) rounds once, in the conversion to float; a
         # Python int / int is correctly rounded and cannot overflow.
         self._scale = float(1 << k) if k <= 64 else 1 << k

@@ -84,18 +84,10 @@ class Roof:
 # relaxed.
 _CERTIFY_BUDGET = 2.5e8
 
-# _grid_extrema evaluates every _COARSE_STRIDE-th y-row first, then bounds
-# the rows between _COARSE_SPAN coarse rows at a time.  It evaluates about
-# _CERTIFY_CHUNK complex grid values per product, in products of a
-# multiple of _ALIGN rows or in the tails of blocks of _DENSE_BLOCK values,
-# so that every value is rounded as in a whole-grid evaluation in such
-# blocks (the certificate, and every sample stream scaled by it, is fixed
-# by that evaluation).
+# _grid_extrema evaluates every _COARSE_STRIDE-th x-row first, then bounds
+# the rows between _COARSE_SPAN coarse rows at a time.
 _COARSE_STRIDE = 32
 _COARSE_SPAN = 2 ** 14
-_CERTIFY_CHUNK = 2 ** 18
-_ALIGN = 16
-_DENSE_BLOCK = 2 ** 22
 
 
 def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
@@ -105,12 +97,12 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
     (L = 2 pi sum |freq| |c|); the per-axis grid is sized so the combined
     slack meets ``slack_target``, relaxed by doubling when that would
     exceed the grid budget; the Roof records both the target and the
-    slack achieved.  The grid's extrema are exact, but only the y-rows
-    that can hold them are evaluated: every 32nd row, then the rows whose
-    Lipschitz bound from those reaches past their extrema.  Raises
-    NonPositiveRoof when the certified lower bound is not positive, and
-    ValueError when even the coarsest grid the frequencies allow exceeds
-    the budget.
+    slack achieved.  The grid values are those of ``grid_blocks``, and
+    their extrema are exact, but only the x-rows that can hold them are
+    evaluated: every 32nd row, then the rows whose Lipschitz bound in x
+    from those reaches past their extrema.  Raises NonPositiveRoof when
+    the certified lower bound is not positive, and ValueError when even
+    the coarsest grid the frequencies allow exceeds the budget.
     """
     if not phi.real:
         raise ValueError("roof must be real-flagged")
@@ -135,7 +127,7 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         target *= 2.0
         gx, gy = grids(target)
 
-    lo, hi = _grid_extrema(phi, gx, gy, lip_y)
+    lo, hi = _grid_extrema(phi, gx, gy, lip_x)
     slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
     cmin, cmax = lo - slack, hi + slack
     if cmin <= 0.0:
@@ -146,59 +138,35 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
 
 
 def _grid_extrema(
-    phi: FiberedTrigPoly, gx: int, gy: int, lip_y: float
+    phi: FiberedTrigPoly, gx: int, gy: int, lip_x: float
 ) -> Tuple[float, float]:
-    """Min and max of the real roof over the gx x gy midpoint grid, bit for
-    bit as one evaluation of the whole grid gives them, from the y-rows
-    that can hold them.
+    """Min and max of the real roof over the gx x gy midpoint lattice of
+    ``grid_blocks``, from the x-rows that can hold them.
 
-    Every _COARSE_STRIDE-th row is evaluated first.  Along a column the
-    roof moves by at most lip_y |y - y'|, so the extrema of every other
+    Every _COARSE_STRIDE-th x-row is evaluated first.  Along a y-column
+    the roof moves by at most lip_x |x - x'|, so the extrema of every other
     row lie within that of those of the coarse rows on either side (past
-    the last coarse row, row 0 one period up); only the rows whose bounds
+    the last coarse row, row 0 one period on); only the rows whose bounds
     reach past the coarse extrema are evaluated.
     """
     xs = midgrid(gx)
     ks = sorted(phi.fiber.keys())
     coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])   # (n_k, gx)
-    ys = midgrid(gy)
-    # Grid values are columns of one matrix product, and BLAS rounds the
-    # columns past the last multiple of its kernel width through other
-    # kernels.  Each row gets the value a whole-grid evaluation in blocks of
-    # `dense` rows gives it: a row among the last (block size mod 16) rows
-    # of its block is evaluated with that whole tail, and every other row
-    # in a product of a multiple of 16 rows.
-    dense = min(gy, _DENSE_BLOCK // gx + 1)
-    per = max(_ALIGN, _CERTIFY_CHUNK // gx // _ALIGN * _ALIGN)
-
-    def values(rows: np.ndarray) -> np.ndarray:
-        phase = np.exp(2j * np.pi * np.outer(ks, ys[rows]))
-        return (coeff.T @ phase).real                       # (gx, rows)
 
     def row_extrema(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Min and max of the roof over the x-grid on each given y-row."""
-        low, high = np.empty(rows.size), np.empty(rows.size)
-        start = rows - rows % dense
-        end = np.minimum(start + dense, gy)
-        tail = start + (end - start) // _ALIGN * _ALIGN
-        in_tail = rows >= tail
-        for t0, t1 in set(zip(tail[in_tail].tolist(), end[in_tail].tolist())):
-            vals = values(np.arange(t0, t1))
-            pick = np.flatnonzero(in_tail & (tail == t0))
-            low[pick] = vals.min(axis=0)[rows[pick] - t0]
-            high[pick] = vals.max(axis=0)[rows[pick] - t0]
-        rest = np.flatnonzero(~in_tail)
-        for b in range(0, rest.size, per):
-            pick = rest[b : b + per]
-            # repeat rows up to a multiple of _ALIGN
-            padded = np.resize(rows[pick], -(-pick.size // _ALIGN) * _ALIGN)
-            vals = values(padded)[:, : pick.size]
-            low[pick] = vals.min(axis=0)
-            high[pick] = vals.max(axis=0)
-        return low, high
+        """Min and max of the roof over the y-grid on each given x-row."""
+        # a lone row goes twice: a one-row product rounds differently
+        cols = coeff[:, np.resize(rows, max(2, rows.size))]
+        low, high = [], []
+        for vals in grid_blocks(ks, cols, True, gy):
+            low.append(vals.min(axis=1))
+            high.append(vals.max(axis=1))
+        n = rows.size
+        return np.concatenate(low)[:n], np.concatenate(high)[:n]
 
     S = _COARSE_STRIDE
-    row_lo, row_hi = row_extrema(np.arange(0, gy, S))
+    coarse = np.arange(0, gx, S)
+    row_lo, row_hi = row_extrema(coarse)
     lo, hi = float(row_lo.min()), float(row_hi.max())
     row_lo = np.append(row_lo, row_lo[0])
     row_hi = np.append(row_hi, row_hi[0])
@@ -206,10 +174,10 @@ def _grid_extrema(
     scale = phi.sup_bound()
     margin = 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * scale + 1e-12
     r = np.arange(S)                  # row offsets past each coarse row
-    step = lip_y / gy
-    for b0 in range(0, row_lo.size - 1, _COARSE_SPAN):
-        b = np.arange(b0, min(b0 + _COARSE_SPAN, row_lo.size - 1))[:, None]
-        span = np.minimum(gy - b * S, S)          # rows up to the next one
+    step = lip_x / gx
+    for b0 in range(0, coarse.size, _COARSE_SPAN):
+        b = np.arange(b0, min(b0 + _COARSE_SPAN, coarse.size))[:, None]
+        span = np.minimum(gx - b * S, S)          # rows up to the next one
         up, down = step * r, step * (span - r)
         low = np.maximum(row_lo[b] - up, row_lo[b + 1] - down)
         high = np.minimum(row_hi[b] + up, row_hi[b + 1] + down)

@@ -14,8 +14,9 @@ construction time, so downstream code can trust the flag.
 ``FiberedTrigPoly.at`` is the one evaluator on torus points: it takes the
 exact numerators of ``phases.PhaseNumerators`` and reduces every phase
 m x + k y mod 1 before its single rounding; ``evaluate`` is ``at`` on
-float points.  Lattices go through ``skewshift.grid_blocks`` and circle
-points through ``TrigPoly1D.evaluate_complex``.
+float points.  Lattices, the Birkhoff-sum grids and the roof
+certification grid alike, go through ``skewshift.grid_blocks``, and
+circle points through ``TrigPoly1D.evaluate_complex``.
 """
 
 from __future__ import annotations

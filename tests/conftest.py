@@ -2,16 +2,26 @@
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mixlab.heisenberg import SectionReturn, nilflow_at, section_point
+from mixlab.errors import DegenerateSection, NonPositiveTimeChange
+from mixlab.heisenberg import (
+    AlgebraVector,
+    Lattice,
+    NilPoint,
+    SectionReturn,
+    nilflow_at,
+    section_point,
+)
 from mixlab.skewshift import (
     SublevelEstimate,
     TorusPoint,
     fiber_coefficients_on_grid,
+    grid_blocks,
     midgrid,
 )
 from mixlab.specialflow import _CERTIFY_BUDGET
@@ -184,6 +194,31 @@ def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
     return lo - slack, hi + slack, slack
 
 
+def certify_grid(phi: FiberedTrigPoly, slack_target: float = 1e-3):
+    """(gx, gy): the grid ``certify_roof`` sizes for phi and the target."""
+    lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
+    lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
+    target = slack_target
+    while True:
+        gx = max(16, 8 * phi.max_freq_x, math.ceil(lip_x / target))
+        gy = max(16, 8 * phi.degree_y, math.ceil(lip_y / target))
+        if gx * gy <= _CERTIFY_BUDGET:
+            return gx, gy
+        target *= 2.0
+
+
+def lattice_bounds(phi: FiberedTrigPoly, gx: int, gy: int, stride: int = 1):
+    """(min, max) of a real roof over every stride-th x-row of the gx x gy
+    midpoint lattice, as ``grid_blocks`` evaluates them: the all-rows
+    reference of the pruned certificate."""
+    ks = sorted(phi.fiber.keys())
+    coeff = np.array([phi.c(k).evaluate_complex(midgrid(gx)) for k in ks])
+    lo, hi = math.inf, -math.inf
+    for vals in grid_blocks(ks, coeff[:, ::stride], True, gy):
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    return lo, hi
+
+
 def bisect_return_per_point(w, x, z, lattice, time_tol=1e-12) -> SectionReturn:
     """Section return of one point by marching and bisecting its own
     y-crossing with full ``nilflow_at`` steps; no step uses the fact that
@@ -214,6 +249,54 @@ def bisect_return_per_point(w, x, z, lattice, time_tol=1e-12) -> SectionReturn:
             lo = mid
     landed = nilflow_at(start, w, hi).g
     return SectionReturn(landed.x, landed.z, hi)
+
+
+def timechange_return_time(
+    alpha_fn: Callable[[NilPoint], float],
+    w: AlgebraVector,
+    x: float,
+    z: float,
+    tol: float = 1e-10,
+    lattice: Lattice = Lattice(1),
+) -> float:
+    """Section return time of the flow rescaled by the density ``alpha_fn``.
+
+    Equals the integral of alpha_fn along the unit-speed orbit from
+    j(x, z) over one return interval [0, 1/w_y], evaluated by adaptive
+    composite Simpson quadrature to absolute tolerance ``tol``: the
+    quadrature reference for time-changed return times.
+    """
+    if w.w_y == 0.0:
+        raise DegenerateSection("w_y = 0: generator is tangent to the section")
+    start = section_point(x, z, lattice)
+
+    def f(t: float) -> float:
+        v = alpha_fn(nilflow_at(start, w, t))
+        if v <= 0.0:
+            raise NonPositiveTimeChange(f"alpha({t}) = {v} <= 0")
+        return v
+
+    a, b = 0.0, 1.0 / w.w_y
+
+    def simpson(fa, fm, fb, a_, b_):
+        return (b_ - a_) * (fa + 4.0 * fm + fb) / 6.0
+
+    def recurse(a_, b_, fa, fm, fb, whole, eps, depth):
+        m = 0.5 * (a_ + b_)
+        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
+        flm, frm = f(lm), f(rm)
+        left = simpson(fa, flm, fm, a_, m)
+        right = simpson(fm, frm, fb, m, b_)
+        if depth > 48 or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(a_, m, fa, flm, fm, left, 0.5 * eps, depth + 1) + recurse(
+            m, b_, fm, frm, fb, right, 0.5 * eps, depth + 1
+        )
+
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    whole = simpson(fa, fm, fb, a, b)
+    return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
 @pytest.fixture

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bisect_return_per_point, circle_dist, orbit_exact
+from conftest import (
+    bisect_return_per_point,
+    circle_dist,
+    orbit_exact,
+    timechange_return_time,
+)
 from mixlab.errors import DegenerateSection, NonPositiveTimeChange
 from mixlab.heisenberg import (
     AlgebraVector,
@@ -20,7 +25,6 @@ from mixlab.heisenberg import (
     poincare_return_numeric,
     reduce_mod_lattice,
     section_point,
-    timechange_return_time,
 )
 from mixlab.skewshift import SkewShift, TorusPoint
 

@@ -67,7 +67,7 @@ def test_phase_numerators_match_fractions(alpha, beta, m, k, js):
 def test_phase_numerators_orbit_matches_fractions(alpha, beta, x, y, js):
     ph = PhaseNumerators(alpha, beta, x, y)
     assert (ph.dtype == np.uint64) == (ph.k <= 64)
-    xs, ys = ph.orbit(np.array(js, dtype=np.int64))
+    xs, ys = (v[0] for v in ph.orbit(np.array(js, dtype=np.int64)))  # (1, B)
     ux, uy = ph.to_unit(xs), ph.to_unit(ys)
     a, b, x0, y0 = Fraction(alpha), Fraction(beta), Fraction(x), Fraction(y)
     for i, j in enumerate(js):
@@ -124,6 +124,24 @@ def test_square_lane_block_keeps_its_axes():
     assert bx.shape == (4, 4) and lx.shape == (1, 4)
     assert np.array_equal(np.diag(bx), lx[0])
     assert np.array_equal(ph.to_unit(bx[0]), xs)       # step 0 of every lane
+
+
+def test_scalar_base_point_is_one_lane():
+    # a scalar base point is stored as one lane, so its numerators wrap
+    # mod 2^64 silently, as arrays do, and not with a scalar-overflow
+    # warning (the suite turns that into an error)
+    ph = PhaseNumerators(0.1, 0.2, 0.3, 0.7)
+    j = 12345
+    xn, yn = ph.orbit(j)
+    assert xn.shape == yn.shape == (1, 1)
+    a, b, x0, y0 = (Fraction(v) for v in (0.1, 0.2, 0.3, 0.7))
+    assert Fraction(int(xn[0, 0]), 2 ** ph.k) == (x0 + j * a) % 1
+    assert Fraction(int(yn[0, 0]), 2 ** ph.k) == (
+        y0 + j * x0 + j * b + binom2(j) * a) % 1
+    val = FiberedTrigPoly.from_modes({(70, 20): 1.0}).at(ph, *ph.orbit(0))
+    assert val.shape == (1, 1)
+    theta = 2.0 * np.pi * frac_exact([(70, 0.3), (20, 0.7)])
+    assert val[0, 0] == np.exp(1j * theta)
 
 
 def test_non_finite_inputs_raise():

@@ -51,8 +51,9 @@ from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
 def orbit(f, p, j):
     """f^j(p) from the library's exact orbit numerators."""
     phases = PhaseNumerators(f.alpha, f.beta, p.x, p.y)
-    xn, yn = phases.orbit(np.array([j]))
-    return TorusPoint(float(phases.to_unit(xn)[0]), float(phases.to_unit(yn)[0]))
+    xn, yn = phases.orbit(j)                                # (1, 1)
+    return TorusPoint(float(phases.to_unit(xn)[0, 0]),
+                      float(phases.to_unit(yn)[0, 0]))
 
 
 def test_step_examples():
@@ -484,17 +485,21 @@ def test_streamed_grid_matches_dense_oracle(grid, modes, real, n, picks):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_streamed_grid_matches_dense_oracle_at_blas_threads(threads):
-    # OpenBLAS fixes its thread count when it loads, so the property runs
-    # again in a fresh process
+    # OpenBLAS fixes its thread count when it loads, so the properties run
+    # again in a fresh process: the streamed lattice, and the certificate
+    # that certify_roof takes from it
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     path = os.pathsep.join(
         p for p in (here, src, os.environ.get("PYTHONPATH")) if p
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-    code = ("import test_skewshift as t\n"
+    code = ("import test_skewshift as t, test_specialflow as s\n"
             "for grid in t._GRIDS:\n"
-            "    t.test_streamed_grid_matches_dense_oracle(grid=grid)\n")
+            "    t.test_streamed_grid_matches_dense_oracle(grid=grid)\n"
+            "s.test_certify_matches_dense_grid_on_random_roofs()\n"
+            "s.test_certify_matches_dense_grid_between_coarse_rows()\n"
+            "s.test_certify_matches_dense_grid_between_coarse_x_rows()\n")
     subprocess.run([sys.executable, "-c", code], env=env, cwd=here, check=True)
 
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import (
     GOLDEN,
     circle_dist,
+    certify_grid,
     coboundary_roof,
     dense_certify_bounds,
     dense_evaluate_complex,
+    lattice_bounds,
     mixing_example_roof,
     orbit_exact,
 )
@@ -185,6 +187,56 @@ def test_certify_matches_dense_grid_on_x_only_roofs():
         real=True,
     )
     assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
+
+
+def test_certify_matches_dense_grid_between_coarse_x_rows():
+    # the x-twin of the test above: with m = 40 and 41 the extrema fall
+    # between coarse x-rows, whose extrema alone are not the grid's
+    w = np.exp(0.3j)
+    phi = FiberedTrigPoly.from_modes(
+        {(40, 0): 0.5, (-40, 0): 0.5, (41, 2): 0.25 * w,
+         (-41, -2): 0.25 * np.conj(w), (0, 0): 3.0},
+        real=True,
+    )
+    gx, gy = certify_grid(phi, slack_target=0.05)
+    lo, hi = lattice_bounds(phi, gx, gy)
+    coarse = lattice_bounds(phi, gx, gy, stride=32)
+    assert coarse[0] > lo and coarse[1] < hi
+    want = dense_certify_bounds(phi, slack_target=0.05)
+    assert want[:2] == (lo - want[2], hi + want[2])
+    assert _certificate(certify_roof(phi, slack_target=0.05)) == want
+
+
+def test_certify_matches_dense_grid_on_y_only_roofs():
+    # lip_x = 0: every x-row bounds every other exactly; the 16 x-rows
+    # hold one coarse row, which a one-row product would round otherwise
+    phi = FiberedTrigPoly.from_modes(
+        {(0, 1): 0.25, (0, -1): 0.25, (0, 3): 0.1 - 0.2j, (0, -3): 0.1 + 0.2j,
+         (0, 5): -0.15j, (0, -5): 0.15j, (0, 0): 2.0},
+        real=True,
+    )
+    assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
+
+
+def test_certify_is_the_lattice_of_grid_blocks():
+    # a 2215 x 2555 lattice: dense_certify_bounds evaluates it in products
+    # of 1894 y-columns, and BLAS may round the trailing columns of those
+    # otherwise than in a product of all 2555 (by one ulp in the minimum
+    # on OpenBLAS 0.3.31); the certificate is the extrema of every x-row
+    # of the lattice through grid_blocks
+    a, b = complex(0.1726766135848326, 0.19264097476525105), complex(
+        -0.15017015224047664, 0.19548243676469804)
+    phi = FiberedTrigPoly.from_modes(
+        {(-3, -5): a, (3, 5): a.conjugate(), (-4, 3): b,
+         (4, -3): b.conjugate(), (0, 0): 2.5208339000683813},
+        real=True,
+    )
+    roof = certify_roof(phi, slack_target=1e-2)
+    gx, gy = certify_grid(phi, slack_target=1e-2)
+    assert (gx, gy) == (2215, 2555)
+    lo, hi = lattice_bounds(phi, gx, gy)
+    assert (roof.certified_min, roof.certified_max) == (
+        lo - roof.slack, hi + roof.slack)
 
 
 @pytest.mark.parametrize("size", [0.2501, 0.251])
