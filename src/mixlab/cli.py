@@ -280,14 +280,11 @@ def cmd_hitting(args) -> int:
     run = _Run(args)
     f, phi = _load(args)
     roof = specialflow.certify_roof(phi)
-    rows = []
-    for t in args.t:
-        val = specialflow.hitting_complement_measure(
-            roof, f, t, args.C, grid=args.grid,
-            y_resolution=args.y_resolution, workers=args.workers,
-        )
-        rows.append((t, val))
-    _write_csv(run.path("hitting.csv"), ("t", "measure"), rows)
+    vals = specialflow.hitting_complement_measures(
+        roof, f, args.t, args.C, grid=args.grid,
+        y_resolution=args.y_resolution, workers=args.workers,
+    )
+    _write_csv(run.path("hitting.csv"), ("t", "measure"), list(zip(args.t, vals)))
     run.finish(_certificate(roof))
     return 0
 

@@ -122,6 +122,14 @@ class PhaseNumerators:
         out._x, out._y = self._x[:, idx], self._y[:, idx]
         return out
 
+    def moved(self, n: np.ndarray) -> "PhaseNumerators":
+        """The same phases with each lane's base point moved to its f^n, n
+        one index per lane: the exact numerators ``orbit(n)``, so the orbit
+        from there is this one shifted by n, in the same integers."""
+        out = copy.copy(self)
+        out._x, out._y = self.orbit(n)
+        return out
+
     def _j(self, j) -> np.ndarray:
         """Integer step indices as numerator-dtype values (mod 2^64)."""
         j = np.asarray(j, dtype=np.int64)

@@ -14,13 +14,19 @@ Every flow and hit count, of one point or of many, runs one kernel
 the exact orbit numerators (``FiberedTrigPoly.at``), and a cumulative sum
 per tile finds each lane's crossing.  A lane's result does not depend on
 the other lanes, so the scalar and the many-lane paths agree bit for bit,
-and no position drifts from the exact orbit at any time.  The
+and no position drifts from the exact orbit at any time.  A climb can
+resume where an earlier one of the same lanes stopped, from the exact
+orbit numerators of f^n of each base point and the running sum Phi_n, bit
+for bit a fresh climb; the correlation and hitting estimators climb once
+through all their times this way, in ascending |t| per sign.  The
 trivial-roof conjugacy check flows all its points as lanes and reduces
 them in the constant suspension on the same exact orbits.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
-count or scheduling.
+count or scheduling.  The sampler accepts a draw below the certified roof
+minimum without evaluating the roof there, with the same decisions as
+evaluating every draw.
 """
 
 from __future__ import annotations
@@ -170,9 +176,7 @@ def _grid_extrema(
     lo, hi = float(row_lo.min()), float(row_hi.max())
     row_lo = np.append(row_lo, row_lo[0])
     row_hi = np.append(row_hi, row_hi[0])
-    # a margin far above the rounding of the values and of the bounds
-    scale = phi.sup_bound()
-    margin = 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * scale + 1e-12
+    margin = _rounding_margin(phi)
     r = np.arange(S)                  # row offsets past each coarse row
     step = lip_x / gx
     for b0 in range(0, coarse.size, _COARSE_SPAN):
@@ -189,6 +193,14 @@ def _grid_extrema(
             lo = min(lo, float(rmin.min()))
             hi = max(hi, float(rmax.max()))
     return lo, hi
+
+
+def _rounding_margin(phi: FiberedTrigPoly) -> float:
+    """A margin far above the rounding of any computed roof value, on the
+    lattice or at a point, and of the certified bounds: 1e-9 sup|Phi| per
+    unit of frequency, where those roundings are a few ulps of sup|Phi| per
+    mode and unit of frequency."""
+    return 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * phi.sup_bound() + 1e-12
 
 
 @dataclass(frozen=True)
@@ -281,6 +293,7 @@ def _climb_lanes(
     ys,
     targets,
     backward: bool = False,
+    start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(n, total) per lane: n the largest with Phi_n(x, y) < target, and
     total = Phi_n(x, y).  The step limit of a lane is int(target /
@@ -301,36 +314,53 @@ def _climb_lanes(
     drops out.  Each lane's sums are sequential and its own, so its result
     does not depend on the other lanes or on the tiling: one lane is
     ``hit_count``.
+
+    ``start`` is the (n, total) of an earlier climb of the same lanes in
+    the same direction, from which each lane resumes: its phases move to
+    f^{+-n} of its base point (``PhaseNumerators.moved``), the same
+    integers as stepping on from n, and its left fold goes on from total.
+    A fresh climb reaches the same (n, total) exactly when total is below
+    the new target (or n is 0) and n is within the new limit, so the result
+    is bit for bit that of a fresh climb; a start that fails this raises
+    ValueError.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
     _check_steps(float(np.max(targets, initial=0.0)) / roof.certified_min)
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
-    n = np.zeros(targets.shape, dtype=np.int64)
-    total = np.zeros(targets.shape)
-    for g in range(0, targets.size, _LANE_GROUP):
-        lanes = np.arange(g, min(g + _LANE_GROUP, targets.size))
+    if start is None:
+        n = np.zeros(targets.shape, dtype=np.int64)
+        total = np.zeros(targets.shape)
+    else:
+        n, total = np.array(start[0], dtype=np.int64), np.array(start[1], dtype=float)
+        if np.any(n > room) or np.any((n > 0) & (total >= targets)):
+            raise ValueError("a climb resumes only towards targets past its sums")
+    todo = np.flatnonzero(n < room)
+    for g in range(0, todo.size, _LANE_GROUP):
+        lanes = todo[g : g + _LANE_GROUP]
         phases = PhaseNumerators(f.alpha, f.beta, xs[lanes], ys[lanes])
+        if start is not None:
+            phases = phases.moved(-n[lanes] if backward else n[lanes])
         done = 0                  # steps taken by every lane still climbing
         while lanes.size:
             # no lane can cross in fewer steps than its gap to the target
             # over the roof's maximum: long tiles far from the crossings,
             # short ones near them, which saves evaluations past a crossing
             gap = float(np.min(targets[lanes] - total[lanes])) / roof.certified_max
+            left = room[lanes] - n[lanes]
             block = min(
                 _SWEEP_BLOCK // lanes.size,
                 max(_MIN_TILE, int(gap)),
-                int(room[lanes].max()) - done,
+                int(left.max()),
             )
             j = done + np.arange(block, dtype=np.int64)[:, None]
             xn, yn = phases.orbit(-1 - j if backward else j)       # (B, L)
             sums = _running_sums(total[lanes], roof.phi.at(phases, xn, yn))
-            left = room[lanes] - done
             below = np.minimum(
                 np.count_nonzero(sums[1:] < targets[lanes], axis=0), left
             )
-            n[lanes] = done + below
+            n[lanes] += below
             total[lanes] = sums[below, np.arange(lanes.size)]
             climbing = (below == block) & (left > block)
             lanes = lanes[climbing]
@@ -360,6 +390,7 @@ def _flow_lanes(
     ys: np.ndarray,
     zs: np.ndarray,
     t: float,
+    climbs: Optional[dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-t images of the points (xs, ys, zs) under the suspension flow,
     for one time t of either sign; one lane is ``flow_at``, bit for bit.
@@ -370,13 +401,20 @@ def _flow_lanes(
     smallest n with z + t + Phi(f^-1 p) + ... + Phi(f^-n p) >= 0.  Both
     take at most the step limit of ``_climb_lanes``, and the positions are
     exact orbit points rounded once.
+
+    ``climbs``, a dict the caller keeps for the same points, holds the last
+    climb of each direction: a call resumes from it and leaves its own, so
+    calls for times of one sign in ascending |t| take each step once.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     zs = np.asarray(zs, dtype=float)
+    climbs = {} if climbs is None else climbs
     phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
     if t >= 0:
         target = zs + t
-        n, total = _climb_lanes(roof, f, xs, ys, target)
+        n, total = climbs[False] = _climb_lanes(
+            roof, f, xs, ys, target, start=climbs.get(False)
+        )
         z = target - total
         xn, yn = phases.orbit(n)
         tie = z >= roof.phi.at(phases, xn, yn)[0]
@@ -385,7 +423,9 @@ def _flow_lanes(
             z = np.where(tie, 0.0, z)
     else:
         w = zs + t
-        n, total = _climb_lanes(roof, f, xs, ys, -w, backward=True)
+        n, total = climbs[True] = _climb_lanes(
+            roof, f, xs, ys, -w, backward=True, start=climbs.get(True)
+        )
         down = w < 0.0
         n = n + down                     # the step that crosses height 0
         xn, yn = phases.orbit(-n)
@@ -395,11 +435,21 @@ def _flow_lanes(
 
 
 def _hit_count_lanes(
-    roof: Roof, f: SkewShift, xs: np.ndarray, ys: np.ndarray, t: float
+    roof: Roof,
+    f: SkewShift,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    t: float,
+    climbs: Optional[dict] = None,
 ) -> np.ndarray:
-    """Hit counts from height z = 0 at time t; one lane is ``hit_count``."""
+    """Hit counts from height z = 0 at time t; one lane is ``hit_count``.
+    ``climbs`` chains calls in ascending t, as for ``_flow_lanes``."""
     target = t + 0.0                      # as hit_count forms t + z at z = 0
-    return _climb_lanes(roof, f, xs, ys, np.full(np.shape(xs), target))[0]
+    climbs = {} if climbs is None else climbs
+    climbs[False] = _climb_lanes(
+        roof, f, xs, ys, np.full(np.shape(xs), target), start=climbs.get(False)
+    )
+    return climbs[False][0]
 
 
 # --------------------------------------------------------------------------
@@ -416,10 +466,20 @@ def _sample_block(
     values of ``FiberedTrigPoly.evaluate``; the stream is a Philox generator
     keyed by (seed, block_index), so the accepted points are a pure
     function of those two integers.
+
+    A draw with z < certified_min - margin (``_rounding_margin``) is
+    accepted without a roof value: certified_min is the computed lattice
+    minimum less the Lipschitz slack, so the true roof is at least
+    certified_min less the rounding of that minimum, and the computed value
+    at the draw is lower than the true one by at most its own rounding.
+    The margin is far above both, so the computed value would exceed z and
+    every decision, and with it the stream, is that of evaluating every
+    draw.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
+    sure = roof.certified_min - _rounding_margin(roof.phi)
     xs = np.empty(count)
     ys = np.empty(count)
     zs = np.empty(count)
@@ -429,7 +489,10 @@ def _sample_block(
         x = draw[:, 0]
         y = draw[:, 1]
         z = draw[:, 2] * roof.certified_max
-        ok = z < roof.phi.evaluate(x, y)
+        ok = z < sure
+        check = np.flatnonzero(~ok)
+        if check.size:
+            ok[check] = z[check] < roof.phi.evaluate(x[check], y[check])
         got = need[ok]
         xs[got] = x[ok]
         ys[got] = y[ok]
@@ -472,15 +535,17 @@ def correlate_cubes(
 
     The joint indicator is averaged over ``samples`` invariant-measure
     draws; each block of draws is sampled once and its points in Q1 are
-    flowed to every time.  mu(Q1) mu(Q2) is computed analytically.
-    Block-wise integer counting keeps the result independent of the worker
-    count, and of which other times are asked for.
+    flowed through the distinct times in ascending |t|, each climb resuming
+    where the last of its sign stopped.  mu(Q1) mu(Q2) is computed
+    analytically.  Block-wise integer counting keeps the result independent
+    of the worker count, and of which other times are asked for.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _require_cube_fits(roof, q1)
     _require_cube_fits(roof, q2)
     times = [float(t) for t in times]
+    chain = sorted(set(times), key=abs)       # one chain of climbs per sign
 
     def block_counts(b: int) -> List[int]:
         start = b * _BLOCK
@@ -488,10 +553,14 @@ def correlate_cubes(
         xs, ys, zs = _sample_block(roof, seed, b, count)
         in1 = q1.contains(xs, ys, zs)
         xs, ys, zs = xs[in1], ys[in1], zs[in1]
-        return [
-            int(np.count_nonzero(q2.contains(*_flow_lanes(roof, f, xs, ys, zs, t))))
-            for t in times
-        ]
+        climbs: dict = {}
+        hits = {
+            t: int(np.count_nonzero(
+                q2.contains(*_flow_lanes(roof, f, xs, ys, zs, t, climbs))
+            ))
+            for t in chain
+        }
+        return [hits[t] for t in times]
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
     counts = _map(block_counts, blocks, workers)
@@ -588,24 +657,27 @@ def discrete_iteration_bounds(
     )
 
 
-def hitting_complement_measure(
+def hitting_complement_measures(
     roof: Roof,
     f: SkewShift,
-    t: float,
+    times: Sequence[float],
     C: float,
     grid: int = 256,
     y_resolution: int = 64,
     workers: int = 1,
-) -> float:
-    """The share of x whose fiber shows no large Birkhoff value at the
-    minimal hit count.
+) -> List[float]:
+    """For every t in ``times``, the share of x whose fiber shows no large
+    Birkhoff value at the minimal hit count.
 
     For each grid x: n(x) = min over a y-grid of the z = 0 hit count at
     time t, then x qualifies when the y-grid maximum of
     |phi_{n(x)}(x, .)| exceeds C (phi the zero-fiber-average part of the
-    roof).  Returns the fraction that fails to qualify.
+    roof).  Returns the fraction that fails to qualify, one per time.  The
+    hit counts of a chunk of columns climb through the distinct times in
+    ascending order, each climb resuming where the last stopped.
     """
-    if t < 0:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
         raise ValueError("t must be >= 0")
     if C <= 1.0:
         raise ValueError("C must be > 1")
@@ -616,22 +688,31 @@ def hitting_complement_measure(
     ys = midgrid(y_resolution)
 
     span = 32
+    chain = sorted(set(times))
 
-    def column_stops(i0: int) -> np.ndarray:
+    def column_stops(i0: int) -> dict:
         cols = xs[i0 : i0 + span]
         nc = cols.shape[0]
         X = np.repeat(cols, y_resolution)
         Y = np.tile(ys, nc)
-        counts = _hit_count_lanes(roof, f, X, Y, t).reshape(nc, y_resolution)
-        return counts.min(axis=1)
+        climbs: dict = {}
+        return {
+            t: _hit_count_lanes(roof, f, X, Y, t, climbs)
+            .reshape(nc, y_resolution).min(axis=1)
+            for t in chain
+        }
 
-    stops = np.concatenate(_map(column_stops, range(0, grid, span), workers))
-    ks, mat = _coeffs_at_stops(f, osc, xs, stops)
-    sup = np.concatenate([
-        np.abs(v).max(axis=1)
-        for v in grid_blocks(ks, mat, real=False, y_size=y_resolution)
-    ])
-    return 1.0 - int(np.count_nonzero(sup > C)) / grid
+    chunks = _map(column_stops, range(0, grid, span), workers)
+    share = {}
+    for t in chain:
+        stops = np.concatenate([c[t] for c in chunks])
+        ks, mat = _coeffs_at_stops(f, osc, xs, stops)
+        sup = np.concatenate([
+            np.abs(v).max(axis=1)
+            for v in grid_blocks(ks, mat, real=False, y_size=y_resolution)
+        ])
+        share[t] = 1.0 - int(np.count_nonzero(sup > C)) / grid
+    return [share[t] for t in times]
 
 
 def _coeffs_at_stops(f, phi, cols, stops):

@@ -163,7 +163,7 @@ def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
                          stride: int = 1):
     """(certified_min, certified_max, slack) of ``certify_roof`` from every
     row of its grid: the same grid sizing, every value evaluated.  With
-    ``stride`` only every stride-th y-row is evaluated."""
+    ``stride`` only every stride-th y-column is evaluated."""
     lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
     lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
     floor_x = max(16, 8 * phi.max_freq_x)
@@ -182,16 +182,37 @@ def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
     xs = midgrid(gx)
     ks = sorted(phi.fiber.keys())
     coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])
-    ys = midgrid(gy)[::stride]
+    phase = np.exp(2j * np.pi * np.outer(ks, midgrid(gy)[::stride]))
     lo, hi = math.inf, -math.inf
-    chunk = max(1, min(ys.size, int(2 ** 22 // max(gx, 1)) + 1))
-    for start in range(0, ys.size, chunk):
-        phase = np.exp(2j * np.pi * np.outer(ks, ys[start : start + chunk]))
-        vals = (coeff.T @ phase).real
+    # whole x-rows over every y-column, at least two rows per product: such
+    # products round each value as the whole-lattice product does, while a
+    # one-row product goes through gemv and a product of part of the
+    # columns may round its trailing columns otherwise
+    rows = max(2, 2 ** 22 // phase.shape[1])
+    for part in np.array_split(np.arange(gx), max(1, gx // rows)):
+        vals = (coeff[:, part].T @ phase).real
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
     slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
     return lo - slack, hi + slack, slack
+
+
+def sample_block_reference(roof, seed: int, block_index: int, count: int):
+    """``specialflow._sample_block`` with a roof value for every draw: the
+    reference of its accepts without one."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
+    )
+    xs, ys, zs = np.empty(count), np.empty(count), np.empty(count)
+    need = np.arange(count)
+    while need.size:
+        draw = rng.random((need.size, 3))
+        x, y, z = draw[:, 0], draw[:, 1], draw[:, 2] * roof.certified_max
+        ok = z < roof.phi.evaluate(x, y)
+        got = need[ok]
+        xs[got], ys[got], zs[got] = x[ok], y[ok], z[ok]
+        need = need[~ok]
+    return xs, ys, zs
 
 
 def certify_grid(phi: FiberedTrigPoly, slack_target: float = 1e-3):

@@ -113,6 +113,22 @@ def test_lane_orbits_match_fractions(alpha, beta, pts, js):
         assert Fraction(int(ly[0, c]), 2 ** ph.k) == wy
 
 
+@given(alpha=_unit, beta=_unit_or_tiny,
+       pts=st.lists(st.tuples(_unit_or_tiny, _unit), min_size=1, max_size=6),
+       shifts=st.lists(st.integers(-2 ** 61, 2 ** 61), min_size=6, max_size=6),
+       js=st.lists(st.integers(-2 ** 61, 2 ** 61), min_size=1, max_size=6))
+def test_moved_lanes_continue_the_orbit(alpha, beta, pts, shifts, js):
+    # the orbit from f^n of each base point is the orbit shifted by n, in
+    # the same integers
+    xs, ys = np.array(pts).T
+    ph = PhaseNumerators(alpha, beta, xs, ys)
+    n = np.array(shifts[: len(pts)], dtype=np.int64)
+    block = np.array(js, dtype=np.int64)[:, None]
+    mx, my = ph.moved(n).orbit(block)
+    wx, wy = ph.orbit(block + n)
+    assert np.array_equal(mx, wx) and np.array_equal(my, wy)
+
+
 def test_square_lane_block_keeps_its_axes():
     # B == L: a block of steps and one step per lane must not be confused
     rng = np.random.default_rng(3)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     lattice_bounds,
     mixing_example_roof,
     orbit_exact,
+    sample_block_reference,
 )
 from mixlab.cli import bundled_roof_path
 from mixlab.cohomology import classify_roof
@@ -30,6 +31,7 @@ from mixlab.skewshift import (
 )
 from mixlab.specialflow import (
     CorrelationEstimate,
+    _climb_lanes,
     _flow_lanes,
     _hit_count_lanes,
     _sample_block,
@@ -43,7 +45,7 @@ from mixlab.specialflow import (
     fiber_mixing_profile,
     flow_at,
     hit_count,
-    hitting_complement_measure,
+    hitting_complement_measures,
     trivial_conjugacy_check,
 )
 from mixlab.trigpoly import FiberedTrigPoly
@@ -219,11 +221,11 @@ def test_certify_matches_dense_grid_on_y_only_roofs():
 
 
 def test_certify_is_the_lattice_of_grid_blocks():
-    # a 2215 x 2555 lattice: dense_certify_bounds evaluates it in products
-    # of 1894 y-columns, and BLAS may round the trailing columns of those
-    # otherwise than in a product of all 2555 (by one ulp in the minimum
-    # on OpenBLAS 0.3.31); the certificate is the extrema of every x-row
-    # of the lattice through grid_blocks
+    # a 2215 x 2555 lattice: a product of part of its y-columns (1894 of
+    # them) may round its trailing columns otherwise than one of all 2555
+    # (by one ulp in the minimum on OpenBLAS 0.3.31); the certificate is
+    # the extrema of every x-row of the lattice through grid_blocks, and
+    # the dense oracle's, which takes all y-columns in every product
     a, b = complex(0.1726766135848326, 0.19264097476525105), complex(
         -0.15017015224047664, 0.19548243676469804)
     phi = FiberedTrigPoly.from_modes(
@@ -237,6 +239,7 @@ def test_certify_is_the_lattice_of_grid_blocks():
     lo, hi = lattice_bounds(phi, gx, gy)
     assert (roof.certified_min, roof.certified_max) == (
         lo - roof.slack, hi + roof.slack)
+    assert _certificate(roof) == dense_certify_bounds(phi, slack_target=1e-2)
 
 
 @pytest.mark.parametrize("size", [0.2501, 0.251])
@@ -385,6 +388,46 @@ def test_square_tiles_equal_scalar_paths(t, beta):
     _assert_lanes_match_scalar(f, xs, ys, zs, t, range(256))
 
 
+# overstates the minimum of _KERNEL_ROOF (about 1): from t ~ 20 on, every
+# lane stops at the step limit
+_OVERSTATED_ROOF = Roof(_KERNEL_ROOF.phi, 10.0, 10.0, _KERNEL_ROOF.mean, 0.0)
+
+
+@settings(max_examples=20)
+@example(t1=100.0, dt=0.0, backward=False, overstated=True, lanes=7, seed=1)
+@example(t1=100.0, dt=50.0, backward=True, overstated=True, lanes=7, seed=2)
+@given(t1=st.floats(0.0, 300.0),
+       dt=st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+       backward=st.booleans(),
+       overstated=st.booleans(),
+       lanes=st.sampled_from([1, 7, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_resumed_climb_equals_fresh_climb(t1, dt, backward, overstated, lanes, seed):
+    roof = _OVERSTATED_ROOF if overstated else _KERNEL_ROOF
+    f = SkewShift(GOLDEN, 0.31)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random(lanes), rng.random(lanes)
+    zs = _KERNEL_ROOF.certified_min * rng.random(lanes)
+    first = _climb_lanes(roof, f, xs, ys, zs + t1, backward)
+    t2 = t1 + dt
+    n, total = _climb_lanes(roof, f, xs, ys, zs + t2, backward, start=first)
+    want_n, want_total = _climb_lanes(roof, f, xs, ys, zs + t2, backward)
+    assert np.array_equal(n, want_n)
+    assert np.array_equal(total, want_total)
+
+
+def test_climb_resumes_only_towards_higher_targets():
+    f = SkewShift(GOLDEN, 0.31)
+    xs, ys = np.array([0.1, 0.6]), np.array([0.2, 0.9])
+    first = _climb_lanes(_KERNEL_ROOF, f, xs, ys, [50.0, 50.0])
+    with pytest.raises(ValueError):
+        _climb_lanes(_KERNEL_ROOF, f, xs, ys, [50.0, 20.0], start=first)
+    # above the sums, but the step limit falls below the steps taken
+    first = _climb_lanes(_OVERSTATED_ROOF, f, xs, ys, [100.0, 100.0])
+    with pytest.raises(ValueError):
+        _climb_lanes(_OVERSTATED_ROOF, f, xs, ys, first[1] + 1.0, start=first)
+
+
 def test_flow_identity_and_constant_suspension():
     f = SkewShift(GOLDEN, 0.1)
     roof = certify_roof(FiberedTrigPoly.constant(1.0))
@@ -466,6 +509,35 @@ def test_sample_measure_deterministic_and_valid():
         assert zs[0] < roof.phi.evaluate(xs[0], ys[0])
 
 
+def _y_scaled_roof():
+    """A roof whose y-mode sits near rounding: 1e-14 of the x-modes."""
+    c = 1e-14 * complex(0.1, 0.2)
+    return FiberedTrigPoly.from_modes(
+        {(1, 0): 0.25, (-1, 0): 0.25, (2, 1): c, (-2, -1): c.conjugate(),
+         (0, 0): 2.0},
+        real=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["example1", "example2", "example3", "coboundary", "constant", "y_scaled"],
+)
+def test_sample_stream_equals_evaluating_every_draw(name):
+    # draws below the certified minimum are accepted without a roof value;
+    # the constant roof has slack 0, so its minimum is its value
+    if name == "y_scaled":
+        phi = _y_scaled_roof()
+    else:
+        _, phi = load_roof(bundled_roof_path(name))
+    roof = certify_roof(phi)
+    for block in (0, 3):
+        got = _sample_block(roof, 17, block, 20_000)
+        want = sample_block_reference(roof, 17, block, 20_000)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_sample_measure_slab_mass():
     # P(z < h) = h / integral(Phi) for h below the roof minimum
     roof = certify_roof(mixing_example_roof())
@@ -518,6 +590,17 @@ def test_correlation_times_share_samples():
     times = [0.0, 3.0, 7.0]
     together = correlate_cubes(roof, f, q, q, times, 140_000, seed=9)
     alone = [correlate_cubes(roof, f, q, q, [t], 140_000, seed=9)[0] for t in times]
+    assert together == alone
+
+
+def test_correlation_chains_unsorted_and_repeated_times():
+    # each block flows through 0, 2, 7 and -3, -11, resuming every climb
+    f = SkewShift(GOLDEN, 0.2)
+    roof = certify_roof(mixing_example_roof())
+    q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
+    times = [7.0, -3.0, 0.0, 7.0, -11.0, 2.0]
+    together = correlate_cubes(roof, f, q, q, times, 70_000, seed=21)
+    alone = [correlate_cubes(roof, f, q, q, [t], 70_000, seed=21)[0] for t in times]
     assert together == alone
 
 
@@ -619,21 +702,30 @@ def test_discrete_bounds_mixing_roof():
 def test_hitting_trivial_roof():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(FiberedTrigPoly.constant(1.0))
-    assert hitting_complement_measure(roof, f, 50.0, 2.0) == 1.0
+    assert hitting_complement_measures(roof, f, [50.0], 2.0)[0] == 1.0
 
 
 def test_hitting_below_min():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
-    assert hitting_complement_measure(roof, f, 0.5, 2.0) == 1.0
+    assert hitting_complement_measures(roof, f, [0.5], 2.0)[0] == 1.0
 
 
 def test_hitting_workers_identical():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
-    a = hitting_complement_measure(roof, f, 50.0, 2.0, workers=1)
-    b = hitting_complement_measure(roof, f, 50.0, 2.0, workers=4)
+    a = hitting_complement_measures(roof, f, [50.0], 2.0, workers=1)[0]
+    b = hitting_complement_measures(roof, f, [50.0], 2.0, workers=4)[0]
     assert a == b
+
+
+def test_hitting_times_equal_single_times():
+    f = SkewShift(GOLDEN, 0.0)
+    roof = certify_roof(mixing_example_roof())
+    times = [100.0, 0.5, 40.0, 100.0]
+    together = hitting_complement_measures(roof, f, times, 2.0)
+    alone = [hitting_complement_measures(roof, f, [t], 2.0)[0] for t in times]
+    assert together == alone
 
 
 # frozen at development time; the complement measure shrinks with t
@@ -644,7 +736,7 @@ def test_hitting_decay_regression():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
     vals = {
-        t: hitting_complement_measure(roof, f, t, 2.0)
+        t: hitting_complement_measures(roof, f, [t], 2.0)[0]
         for t in (100.0, 10_000.0)
     }
     assert vals[10_000.0] < vals[100.0]
