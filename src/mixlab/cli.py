@@ -260,13 +260,12 @@ def cmd_fiber_profile(args) -> int:
     length = skewshift.arc_length(arc)
     roof = specialflow.certify_roof(phi)
     cube = specialflow.Cube(*args.cube)
-    rows = []
-    for t in args.t:
-        val = specialflow.fiber_mixing_profile(
-            roof, f, args.x, arc, cube, t, resolution=args.resolution,
-        )
-        rows.append((t, val))
-    _write_csv(run.path("fiber_profile.csv"), ("t", "measure"), rows)
+    vals = specialflow.fiber_mixing_profile(
+        roof, f, args.x, arc, cube, args.t, resolution=args.resolution,
+    )
+    _write_csv(
+        run.path("fiber_profile.csv"), ("t", "measure"), list(zip(args.t, vals))
+    )
     run.finish(
         {
             "target": length * specialflow.cube_measure(roof, cube),
@@ -344,13 +343,10 @@ def cmd_conjugacy(args) -> int:
     f, phi = _load(args)
     roof = specialflow.certify_roof(phi)
     u, mean = cohomology.solve_roof(f, phi, args.tol)
-    rows = []
-    for t in args.t:
-        dev = specialflow.trivial_conjugacy_check(
-            roof, f, u, mean, t, points=args.points, seed=args.seed
-        )
-        rows.append((t, dev))
-    _write_csv(run.path("conjugacy.csv"), ("t", "measure"), rows)
+    devs = specialflow.trivial_conjugacy_check(
+        roof, f, u, mean, args.t, points=args.points, seed=args.seed
+    )
+    _write_csv(run.path("conjugacy.csv"), ("t", "measure"), list(zip(args.t, devs)))
     run.finish({"mean": mean, **_certificate(roof)})
     return 0
 

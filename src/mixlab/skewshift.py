@@ -34,7 +34,7 @@ from typing import (
 import numpy as np
 
 from .errors import InvalidRoofFile, SmallDivisor
-from .phases import PhaseNumerators, frac, vfrac
+from .phases import PhaseNumerators, frac
 from .trigpoly import FiberedTrigPoly, TrigPoly1D
 
 # Orbit steps per block of an orbit walk or a grid sweep; bounds their

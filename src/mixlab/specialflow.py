@@ -14,13 +14,14 @@ Every flow and hit count, of one point or of many, runs one kernel
 the exact orbit numerators (``FiberedTrigPoly.at``), and a cumulative sum
 per tile finds each lane's crossing.  A lane's result does not depend on
 the other lanes, so the scalar and the many-lane paths agree bit for bit,
-and no position drifts from the exact orbit at any time.  A climb can
-resume where an earlier one of the same lanes stopped, from the exact
-orbit numerators of f^n of each base point and the running sum Phi_n, bit
-for bit a fresh climb; the correlation and hitting estimators climb once
-through all their times this way, in ascending |t| per sign.  The
-trivial-roof conjugacy check flows all its points as lanes and reduces
-them in the constant suspension on the same exact orbits.
+and no position drifts from the exact orbit at any time.  Time is the
+kernel's leading axis: targets of shape (T, L), each row resuming where
+the one before stopped, from the exact orbit numerators of f^n of each
+base point and the running sum Phi_n, bit for bit a fresh climb.  Every
+estimator takes all its times in one call, and the distinct times of
+each sign are the rows of one climb, in ascending |t|.  The trivial-roof
+conjugacy check flows all its points as lanes and reduces them in the
+constant suspension on the same exact orbits.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
@@ -40,7 +41,7 @@ import numpy as np
 
 from .cohomology import coboundary_residual
 from .errors import NonPositiveRoof, NotACoboundary
-from .phases import PhaseNumerators, circle_distance, frac
+from .phases import PhaseNumerators, circle_distance, frac, vfrac
 from .skewshift import (
     _SWEEP_BLOCK,
     SkewShift,
@@ -51,7 +52,6 @@ from .skewshift import (
     midgrid,
     project,
     stretch,
-    vfrac,
 )
 from .trigpoly import FiberedTrigPoly
 
@@ -274,7 +274,8 @@ def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return int(_climb_lanes(roof, f, [p.x], [p.y], [t + p.z])[0][0])
+    phases = PhaseNumerators(f.alpha, f.beta, [p.x], [p.y])
+    return int(_climb_lanes(roof, phases, [[t + p.z]])[0][0, 0])
 
 
 def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
@@ -282,25 +283,22 @@ def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
 
     The one-lane case of ``_flow_lanes``.
     """
-    x, y, z = _flow_lanes(roof, f, [p.x], [p.y], [p.z], t)
+    (x, y, z), = _flow_lanes(roof, f, [p.x], [p.y], [p.z], [t])
     return FlowPoint(float(x[0]), float(y[0]), float(z[0]))
 
 
 def _climb_lanes(
     roof: Roof,
-    f: SkewShift,
-    xs,
-    ys,
+    phases: PhaseNumerators,
     targets,
     backward: bool = False,
-    start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, total) per lane: n the largest with Phi_n(x, y) < target, and
-    total = Phi_n(x, y).  The step limit of a lane is int(target /
-    certified_min) + 2: every climb stops there even when roundoff, or an
-    overstated minimum, would keep it climbing.  Raises ValueError for a
-    target that is not finite or whose limit passes 2^40
-    (``skewshift._check_steps``).
+    """(n, total) of shape (T, L) for the L lanes of ``phases`` and targets
+    of shape (T, L): n the largest with Phi_n(x, y) < target, and total =
+    Phi_n(x, y).  The step limit of a lane is int(target / certified_min) +
+    2: every climb stops there even when roundoff, or an overstated
+    minimum, would keep it climbing.  Raises ValueError for a target that
+    is not finite or whose limit passes 2^40 (``skewshift._check_steps``).
 
     With ``backward`` the sums run along the backward orbit instead,
     Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
@@ -315,57 +313,55 @@ def _climb_lanes(
     does not depend on the other lanes or on the tiling: one lane is
     ``hit_count``.
 
-    ``start`` is the (n, total) of an earlier climb of the same lanes in
-    the same direction, from which each lane resumes: its phases move to
-    f^{+-n} of its base point (``PhaseNumerators.moved``), the same
-    integers as stepping on from n, and its left fold goes on from total.
-    A fresh climb reaches the same (n, total) exactly when total is below
-    the new target (or n is 0) and n is within the new limit, so the result
-    is bit for bit that of a fresh climb; a start that fails this raises
-    ValueError.
+    Each lane's targets must not decrease down the rows.  Row r resumes
+    where row r - 1 stopped: each lane's phases move to f^{+-n} of its base
+    point (``PhaseNumerators.moved``), the same integers as stepping on
+    from n, and its left fold goes on from total.  That total is below the
+    previous target (or n is 0) and n within the previous limit, so a fresh
+    climb passes through the same (n, total) and every row is bit for bit
+    a fresh climb.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     targets = np.asarray(targets, dtype=float)
     _check_steps(float(np.max(targets, initial=0.0)) / roof.certified_min)
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
-    if start is None:
-        n = np.zeros(targets.shape, dtype=np.int64)
-        total = np.zeros(targets.shape)
-    else:
-        n, total = np.array(start[0], dtype=np.int64), np.array(start[1], dtype=float)
-        if np.any(n > room) or np.any((n > 0) & (total >= targets)):
-            raise ValueError("a climb resumes only towards targets past its sums")
-    todo = np.flatnonzero(n < room)
-    for g in range(0, todo.size, _LANE_GROUP):
-        lanes = todo[g : g + _LANE_GROUP]
-        phases = PhaseNumerators(f.alpha, f.beta, xs[lanes], ys[lanes])
-        if start is not None:
-            phases = phases.moved(-n[lanes] if backward else n[lanes])
-        done = 0                  # steps taken by every lane still climbing
-        while lanes.size:
-            # no lane can cross in fewer steps than its gap to the target
-            # over the roof's maximum: long tiles far from the crossings,
-            # short ones near them, which saves evaluations past a crossing
-            gap = float(np.min(targets[lanes] - total[lanes])) / roof.certified_max
-            left = room[lanes] - n[lanes]
-            block = min(
-                _SWEEP_BLOCK // lanes.size,
-                max(_MIN_TILE, int(gap)),
-                int(left.max()),
+    n = np.zeros(targets.shape, dtype=np.int64)
+    total = np.zeros(targets.shape)
+    for r, target in enumerate(targets):
+        if r:
+            n[r], total[r] = n[r - 1], total[r - 1]
+        nr, tr, limit = n[r], total[r], room[r]         # views of row r
+        todo = np.flatnonzero(nr < limit)
+        for g in range(0, todo.size, _LANE_GROUP):
+            lanes = todo[g : g + _LANE_GROUP]
+            lane_phases = phases.lanes(lanes).moved(
+                -nr[lanes] if backward else nr[lanes]
             )
-            j = done + np.arange(block, dtype=np.int64)[:, None]
-            xn, yn = phases.orbit(-1 - j if backward else j)       # (B, L)
-            sums = _running_sums(total[lanes], roof.phi.at(phases, xn, yn))
-            below = np.minimum(
-                np.count_nonzero(sums[1:] < targets[lanes], axis=0), left
-            )
-            n[lanes] += below
-            total[lanes] = sums[below, np.arange(lanes.size)]
-            climbing = (below == block) & (left > block)
-            lanes = lanes[climbing]
-            phases = phases.lanes(climbing)
-            done += block
+            done = 0              # steps taken by every lane still climbing
+            while lanes.size:
+                # no lane can cross in fewer steps than its gap to the
+                # target over the roof's maximum: long tiles far from the
+                # crossings, short ones near them, which saves evaluations
+                # past a crossing
+                gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
+                left = limit[lanes] - nr[lanes]
+                block = min(
+                    _SWEEP_BLOCK // lanes.size,
+                    max(_MIN_TILE, int(gap)),
+                    int(left.max()),
+                )
+                j = done + np.arange(block, dtype=np.int64)[:, None]
+                xn, yn = lane_phases.orbit(-1 - j if backward else j)  # (B, L)
+                sums = _running_sums(tr[lanes], roof.phi.at(lane_phases, xn, yn))
+                below = np.minimum(
+                    np.count_nonzero(sums[1:] < target[lanes], axis=0), left
+                )
+                nr[lanes] += below
+                tr[lanes] = sums[below, np.arange(lanes.size)]
+                climbing = (below == block) & (left > block)
+                lanes = lanes[climbing]
+                lane_phases = lane_phases.lanes(climbing)
+                done += block
     return n, total
 
 
@@ -389,49 +385,46 @@ def _flow_lanes(
     xs: np.ndarray,
     ys: np.ndarray,
     zs: np.ndarray,
-    t: float,
-    climbs: Optional[dict] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time-t images of the points (xs, ys, zs) under the suspension flow,
-    for one time t of either sign; one lane is ``flow_at``, bit for bit.
+    times: Sequence[float],
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Images (x, y, z) of the points (xs, ys, zs) under the suspension
+    flow, one per time in ``times``, in their order; times may repeat and
+    have either sign, and one lane at one time is ``flow_at``, bit for bit.
 
     Forward, a lane climbs (``_climb_lanes``) to the largest n with
     Phi_n < t + z and keeps the rest as its height; on a float tie with the
     roof it moves to f^{n+1} p at height 0.  Backward, it descends to the
     smallest n with z + t + Phi(f^-1 p) + ... + Phi(f^-n p) >= 0.  Both
     take at most the step limit of ``_climb_lanes``, and the positions are
-    exact orbit points rounded once.
-
-    ``climbs``, a dict the caller keeps for the same points, holds the last
-    climb of each direction: a call resumes from it and leaves its own, so
-    calls for times of one sign in ascending |t| take each step once.
+    exact orbit points rounded once.  The distinct times of each sign are
+    the rows of one climb, in ascending |t|, so each step is taken once.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     zs = np.asarray(zs, dtype=float)
-    climbs = {} if climbs is None else climbs
     phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
-    if t >= 0:
-        target = zs + t
-        n, total = climbs[False] = _climb_lanes(
-            roof, f, xs, ys, target, start=climbs.get(False)
-        )
-        z = target - total
-        xn, yn = phases.orbit(n)
-        tie = z >= roof.phi.at(phases, xn, yn)[0]
-        if np.any(tie):
-            xn, yn = phases.orbit(n + tie)
-            z = np.where(tie, 0.0, z)
-    else:
-        w = zs + t
-        n, total = climbs[True] = _climb_lanes(
-            roof, f, xs, ys, -w, backward=True, start=climbs.get(True)
-        )
-        down = w < 0.0
-        n = n + down                     # the step that crosses height 0
-        xn, yn = phases.orbit(-n)
-        last = roof.phi.at(phases, xn, yn)[0]
-        z = np.where(down, w + (total + last), w)
-    return phases.to_unit(xn)[0], phases.to_unit(yn)[0], z
+    images = {}
+    for backward in (False, True):
+        chain = sorted({float(t) for t in times if (t < 0) == backward}, key=abs)
+        if not chain:
+            continue
+        w = zs + np.array(chain)[:, None]                          # (T, L)
+        if not backward:
+            n, total = _climb_lanes(roof, phases, w)
+            z = w - total
+            xn, yn = phases.orbit(n)
+            tie = z >= roof.phi.at(phases, xn, yn)
+            if np.any(tie):
+                xn, yn = phases.orbit(n + tie)
+                z = np.where(tie, 0.0, z)
+        else:
+            n, total = _climb_lanes(roof, phases, -w, backward=True)
+            down = w < 0.0
+            n = n + down                 # the step that crosses height 0
+            xn, yn = phases.orbit(-n)
+            last = roof.phi.at(phases, xn, yn)
+            z = np.where(down, w + (total + last), w)
+        x, y = phases.to_unit(xn), phases.to_unit(yn)
+        images.update((t, (x[r], y[r], z[r])) for r, t in enumerate(chain))
+    return [images[float(t)] for t in times]
 
 
 def _hit_count_lanes(
@@ -439,17 +432,16 @@ def _hit_count_lanes(
     f: SkewShift,
     xs: np.ndarray,
     ys: np.ndarray,
-    t: float,
-    climbs: Optional[dict] = None,
+    times: Sequence[float],
 ) -> np.ndarray:
-    """Hit counts from height z = 0 at time t; one lane is ``hit_count``.
-    ``climbs`` chains calls in ascending t, as for ``_flow_lanes``."""
-    target = t + 0.0                      # as hit_count forms t + z at z = 0
-    climbs = {} if climbs is None else climbs
-    climbs[False] = _climb_lanes(
-        roof, f, xs, ys, np.full(np.shape(xs), target), start=climbs.get(False)
-    )
-    return climbs[False][0]
+    """Hit counts from height z = 0, of shape (T, L): one row per time in
+    ``times``, in their order; one lane at one time is ``hit_count``.  The
+    distinct times are the rows of one climb, in ascending order."""
+    distinct, row = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    # t + z at z = 0, as hit_count forms it
+    targets = np.add.outer(distinct, np.zeros(np.shape(xs)))
+    n, _ = _climb_lanes(roof, PhaseNumerators(f.alpha, f.beta, xs, ys), targets)
+    return n[row]
 
 
 # --------------------------------------------------------------------------
@@ -493,10 +485,11 @@ def _sample_block(
         check = np.flatnonzero(~ok)
         if check.size:
             ok[check] = z[check] < roof.phi.evaluate(x[check], y[check])
-        got = need[ok]
-        xs[got] = x[ok]
-        ys[got] = y[ok]
-        zs[got] = z[ok]
+        take = np.flatnonzero(ok)
+        got = need[take]
+        xs[got] = x[take]
+        ys[got] = y[take]
+        zs[got] = z[take]
         need = need[~ok]
     return xs, ys, zs
 
@@ -535,32 +528,24 @@ def correlate_cubes(
 
     The joint indicator is averaged over ``samples`` invariant-measure
     draws; each block of draws is sampled once and its points in Q1 are
-    flowed through the distinct times in ascending |t|, each climb resuming
-    where the last of its sign stopped.  mu(Q1) mu(Q2) is computed
-    analytically.  Block-wise integer counting keeps the result independent
-    of the worker count, and of which other times are asked for.
+    flowed to every time in one call (``_flow_lanes``).  mu(Q1) mu(Q2) is
+    computed analytically.  Block-wise integer counting keeps the result
+    independent of the worker count, and of which other times are asked
+    for.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _require_cube_fits(roof, q1)
     _require_cube_fits(roof, q2)
     times = [float(t) for t in times]
-    chain = sorted(set(times), key=abs)       # one chain of climbs per sign
 
     def block_counts(b: int) -> List[int]:
         start = b * _BLOCK
         count = min(_BLOCK, samples - start)
         xs, ys, zs = _sample_block(roof, seed, b, count)
         in1 = q1.contains(xs, ys, zs)
-        xs, ys, zs = xs[in1], ys[in1], zs[in1]
-        climbs: dict = {}
-        hits = {
-            t: int(np.count_nonzero(
-                q2.contains(*_flow_lanes(roof, f, xs, ys, zs, t, climbs))
-            ))
-            for t in chain
-        }
-        return [hits[t] for t in times]
+        images = _flow_lanes(roof, f, xs[in1], ys[in1], zs[in1], times)
+        return [int(np.count_nonzero(q2.contains(*im))) for im in images]
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
     counts = _map(block_counts, blocks, workers)
@@ -589,10 +574,11 @@ def fiber_mixing_profile(
     x: float,
     arc: Tuple[float, float],
     cube: Cube,
-    t: float,
+    times: Sequence[float],
     resolution: int = 256,
-) -> float:
-    """Length of {x} x [y', y''] (at z = 0) carried into the cube at time t.
+) -> List[float]:
+    """Length of {x} x [y', y''] (at z = 0) carried into the cube at each
+    time t in ``times``, one value per time.
 
     Evaluated as (fraction of a y-grid on the arc whose flow image lies
     in the cube) times the arc length.
@@ -602,9 +588,10 @@ def fiber_mixing_profile(
     _require_cube_fits(roof, cube)
     length, xs, ys = _arc_points(x, arc, resolution)
     zs = np.zeros(resolution)
-    fx, fy, fz = _flow_lanes(roof, f, xs, ys, zs, t)
-    inside = cube.contains(fx, fy, fz)
-    return float(np.count_nonzero(inside)) / resolution * length
+    return [
+        float(np.count_nonzero(cube.contains(*im))) / resolution * length
+        for im in _flow_lanes(roof, f, xs, ys, zs, times)
+    ]
 
 
 @dataclass(frozen=True)
@@ -642,7 +629,7 @@ def discrete_iteration_bounds(
     if t <= 0:
         raise ValueError("t must be > 0")
     _, xs, ys = _arc_points(x, arc, resolution)
-    counts = _hit_count_lanes(roof, f, xs, ys, t)
+    counts = _hit_count_lanes(roof, f, xs, ys, [t])[0]
     n_lo, n_hi = int(counts.min()), int(counts.max())
     if n_lo >= 1:
         spread = stretch(f, roof.phi, x, arc, n_lo, max(64, resolution))
@@ -673,8 +660,8 @@ def hitting_complement_measures(
     time t, then x qualifies when the y-grid maximum of
     |phi_{n(x)}(x, .)| exceeds C (phi the zero-fiber-average part of the
     roof).  Returns the fraction that fails to qualify, one per time.  The
-    hit counts of a chunk of columns climb through the distinct times in
-    ascending order, each climb resuming where the last stopped.
+    hit counts of a chunk of columns at every time come from one call
+    (``_hit_count_lanes``); each distinct time takes one stop sweep.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -688,24 +675,20 @@ def hitting_complement_measures(
     ys = midgrid(y_resolution)
 
     span = 32
-    chain = sorted(set(times))
 
-    def column_stops(i0: int) -> dict:
+    def column_stops(i0: int) -> np.ndarray:
         cols = xs[i0 : i0 + span]
         nc = cols.shape[0]
         X = np.repeat(cols, y_resolution)
         Y = np.tile(ys, nc)
-        climbs: dict = {}
-        return {
-            t: _hit_count_lanes(roof, f, X, Y, t, climbs)
-            .reshape(nc, y_resolution).min(axis=1)
-            for t in chain
-        }
+        counts = _hit_count_lanes(roof, f, X, Y, times)
+        return counts.reshape(len(times), nc, y_resolution).min(axis=2)
 
     chunks = _map(column_stops, range(0, grid, span), workers)
     share = {}
-    for t in chain:
-        stops = np.concatenate([c[t] for c in chunks])
+    for t, stops in zip(times, np.concatenate(chunks, axis=1)):
+        if t in share:
+            continue
         ks, mat = _coeffs_at_stops(f, osc, xs, stops)
         sup = np.concatenate([
             np.abs(v).max(axis=1)
@@ -756,12 +739,12 @@ def trivial_conjugacy_check(
     f: SkewShift,
     u: FiberedTrigPoly,
     c_phi: float,
-    t: float,
+    times: Sequence[float],
     points: int = 100,
     seed: int = 0,
-) -> float:
+) -> List[float]:
     """Max deviation of the shear conjugacy between the roof flow and the
-    constant suspension of the same mean height.
+    constant suspension of the same mean height, one per time in ``times``.
 
     First verifies u o f - u = Phi - c_phi on a 128^2 grid (raising
     NotACoboundary otherwise), then compares, at ``points`` sampled
@@ -778,13 +761,15 @@ def trivial_conjugacy_check(
             f"u o f - u differs from Phi - {c_phi} by up to {residual:.3e}"
         )
     xs, ys, zs = _sample_block(roof, seed, 0, points)
-    mx, my, mz = _flow_lanes(roof, f, xs, ys, zs, t)
-    lhs = _reduce_constant_quotient(f, mx, my, mz + u.evaluate(mx, my), c_phi)
     sx, sy, sz = _reduce_constant_quotient(
         f, xs, ys, zs + u.evaluate(xs, ys), c_phi
     )
-    rhs = _reduce_constant_quotient(f, sx, sy, sz + t, c_phi)
-    return float(np.max(_quotient_distance(f, lhs, rhs, c_phi), initial=0.0))
+    out = []
+    for t, (mx, my, mz) in zip(times, _flow_lanes(roof, f, xs, ys, zs, times)):
+        lhs = _reduce_constant_quotient(f, mx, my, mz + u.evaluate(mx, my), c_phi)
+        rhs = _reduce_constant_quotient(f, sx, sy, sz + t, c_phi)
+        out.append(float(np.max(_quotient_distance(f, lhs, rhs, c_phi), initial=0.0)))
+    return out
 
 
 def _quotient_distance(f, a, b, height) -> np.ndarray:

@@ -1,9 +1,10 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
-import os
+import pathlib
 import tracemalloc
 
 import pytest
@@ -161,6 +162,33 @@ def test_weyl_and_hitting_run(tmp_path, roofs):
     )
     assert code == 0
     assert (out / "hitting.csv").exists()
+
+
+def test_benchmark_tracer_counts_the_lanes(tmp_path, roofs, capsys):
+    # perfbench/tracer.py finds the lane kernels by name and counts their
+    # points from the argument at position 2
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = []
+        tracer.root(lambda: codes.append(run(
+            tmp_path / "c", "correlate", "--roof", roofs["example1"],
+            "--cube", "0,0.5,0,0.5,0.5", "--t", "2,0,2", "--samples", "5000",
+        )[0]))
+        tracer.root(lambda: codes.append(run(
+            tmp_path / "h", "hitting", "--roof", roofs["example1"], "--C", "2",
+            "--t", "20,5",
+        )[0]))
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert "mixlab.specialflow." not in capsys.readouterr().err   # all found
+    assert tracer.counts["specialflow.flow_lanes.points"] > 0
+    assert tracer.counts["specialflow.hit_lanes.points"] > 0
 
 
 def test_fiber_profile_runs(tmp_path, roofs):

@@ -18,9 +18,7 @@ from conftest import (
     theta_exact,
 )
 from mixlab.cohomology import (
-    ClassifierReport,
     ComponentSpectrum,
-    ConvergentTimes,
     OrbitLabel,
     classify_roof,
     coboundary_residual,
@@ -34,9 +32,7 @@ from mixlab.cohomology import (
 from mixlab.errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
 from mixlab.skewshift import (
     SkewShift,
-    TorusPoint,
     midgrid,
-    project,
     skew_coboundary,
 )
 from mixlab.trigpoly import FiberedTrigPoly

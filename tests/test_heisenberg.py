@@ -16,7 +16,6 @@ from mixlab.heisenberg import (
     AlgebraVector,
     HeisenbergElement,
     Lattice,
-    NilPoint,
     group_exp,
     group_log,
     group_mul,

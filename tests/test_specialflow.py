@@ -20,17 +20,15 @@ from conftest import (
     sample_block_reference,
 )
 from mixlab.cli import bundled_roof_path
-from mixlab.cohomology import classify_roof
 from mixlab.errors import NonPositiveRoof, NotACoboundary
+from mixlab.phases import PhaseNumerators
 from mixlab.skewshift import (
     SkewShift,
     TorusPoint,
     birkhoff_sum,
     load_roof,
-    midgrid,
 )
 from mixlab.specialflow import (
-    CorrelationEstimate,
     _climb_lanes,
     _flow_lanes,
     _hit_count_lanes,
@@ -321,7 +319,7 @@ def test_unreachable_times_raise(t):
     with pytest.raises(ValueError):
         flow_at(roof, f, p, -t)
     with pytest.raises(ValueError):
-        _hit_count_lanes(roof, f, np.array([0.3]), np.array([0.8]), t)
+        _hit_count_lanes(roof, f, np.array([0.3]), np.array([0.8]), [t])
 
 
 # ---------------------------------------------------------------------- flow
@@ -334,11 +332,11 @@ def test_lanes_stop_at_the_scalar_step_bound():
     roof = Roof(FiberedTrigPoly.constant(1.0), 10.0, 10.0, 1.0, 0.0)
     xs, ys = np.array([0.1, 0.6]), np.array([0.2, 0.9])
     limit = int(100.0 / 10.0) + 2
-    counts = _hit_count_lanes(roof, f, xs, ys, 100.0)
+    counts = _hit_count_lanes(roof, f, xs, ys, [100.0])[0]
     for x, y, n in zip(xs, ys, counts):
         assert n == hit_count(roof, f, FlowPoint(x, y, 0.0), 100.0) == limit
     for t in (100.0, -100.0):
-        lx, ly, lz = _flow_lanes(roof, f, xs, ys, np.zeros(2), t)
+        (lx, ly, lz), = _flow_lanes(roof, f, xs, ys, np.zeros(2), [t])
         for i in range(2):
             want = flow_at(roof, f, FlowPoint(xs[i], ys[i], 0.0), t)
             assert circle_dist(lx[i], want.x) < 1e-12
@@ -352,8 +350,8 @@ _KERNEL_ROOF = certify_roof(coboundary_roof(0.25, const=3.0))
 
 def _assert_lanes_match_scalar(f, xs, ys, zs, t, check):
     roof = _KERNEL_ROOF
-    fx, fy, fz = _flow_lanes(roof, f, xs, ys, zs, t)
-    counts = _hit_count_lanes(roof, f, xs, ys, abs(t))
+    (fx, fy, fz), = _flow_lanes(roof, f, xs, ys, zs, [t])
+    counts = _hit_count_lanes(roof, f, xs, ys, [abs(t)])[0]
     for i in check:
         q = flow_at(roof, f, FlowPoint(xs[i], ys[i], zs[i]), t)
         assert (q.x, q.y, q.z) == (fx[i], fy[i], fz[i])
@@ -408,24 +406,13 @@ def test_resumed_climb_equals_fresh_climb(t1, dt, backward, overstated, lanes, s
     rng = np.random.default_rng(seed)
     xs, ys = rng.random(lanes), rng.random(lanes)
     zs = _KERNEL_ROOF.certified_min * rng.random(lanes)
-    first = _climb_lanes(roof, f, xs, ys, zs + t1, backward)
-    t2 = t1 + dt
-    n, total = _climb_lanes(roof, f, xs, ys, zs + t2, backward, start=first)
-    want_n, want_total = _climb_lanes(roof, f, xs, ys, zs + t2, backward)
-    assert np.array_equal(n, want_n)
-    assert np.array_equal(total, want_total)
-
-
-def test_climb_resumes_only_towards_higher_targets():
-    f = SkewShift(GOLDEN, 0.31)
-    xs, ys = np.array([0.1, 0.6]), np.array([0.2, 0.9])
-    first = _climb_lanes(_KERNEL_ROOF, f, xs, ys, [50.0, 50.0])
-    with pytest.raises(ValueError):
-        _climb_lanes(_KERNEL_ROOF, f, xs, ys, [50.0, 20.0], start=first)
-    # above the sums, but the step limit falls below the steps taken
-    first = _climb_lanes(_OVERSTATED_ROOF, f, xs, ys, [100.0, 100.0])
-    with pytest.raises(ValueError):
-        _climb_lanes(_OVERSTATED_ROOF, f, xs, ys, first[1] + 1.0, start=first)
+    phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
+    targets = zs + np.array([[t1], [t1 + dt]])
+    n, total = _climb_lanes(roof, phases, targets, backward)
+    for r in range(2):
+        want_n, want_total = _climb_lanes(roof, phases, targets[r : r + 1], backward)
+        assert np.array_equal(n[r], want_n[0])
+        assert np.array_equal(total[r], want_total[0])
 
 
 def test_flow_identity_and_constant_suspension():
@@ -604,6 +591,33 @@ def test_correlation_chains_unsorted_and_repeated_times():
     assert together == alone
 
 
+def test_times_in_one_call_equal_single_times():
+    # unsorted, repeated and mixed-sign times: one climb per sign
+    f = SkewShift(GOLDEN, 0.25)
+    roof = _KERNEL_ROOF
+    rng = np.random.default_rng(3)
+    xs, ys = rng.random(300), rng.random(300)
+    zs = roof.certified_min * rng.random(300)
+    times = [7.0, -3.0, 0.0, 7.0, -11.0, 2.0]
+    for t, image in zip(times, _flow_lanes(roof, f, xs, ys, zs, times)):
+        (want,) = _flow_lanes(roof, f, xs, ys, zs, [t])
+        assert all(np.array_equal(a, b) for a, b in zip(image, want))
+    hit_times = [t for t in times if t >= 0]
+    counts = _hit_count_lanes(roof, f, xs, ys, hit_times)
+    for t, row in zip(hit_times, counts):
+        assert np.array_equal(row, _hit_count_lanes(roof, f, xs, ys, [t])[0])
+    cube, arc = Cube(0.2, 0.6, 0.1, 0.7, 0.5), (0.15, 0.85)
+    profile = fiber_mixing_profile(roof, f, 0.3, arc, cube, times)
+    assert profile == [
+        fiber_mixing_profile(roof, f, 0.3, arc, cube, [t])[0] for t in times
+    ]
+    u = FiberedTrigPoly.from_modes({(0, 1): 0.5, (0, -1): 0.5}, real=True)
+    devs = trivial_conjugacy_check(roof, f, u, 3.0, times, points=60)
+    assert devs == [
+        trivial_conjugacy_check(roof, f, u, 3.0, [t], points=60)[0] for t in times
+    ]
+
+
 def test_correlation_workers_identical():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
@@ -623,7 +637,7 @@ def test_measure_preservation_under_flow():
     xs, ys, zs = _sample_block(roof, 8, 0, n)
     mu = cube_measure(roof, cube)
     for t in (1.0, 10.0, 100.0):
-        fx, fy, fz = _flow_lanes(roof, f, xs, ys, zs, -t)
+        (fx, fy, fz), = _flow_lanes(roof, f, xs, ys, zs, [-t])
         frac = np.count_nonzero(cube.contains(fx, fy, fz)) / n
         sigma = math.sqrt(mu * (1 - mu) / n)
         assert abs(frac - mu) <= 3 * sigma
@@ -645,10 +659,10 @@ def test_fiber_profile_t0():
     roof = certify_roof(mixing_example_roof())
     cube = Cube(0.2, 0.6, 0.1, 0.7, 0.5)
     # arc inside the cube's y-interval, x inside the x-interval
-    val = fiber_mixing_profile(roof, f, 0.3, (0.2, 0.6), cube, 0.0)
+    val = fiber_mixing_profile(roof, f, 0.3, (0.2, 0.6), cube, [0.0])[0]
     assert abs(val - 0.4) < 1e-12
     # x outside
-    val = fiber_mixing_profile(roof, f, 0.9, (0.2, 0.6), cube, 0.0)
+    val = fiber_mixing_profile(roof, f, 0.9, (0.2, 0.6), cube, [0.0])[0]
     assert val == 0.0
 
 
@@ -662,7 +676,7 @@ def test_fiber_profile_large_time_regression():
     roof = certify_roof(mixing_example_roof())
     cube = Cube(0.2, 0.6, 0.1, 0.7, 0.5)
     arc = (0.15, 0.85)
-    val = fiber_mixing_profile(roof, f, 0.3, arc, cube, 200.0, resolution=512)
+    val = fiber_mixing_profile(roof, f, 0.3, arc, cube, [200.0], resolution=512)[0]
     target = (arc[1] - arc[0]) * cube_measure(roof, cube)
     assert val == pytest.approx(FROZEN_PROFILE_T200, abs=1e-9)
     assert abs(val - target) < target     # within a factor 2 already
@@ -763,7 +777,7 @@ def test_conjugacy_constant_roof_exact():
     f = SkewShift(GOLDEN, 0.2)
     roof = certify_roof(FiberedTrigPoly.constant(1.5))
     u = FiberedTrigPoly({}, real=True)
-    dev = trivial_conjugacy_check(roof, f, u, 1.5, 3.3, points=40)
+    dev = trivial_conjugacy_check(roof, f, u, 1.5, [3.3], points=40)[0]
     assert dev == 0.0
 
 
@@ -773,7 +787,7 @@ def test_conjugacy_explicit_coboundary():
     roof = certify_roof(coboundary_roof(beta, const=3.0))
     u = FiberedTrigPoly.from_modes({(0, 1): 0.5, (0, -1): 0.5}, real=True)
     for t in (0.7, 3.3, 10.1):
-        dev = trivial_conjugacy_check(roof, f, u, 3.0, t, points=60)
+        dev = trivial_conjugacy_check(roof, f, u, 3.0, [t], points=60)[0]
         assert dev <= 1e-8
 
 
@@ -782,7 +796,7 @@ def test_conjugacy_rejects_wrong_transfer():
     roof = certify_roof(mixing_example_roof())
     u = FiberedTrigPoly.from_modes({(0, 1): 0.5, (0, -1): 0.5}, real=True)
     with pytest.raises(NotACoboundary):
-        trivial_conjugacy_check(roof, f, u, 2.0, 1.0)
+        trivial_conjugacy_check(roof, f, u, 2.0, [1.0])
 
 
 def test_trivial_roof_correlations_do_not_decay():
