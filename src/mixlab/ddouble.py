@@ -1,55 +1,3 @@
-"""Double-double building blocks for long phase recursions.
-
-Error-free float transforms (Dekker/Knuth) that work elementwise on
-numpy arrays as well as on scalars.  A double-double value is an
-unevaluated pair (hi, lo) with |lo| <= 0.5 ulp(hi); adding ~1-sized
-increments n times keeps the representable error near n * 2^-105
-instead of n * 2^-53.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-
-def two_sum(a, b):
-    """(s, err) with s + err == a + b exactly; no magnitude assumption."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def quick_two_sum(a, b):
-    """(s, err) with s + err == a + b exactly; assumes |a| >= |b|."""
-    s = a + b
-    err = b - (s - a)
-    return s, err
-
-
-def dd_add(a_hi, a_lo, b_hi, b_lo):
-    """Full double-double addition, renormalised."""
-    s, e = two_sum(a_hi, b_hi)
-    t, f = two_sum(a_lo, b_lo)
-    e = e + t
-    s, e = quick_two_sum(s, e)
-    e = e + f
-    return quick_two_sum(s, e)
-
-
-def dd_add_float(a_hi, a_lo, b):
-    """Add a plain float (or array) to a double-double pair."""
-    s, e = two_sum(a_hi, b)
-    e = e + a_lo
-    return quick_two_sum(s, e)
-
-
-def dd_wrap(hi, lo):
-    """Pull hi back near [0, 1) by whole integers.
-
-    Used on phase accumulators feeding exp(2 pi i *): shifting by an
-    exact integer leaves the phase unchanged, so only the magnitude of
-    hi matters, not a strict [0, 1) reduction.
-    """
-    shift = np.floor(hi)
-    return hi - shift, lo
+"""Empty: the double-double mode is gone, replaced by the exact numerators
+of ``phases``.  The file stays only because the benchmark's tracer imports
+every module of its ``LAYERS`` list; it goes with that entry."""

@@ -8,7 +8,8 @@ exact dyadic rational it is and reduce mod 1 in integer arithmetic, so a
 phase is correct to one rounding of the final conversion no matter how
 large the step index gets.  ``PhaseNumerators`` forms the phases, and the
 orbit points of one base point or of many, for whole arrays of step
-indices of either sign.
+indices of either sign, as integer numerators over 2^64, or over the
+exact 2^K of inputs with more than 64 fraction bits.
 """
 
 from __future__ import annotations
@@ -37,37 +38,20 @@ def circle_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def _dyadic(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(num, k) with v == num / 2^k exactly, elementwise, for v in [0, 1).
-
-    num is odd (or 0, with k = 0): the 53-bit mantissa of v with its
-    trailing zeros shifted out.
-    """
-    mant, e = np.frexp(v)
-    m = np.ldexp(mant, 53).astype(np.int64)
-    tz = np.maximum(np.frexp((m & -m).astype(float))[1] - 1, 0)
-    return m >> tz, np.where(m == 0, 0, 53 - e - tz)
-
-
-# The denominator exponent used whenever it covers every input; floats in
-# [0, 1) with at most 62 fraction bits (every random() draw, every bundled
-# roof) need no per-value scan.
-_K_COMMON = 62
-
-
 class PhaseNumerators:
     """Exact phases  m*j*alpha + k*s_j (mod 1)  for arrays of step indices j,
     with s_j = j*beta + binom(j,2)*alpha the quadratic phase at x = 0, and
     the orbits f^j(x, y) of one base point or of many (lanes).
 
     alpha, beta and every x and y are read as the dyadic rationals A/2^K,
-    B/2^K, X/2^K and Y/2^K they are, one K for all of them (62 when that
-    suffices, else the largest exponent any of them needs), and the phases
-    are formed as integer numerators over 2^K.  For K <= 64 the numerators
-    are uint64 arrays: wrap-around is reduction mod 2^64, hence exact mod
-    2^K, and binom(j,2) is a product of two int64 factors, one of them
+    B/2^K, X/2^K and Y/2^K they are, one K for all of them, and the phases
+    are formed as integer numerators over 2^K.  When every input is a
+    multiple of 2^-64 (every float in [2^-12, 1), every random() draw), K
+    is 64 and the numerators are uint64 arrays: wrap-around is reduction
+    mod 2^64, and binom(j,2) is a product of two int64 factors, one of them
     halved by an arithmetic shift, so that negative j and j past 2^32 lose
-    no bit.  For K > 64 the same expressions run on object arrays of Python
+    no bit.  Otherwise K is the largest denominator exponent of any input,
+    past 64, and the same expressions run on object arrays of Python
     integers.
 
     The base points are L lanes (L = 1 for scalar x and y), stored as a
@@ -84,37 +68,30 @@ class PhaseNumerators:
         if not np.all(np.isfinite(vals)):
             raise ValueError("alpha, beta, x and y must be finite")
         vals = vfrac(vals)
-        scaled = np.ldexp(vals, _K_COMMON)
+        # residues in [-1/2, 1/2): a signed cast is far faster than a uint64 one
+        scaled = np.ldexp(vals - (vals >= 0.5), 64)
         if np.array_equal(scaled, np.floor(scaled)):
-            # every value is a multiple of 2^-62: no need for each one's K
-            k = _K_COMMON
-            nums = scaled.astype(np.int64).astype(np.uint64)
+            k = 64
+            nums = scaled.astype(np.int64).view(np.uint64)
         else:
-            num, kv = _dyadic(vals)
-            k = int(kv.max())
-            shift = np.where(num == 0, 0, k - kv)
-            if k <= 64:
-                nums = num.astype(np.uint64) << shift.astype(np.uint64)
-            else:
-                nums = np.array(
-                    [int(a) << int(b) for a, b in zip(num, shift)], dtype=object
-                )
+            ratios = [v.as_integer_ratio() for v in vals.tolist()]
+            k = max(d.bit_length() - 1 for _, d in ratios)
+            nums = np.array([(n << k) // d for n, d in ratios], dtype=object)
         self.k = k
-        self.dtype = np.dtype(np.uint64) if k <= 64 else np.dtype(object)
-        self._mask = self._int((1 << k) - 1)
+        self.dtype = nums.dtype
+        self._mask = (1 << k) - 1
         # numerators are arrays, never numpy scalars: scalar uint64
         # arithmetic warns on the wrap that arrays take silently
         self._a, self._b = nums[:1], nums[1:2]
-        lanes = x.size
-        self._x = nums[2 : 2 + lanes].reshape(1, lanes)
-        self._y = nums[2 + lanes :].reshape(1, lanes)
-        # uint64 / float(2^K) rounds once, in the conversion to float; a
-        # Python int / int is correctly rounded and cannot overflow.
-        self._scale = float(1 << k) if k <= 64 else 1 << k
+        self._x, self._y = nums[2:].reshape(2, 1, x.size)
 
     def _int(self, v: int):
         """v as a scalar of the numerator dtype (mod 2^64 for uint64)."""
         return np.uint64(v % (1 << 64)) if self.dtype == np.uint64 else v
+
+    def _mod(self, v: np.ndarray) -> np.ndarray:
+        """v mod 2^K; uint64 arithmetic has wrapped mod 2^64 = 2^K already."""
+        return v if self.dtype == np.uint64 else v & self._mask
 
     def lanes(self, idx: np.ndarray) -> "PhaseNumerators":
         """The same phases for the lanes ``idx`` only."""
@@ -130,15 +107,10 @@ class PhaseNumerators:
         out._x, out._y = self.orbit(n)
         return out
 
-    def _j(self, j) -> np.ndarray:
-        """Integer step indices as numerator-dtype values (mod 2^64)."""
-        j = np.asarray(j, dtype=np.int64)
-        return j.astype(np.uint64) if self.k <= 64 else j.astype(object)
-
     def linear_quadratic(self, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Numerators of (j*alpha, s_j) mod 1 for integer j of either sign."""
         j = np.asarray(j, dtype=np.int64)
-        if self.k <= 64:
+        if self.dtype == np.uint64:
             # binom(j, 2) = j * (j - 1) / 2: halve the even factor in int64
             # (an arithmetic shift, exact for either sign), then wrap
             odd = (j & 1).astype(bool)
@@ -147,26 +119,33 @@ class PhaseNumerators:
             c2 = a * b
         else:
             c2 = (j.astype(object) * (j - 1).astype(object)) // 2
-        ju = self._j(j)
-        return (ju * self._a) & self._mask, (ju * self._b + c2 * self._a) & self._mask
+        ju = j.astype(self.dtype)                  # mod 2^64 for uint64
+        return self._mod(ju * self._a), self._mod(ju * self._b + c2 * self._a)
 
     def orbit(self, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Numerators of f^j(x, y) = (x + j*alpha, y + j*x + s_j) mod 1 for
         integer j of either sign; negative j is the backward orbit.  The
         shape is that of j broadcast against the base points."""
         ja, s = self.linear_quadratic(j)
-        ju, mask = self._j(j), self._mask
-        return (self._x + ja) & mask, (self._y + ju * self._x + s) & mask
+        ju = np.asarray(j, dtype=np.int64).astype(self.dtype)
+        return self._mod(self._x + ja), self._mod(self._y + ju * self._x + s)
 
     def mode(self, ja: np.ndarray, s: np.ndarray, m: int, k: int) -> np.ndarray:
         """Numerators of m*a + k*b mod 1 for numerators a, b: the mode (m, k)
         of the phase pair from ``linear_quadratic``, or of a point."""
         if m == 0:
-            return (self._int(k) * s) & self._mask
+            return self._mod(self._int(k) * s)
         if k == 0:
-            return (self._int(m) * ja) & self._mask
-        return (self._int(m) * ja + self._int(k) * s) & self._mask
+            return self._mod(self._int(m) * ja)
+        return self._mod(self._int(m) * ja + self._int(k) * s)
 
     def to_unit(self, num: np.ndarray) -> np.ndarray:
         """num / 2^K as floats in [0, 1], each with a single rounding."""
-        return np.asarray(num / self._scale, dtype=float)
+        if self.dtype != np.uint64:
+            return np.asarray(num / (1 << self.k), dtype=float)  # int / int
+        # hi * 2^32 + lo rounds once; numpy's uint64 cast is slow past 2^63
+        half = np.ascontiguousarray(num, "<u8").view("<u4")
+        out = half[..., 1::2] * 2.0 ** 32
+        out += half[..., 0::2]
+        out *= 2.0 ** -64
+        return out

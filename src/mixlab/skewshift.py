@@ -251,23 +251,27 @@ def grid_blocks(
     (``fiber_coefficients_on_grid``), one block of whole x-rows at a time:
     block[i, q] = Phi_n(x_{i0 + i}, y_q), real parts for a real roof.
 
-    A block holds about ``_SWEEP_BLOCK`` values, so memory stays O(y_size)
-    for any lattice.  Every block has at least two rows unless the lattice
-    has one: numpy takes a one-row product through gemv, not gemm, and it
-    rounds differently, while products of two or more rows round every
-    value as the whole-lattice product does.
+    A block holds about ``_SWEEP_BLOCK`` values and is not kept once
+    yielded, so memory stays O(y_size) for any lattice.  Every block has at
+    least two rows unless the lattice has one: numpy sends a one-row
+    product through gemv, which rounds otherwise than the whole-lattice
+    gemm; products of two or more rows round as that gemm does.
     """
     rows = coeffs.shape[1]
     y_size = y_size or rows
-    ky = np.exp(2j * np.pi * np.outer(ks, midgrid(y_size)))
+    # e(k y) formed in place, bit for bit np.exp(2j*pi*outer(ks, y))
+    ky = np.zeros((len(ks), y_size), complex)
+    np.outer(ks, midgrid(y_size), out=ky.imag)
+    ky.imag *= 2 * np.pi
+    np.exp(ky, out=ky)
+    take = np.real if real else np.asarray
     step = max(2, _SWEEP_BLOCK // y_size)
     i0 = 0
     while i0 < rows:
         i1 = i0 + step
         if i1 >= rows - 1:
             i1 = rows
-        vals = coeffs[:, i0:i1].T @ ky
-        yield vals.real if real else vals
+        yield take(coeffs[:, i0:i1].T @ ky)
         i0 = i1
 
 

@@ -167,6 +167,7 @@ def _grid_extrema(
         for vals in grid_blocks(ks, cols, True, gy):
             low.append(vals.min(axis=1))
             high.append(vals.max(axis=1))
+            del vals              # one block at a time on y-heavy lattices
         n = rows.size
         return np.concatenate(low)[:n], np.concatenate(high)[:n]
 

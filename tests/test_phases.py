@@ -160,6 +160,43 @@ def test_scalar_base_point_is_one_lane():
     assert val[0, 0] == np.exp(1j * theta)
 
 
+_GOLDEN = 0.6180339887498949
+_JS = [0, 1, -1, 12345, -(2 ** 33) + 1, 2 ** 61 + 7, 2 ** 62, -(2 ** 62)]
+
+
+@pytest.mark.parametrize("alpha, beta, xs, ys, k, dtype", [
+    # within 62 fraction bits: K is 64 all the same, and the numerators
+    # of the values in [0.5, 1) pass 2^63
+    (_GOLDEN, 0.25, [0.7, 0.1], [0.9, 0.3], 64, np.uint64),
+    # 2^-12 + 2^-64 has exactly 64 fraction bits
+    (_GOLDEN, 0.75, [2 ** -12 + 2 ** -64, 0.5], [0.9, 0.999], 64, np.uint64),
+    # 2^-13 + 2^-65 has 65: Python integers over 2^65
+    (_GOLDEN, 2 ** -13 + 2 ** -65, [0.7, 0.1], [0.9, 0.3], 65, object),
+])
+def test_numerator_width_follows_the_fraction_bits(alpha, beta, xs, ys, k, dtype):
+    ph = PhaseNumerators(alpha, beta, xs, ys)
+    assert ph.k == k and ph.dtype == dtype
+    js = np.array(_JS, dtype=np.int64)
+    ja, s = ph.linear_quadratic(js)
+    assert ja.dtype == dtype and int(ja[1]) >= 2 ** (k - 1)    # alpha >= 1/2
+    bx, by = ph.orbit(js[:, None])
+    a, b = Fraction(alpha), Fraction(beta)
+    for r, j in enumerate(_JS):
+        for m, kk in ((1, 0), (0, 1), (3, -2), (-5, 7)):
+            want = (m * j * a + kk * (j * b + binom2(j) * a)) % 1
+            num = ph.mode(ja[r : r + 1], s[r : r + 1], m, kk)
+            assert Fraction(int(num[0]), 2 ** k) == want
+            assert ph.to_unit(num)[0] == float(want)
+        for c, (x, y) in enumerate(zip(xs, ys)):
+            x0, y0 = Fraction(x), Fraction(y)
+            wx = (x0 + j * a) % 1
+            wy = (y0 + j * x0 + j * b + binom2(j) * a) % 1
+            assert Fraction(int(bx[r, c]), 2 ** k) == wx
+            assert Fraction(int(by[r, c]), 2 ** k) == wy
+            assert ph.to_unit(bx[r : r + 1, c])[0] == float(wx)
+            assert ph.to_unit(by[r : r + 1, c])[0] == float(wy)
+
+
 def test_non_finite_inputs_raise():
     with pytest.raises(ValueError, match="finite"):
         PhaseNumerators(math.nan, 0.0)

@@ -1,6 +1,7 @@
 """Roof certification, the suspension flow, and its estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ def test_certify_reports_relaxed_slack():
     assert roof.slack > roof.slack_target
     assert roof.certified_min <= 1.5 <= roof.certified_min + roof.slack
     assert roof.certified_max - roof.slack <= 2.5 <= roof.certified_max
+
+
+def test_certify_holds_one_lattice_block_at_a_time():
+    # 2 + cos(2 pi y)/2 + cos(2 pi 1500 y)/10 on a 16 x 945,620 lattice in
+    # blocks of two x-rows: the table e(k y) of its 5 fiber modes takes
+    # 72 MiB.  Forming it in place, and holding one 29 MiB block at a time,
+    # stays under 128 MiB; forming it through a complex temporary, or
+    # holding the previous block while the next is formed, does not.
+    phi = FiberedTrigPoly.from_modes(
+        {(0, 0): 2.0, (0, 1): 0.25, (0, -1): 0.25,
+         (0, 1500): 0.05, (0, -1500): 0.05},
+        real=True,
+    )
+    assert certify_grid(phi) == (16, 945_620)
+    tracemalloc.start()
+    try:
+        roof = certify_roof(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roof.certified_min <= 1.4 and roof.certified_max >= 2.6
+    assert peak < 128 * 2 ** 20
 
 
 def test_certify_rejects_frequencies_beyond_the_budget():
