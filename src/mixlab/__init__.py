@@ -14,7 +14,6 @@ from .errors import (
     InvalidRoofFile,
     MixlabError,
     NonPositiveRoof,
-    NonPositiveTimeChange,
     NotACoboundary,
     NonzeroFiberAverage,
     ObstructionNonzero,
@@ -30,7 +29,6 @@ __all__ = [
     "InvalidRoofFile",
     "MixlabError",
     "NonPositiveRoof",
-    "NonPositiveTimeChange",
     "NotACoboundary",
     "NonzeroFiberAverage",
     "ObstructionNonzero",

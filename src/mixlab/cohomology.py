@@ -57,13 +57,6 @@ class OrbitLabel:
         if not 0 <= self.m < abs(self.n):
             raise ValueError("m must lie in [0, |n|)")
 
-    def index_of(self, a: int) -> int:
-        """j with (a, n) = (m + j n, n); raises if a is not on the orbit."""
-        j, r = divmod(a - self.m, self.n)
-        if r != 0:
-            raise ValueError(f"frequency ({a}, {self.n}) not in block {self}")
-        return j
-
 
 @dataclass(frozen=True)
 class ComponentSpectrum:
@@ -91,13 +84,6 @@ class ComponentSpectrum:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def as_fibered(self) -> FiberedTrigPoly:
-        """The block element as a function on the torus (complex-valued)."""
-        n = self.label.n
-        return FiberedTrigPoly.from_modes(
-            {(self.label.m + j * n, n): c for j, c in self.coeffs.items()}
-        )
 
     def compose_map(self, f: SkewShift) -> "ComponentSpectrum":
         """Spectrum of Phi o f: index shift j -> j + 1 with a unit phase."""

@@ -9,10 +9,6 @@ class DegenerateSection(MixlabError):
     """The flow generator is tangent to the section (w_y = 0)."""
 
 
-class NonPositiveTimeChange(MixlabError):
-    """A time-change density was sampled at a value <= 0."""
-
-
 class NonPositiveRoof(MixlabError):
     """The certified lower bound of a roof function is <= 0."""
 

@@ -20,9 +20,9 @@ return time 1/w_y, and the return map is the linear skew-shift
     (x, z) -> (x + w_x/w_y,  z + x + w_z/w_y + w_x/(2 w_y)).
 
 Minimality of the flow additionally needs w_x/w_y irrational; that is
-not decidable on floats, so ``AlgebraVector.irrational`` is a caller
-assertion and rational ratios silently degrade long-orbit experiments
-(formal evaluations such as the section formulas stay valid).
+not decidable on floats, so it is left to the caller, and rational
+ratios silently degrade long-orbit experiments (formal evaluations such
+as the section formulas stay valid).
 """
 
 from __future__ import annotations
@@ -53,27 +53,18 @@ class HeisenbergElement:
             self.z + other.z + self.x * other.y,
         )
 
-    def inverse(self) -> "HeisenbergElement":
-        return HeisenbergElement(-self.x, -self.y, self.x * self.y - self.z)
-
-    def matrix(self):
-        """3x3 float matrix of this element (for cross-checks)."""
-        return [[1.0, self.x, self.z], [0.0, 1.0, self.y], [0.0, 0.0, 1.0]]
-
 
 @dataclass(frozen=True)
 class AlgebraVector:
     """Generator W = w_x X + w_y Y + w_z Z of a one-parameter subgroup.
 
-    ``irrational`` asserts (it cannot verify) that w_x/w_y is irrational,
-    the condition for the induced flow on the quotient to be uniquely
-    ergodic.
+    The induced flow on the quotient is uniquely ergodic when w_x/w_y is
+    irrational, which the caller must ensure.
     """
 
     w_x: float
     w_y: float
     w_z: float
-    irrational: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,10 +86,6 @@ class NilPoint:
     lattice: Lattice = Lattice(1)
 
 
-def group_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
-    return a * b
-
-
 def group_exp(w: AlgebraVector, t: float) -> HeisenbergElement:
     """exp(t W).  The matrix series terminates: W^3 = 0."""
     return HeisenbergElement(
@@ -106,11 +93,6 @@ def group_exp(w: AlgebraVector, t: float) -> HeisenbergElement:
         t * w.w_y,
         t * w.w_z + 0.5 * t * t * w.w_x * w.w_y,
     )
-
-
-def group_log(g: HeisenbergElement) -> AlgebraVector:
-    """Inverse of ``group_exp`` at t = 1."""
-    return AlgebraVector(g.x, g.y, g.z - 0.5 * g.x * g.y)
 
 
 def reduce_mod_lattice(

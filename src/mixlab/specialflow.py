@@ -25,9 +25,10 @@ constant suspension on the same exact orbits.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
-count or scheduling.  The sampler accepts a draw below the certified roof
-minimum without evaluating the roof there, with the same decisions as
-evaluating every draw.
+count or scheduling.  The correlation estimator draws only the points
+that land in its first cube, which lies below the roof: a binomial count
+per block, then that many points uniform in the cube, with no roof value
+and no rejection.
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def _grid_extrema(
 
 
 def _rounding_margin(phi: FiberedTrigPoly) -> float:
-    """A margin far above the rounding of any computed roof value, on the
-    lattice or at a point, and of the certified bounds: 1e-9 sup|Phi| per
-    unit of frequency, where those roundings are a few ulps of sup|Phi| per
-    mode and unit of frequency."""
+    """A margin far above the rounding of the roof values on the
+    certification lattice: 1e-9 sup|Phi| per unit of frequency, where that
+    rounding is a few ulps of sup|Phi| per mode and unit of frequency.
+    ``_grid_extrema`` evaluates every x-row whose Lipschitz bound comes
+    within it of the extrema."""
     return 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * phi.sup_bound() + 1e-12
 
 
@@ -450,49 +452,45 @@ def _hit_count_lanes(
 # --------------------------------------------------------------------------
 
 
-def _sample_block(
-    roof: Roof, seed: int, block_index: int, count: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` accepted samples from the normalised invariant measure.
-
-    Rejection against the box of height certified_max, with the roof
-    values of ``FiberedTrigPoly.evaluate``; the stream is a Philox generator
-    keyed by (seed, block_index), so the accepted points are a pure
-    function of those two integers.
-
-    A draw with z < certified_min - margin (``_rounding_margin``) is
-    accepted without a roof value: certified_min is the computed lattice
-    minimum less the Lipschitz slack, so the true roof is at least
-    certified_min less the rounding of that minimum, and the computed value
-    at the draw is lower than the true one by at most its own rounding.
-    The margin is far above both, so the computed value would exceed z and
-    every decision, and with it the stream, is that of evaluating every
-    draw.
-    """
-    rng = np.random.Generator(
+def _stream(seed: int, block_index: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, block_index)."""
+    return np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
-    sure = roof.certified_min - _rounding_margin(roof.phi)
-    xs = np.empty(count)
-    ys = np.empty(count)
-    zs = np.empty(count)
-    need = np.arange(count)
-    while need.size:
-        draw = rng.random((need.size, 3))
-        x = draw[:, 0]
-        y = draw[:, 1]
-        z = draw[:, 2] * roof.certified_max
-        ok = z < sure
-        check = np.flatnonzero(~ok)
-        if check.size:
-            ok[check] = z[check] < roof.phi.evaluate(x[check], y[check])
-        take = np.flatnonzero(ok)
-        got = need[take]
-        xs[got] = x[take]
-        ys[got] = y[take]
-        zs[got] = z[take]
-        need = need[~ok]
-    return xs, ys, zs
+
+
+def _uniform_in(
+    rng: np.random.Generator, n: int, cube: Cube
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n points uniform in the cube, one row of ``rng.random`` each, its
+    columns mapped affinely onto the cube's sides.
+
+    x and y are rounded up to multiples of 2^-64, which moves only values
+    below 2^-12, by less than 2^-64: a base point off that grid would put
+    every lane of its block on the Python-integer path of
+    ``PhaseNumerators``.
+    """
+    u = rng.random((n, 3))
+    x = cube.x1 + (cube.x2 - cube.x1) * u[:, 0]
+    y = cube.y1 + (cube.y2 - cube.y1) * u[:, 1]
+    x, y = (np.ldexp(np.ceil(np.ldexp(v, 64)), -64) for v in (x, y))
+    return x, y, cube.h * u[:, 2]
+
+
+def _sample_block(
+    roof: Roof, seed: int, block_index: int, count: int, cube: Cube
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points in the cube of ``count`` draws from the normalised
+    invariant measure, from the Philox stream keyed by (seed, block_index).
+
+    The cube lies below the roof (``_require_cube_fits``), so the measure
+    conditioned on it is uniform in the box, and the number of the draws
+    that land in it is Binomial(count, mu(cube)): the stream draws that
+    number, then that many points uniform in the cube.  No roof value is
+    evaluated and no draw is rejected.
+    """
+    rng = _stream(seed, block_index)
+    return _uniform_in(rng, rng.binomial(count, cube_measure(roof, cube)), cube)
 
 
 def _map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -528,11 +526,13 @@ def correlate_cubes(
     ``times``, one estimate per time.
 
     The joint indicator is averaged over ``samples`` invariant-measure
-    draws; each block of draws is sampled once and its points in Q1 are
-    flowed to every time in one call (``_flow_lanes``).  mu(Q1) mu(Q2) is
-    computed analytically.  Block-wise integer counting keeps the result
+    draws.  Only the draws in Q1 can count, and ``_sample_block`` draws
+    just those, block by block; each block's points are flowed to every
+    time in one call (``_flow_lanes``).  mu(Q1) mu(Q2) is computed
+    analytically.  Block-wise integer counting keeps the result
     independent of the worker count, and of which other times are asked
-    for.
+    for.  The roof's certified bounds enter only through the check that
+    the cubes fit below the roof.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -541,11 +541,9 @@ def correlate_cubes(
     times = [float(t) for t in times]
 
     def block_counts(b: int) -> List[int]:
-        start = b * _BLOCK
-        count = min(_BLOCK, samples - start)
-        xs, ys, zs = _sample_block(roof, seed, b, count)
-        in1 = q1.contains(xs, ys, zs)
-        images = _flow_lanes(roof, f, xs[in1], ys[in1], zs[in1], times)
+        count = min(_BLOCK, samples - b * _BLOCK)
+        xs, ys, zs = _sample_block(roof, seed, b, count, q1)
+        images = _flow_lanes(roof, f, xs, ys, zs, times)
         return [int(np.count_nonzero(q2.contains(*im))) for im in images]
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
@@ -748,9 +746,11 @@ def trivial_conjugacy_check(
     constant suspension of the same mean height, one per time in ``times``.
 
     First verifies u o f - u = Phi - c_phi on a 128^2 grid (raising
-    NotACoboundary otherwise), then compares, at ``points`` sampled
-    phase points, the flow-then-shear image against the
-    shear-then-constant-flow image, both reduced in their quotients.
+    NotACoboundary otherwise), then compares, at ``points`` phase points
+    uniform in [0, 1)^2 x [0, certified_min) (the Philox stream keyed by
+    (seed, 0)), the flow-then-shear image against the
+    shear-then-constant-flow image, both reduced in their quotients.  The
+    result is a max over the points, so any points below the roof serve.
     The returned deviation is measured up to the fundamental-domain
     identification of the constant suspension.
     """
@@ -761,7 +761,8 @@ def trivial_conjugacy_check(
         raise NotACoboundary(
             f"u o f - u differs from Phi - {c_phi} by up to {residual:.3e}"
         )
-    xs, ys, zs = _sample_block(roof, seed, 0, points)
+    below = Cube(0.0, 1.0, 0.0, 1.0, roof.certified_min)
+    xs, ys, zs = _uniform_in(_stream(seed, 0), points, below)
     sx, sy, sz = _reduce_constant_quotient(
         f, xs, ys, zs + u.evaluate(xs, ys), c_phi
     )

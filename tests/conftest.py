@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mixlab.errors import DegenerateSection, NonPositiveTimeChange
+from mixlab.cohomology import ComponentSpectrum
+from mixlab.errors import DegenerateSection, MixlabError
 from mixlab.heisenberg import (
     AlgebraVector,
+    HeisenbergElement,
     Lattice,
     NilPoint,
     SectionReturn,
@@ -198,8 +200,11 @@ def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
 
 
 def sample_block_reference(roof, seed: int, block_index: int, count: int):
-    """``specialflow._sample_block`` with a roof value for every draw: the
-    reference of its accepts without one."""
+    """``count`` samples of the whole normalised invariant measure from the
+    Philox stream keyed by (seed, block_index), by rejection against the
+    box of height certified_max with a roof value for every draw: the
+    reference of ``specialflow._sample_block``, which draws only the points
+    in a cube below the roof."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
@@ -240,6 +245,30 @@ def lattice_bounds(phi: FiberedTrigPoly, gx: int, gy: int, stride: int = 1):
     return lo, hi
 
 
+def heisenberg_matrix(g: HeisenbergElement) -> np.ndarray:
+    """The 3x3 float matrix of a group element."""
+    return np.array([[1.0, g.x, g.z], [0.0, 1.0, g.y], [0.0, 0.0, 1.0]])
+
+
+def group_inverse(g: HeisenbergElement) -> HeisenbergElement:
+    """g^-1 = [-x, -y, x y - z]."""
+    return HeisenbergElement(-g.x, -g.y, g.x * g.y - g.z)
+
+
+def group_log(g: HeisenbergElement) -> AlgebraVector:
+    """The generator W with exp(W) = g: the inverse of
+    ``heisenberg.group_exp`` at t = 1."""
+    return AlgebraVector(g.x, g.y, g.z - 0.5 * g.x * g.y)
+
+
+def block_as_fibered(spectrum: ComponentSpectrum) -> FiberedTrigPoly:
+    """One frequency block's element as a (complex) function on the torus."""
+    m, n = spectrum.label.m, spectrum.label.n
+    return FiberedTrigPoly.from_modes(
+        {(m + j * n, n): c for j, c in spectrum.coeffs.items()}
+    )
+
+
 def bisect_return_per_point(w, x, z, lattice, time_tol=1e-12) -> SectionReturn:
     """Section return of one point by marching and bisecting its own
     y-crossing with full ``nilflow_at`` steps; no step uses the fact that
@@ -270,6 +299,10 @@ def bisect_return_per_point(w, x, z, lattice, time_tol=1e-12) -> SectionReturn:
             lo = mid
     landed = nilflow_at(start, w, hi).g
     return SectionReturn(landed.x, landed.z, hi)
+
+
+class NonPositiveTimeChange(MixlabError):
+    """A time-change density was sampled at a value <= 0."""
 
 
 def timechange_return_time(

@@ -14,6 +14,7 @@ import numpy as np
 from conftest import (
     GOLDEN,
     birkhoff_grid,
+    block_as_fibered,
     circle_dist,
     dense_evaluate_complex,
     sublevel_measure,
@@ -118,11 +119,11 @@ def test_c02_coboundary_round_trip():
                 worst_u,
                 abs(u_out.coeffs.get(j, 0.0) - u_in.coeffs.get(j, 0.0)),
             )
-        fu = u_out.as_fibered()
+        fu = block_as_fibered(u_out)
         residual = dense_evaluate_complex(
             fu, (X + f.alpha) % 1.0, (Y + X + f.beta) % 1.0
         ) - dense_evaluate_complex(fu, X, Y) - dense_evaluate_complex(
-            phi.as_fibered(), X, Y
+            block_as_fibered(phi), X, Y
         )
         worst_pw = max(worst_pw, float(np.max(np.abs(residual))))
     report(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     GOLDEN,
     birkhoff_grid,
+    block_as_fibered,
     coboundary_roof,
     dense_evaluate_complex,
     mixing_example_roof,
@@ -53,15 +54,15 @@ def spectrum_of_coboundary(f, label, u_coeffs):
 
 
 def test_orbit_label_validation_and_index():
-    lbl = OrbitLabel(1, 2)
-    assert lbl.index_of(3) == 1
-    assert lbl.index_of(1) == 0
+    # (3, 2) and (1, 2) are the indices 1 and 0 of the block (1, 2)
+    _, comps = decompose_components(
+        FiberedTrigPoly.from_modes({(3, 2): 1.0, (1, 2): 2.0}))
+    assert [(c.label, c.coeffs) for c in comps] == [
+        (OrbitLabel(1, 2), {0: 2.0, 1: 1.0})]
     with pytest.raises(ValueError):
         OrbitLabel(2, 2)
     with pytest.raises(ValueError):
         OrbitLabel(0, 0)
-    with pytest.raises(ValueError):
-        lbl.index_of(2)
 
 
 # ------------------------------------------------------------- decomposition
@@ -224,8 +225,8 @@ def test_solver_output_satisfies_difference_equation_pointwise():
     u = solve_component(f, phi)
     G = 128
     xs = midgrid(G)
-    fu = u.as_fibered()
-    fphi = phi.as_fibered()
+    fu = block_as_fibered(u)
+    fphi = block_as_fibered(phi)
     X, Y = xs[:, None], xs[None, :]
     lhs = fu.evaluate(
         (X + f.alpha) % 1.0, (Y + X + f.beta) % 1.0
@@ -353,7 +354,7 @@ def test_ergodic_sum_l2_matches_quadrature_general_block():
     total = ergodic_sum_l2(f, S, N)
     # independent oracle: iterate the composition in mode space and
     # integrate |sum|^2 exactly on a grid finer than twice the max frequency
-    fib = S.as_fibered()
+    fib = block_as_fibered(S)
     G = 256
     vals = birkhoff_grid(f, fib, N, G)
     quad = float(np.mean(np.abs(vals) ** 2))

@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NonPositiveTimeChange,
     bisect_return_per_point,
     circle_dist,
+    group_inverse,
+    group_log,
+    heisenberg_matrix,
     orbit_exact,
     timechange_return_time,
 )
-from mixlab.errors import DegenerateSection, NonPositiveTimeChange
+from mixlab.errors import DegenerateSection
 from mixlab.heisenberg import (
     AlgebraVector,
     HeisenbergElement,
     Lattice,
     group_exp,
-    group_log,
-    group_mul,
     nilflow_at,
     poincare_return,
     poincare_return_numeric,
@@ -30,23 +32,19 @@ from mixlab.skewshift import SkewShift, TorusPoint
 
 def matrix_product_oracle(a: HeisenbergElement, b: HeisenbergElement):
     """3x3 float matrix product, the independent reference for the group law."""
-    return np.array(a.matrix()) @ np.array(b.matrix())
-
-
-def as_matrix_entries(g: HeisenbergElement):
-    return np.array(g.matrix())
+    return heisenberg_matrix(a) @ heisenberg_matrix(b)
 
 
 def test_identity_and_examples():
     e = HeisenbergElement(0.0, 0.0, 0.0)
     g = HeisenbergElement(0.3, -1.2, 0.77)
-    assert group_mul(e, g) == g
-    assert group_mul(g, e) == g
-    ab = group_mul(HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0))
-    ba = group_mul(HeisenbergElement(0, 1, 0), HeisenbergElement(1, 0, 0))
+    assert e * g == g
+    assert g * e == g
+    ab = HeisenbergElement(1, 0, 0) * HeisenbergElement(0, 1, 0)
+    ba = HeisenbergElement(0, 1, 0) * HeisenbergElement(1, 0, 0)
     assert (ab.x, ab.y, ab.z) == (1, 1, 1)
     assert (ba.x, ba.y, ba.z) == (1, 1, 0)
-    sq = group_mul(HeisenbergElement(0.5, 0.5, 0), HeisenbergElement(0.5, 0.5, 0))
+    sq = HeisenbergElement(0.5, 0.5, 0) * HeisenbergElement(0.5, 0.5, 0)
     assert (sq.x, sq.y, sq.z) == (1.0, 1.0, 0.25)
 
 
@@ -56,7 +54,7 @@ def test_group_law_matches_matrix_product():
         a = HeisenbergElement(*rng.normal(scale=3.0, size=3))
         b = HeisenbergElement(*rng.normal(scale=3.0, size=3))
         want = matrix_product_oracle(a, b)
-        got = as_matrix_entries(group_mul(a, b))
+        got = heisenberg_matrix(a * b)
         assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)) + 1)
 
 
@@ -67,8 +65,8 @@ def test_associativity_random_triples():
         a = HeisenbergElement(*rng.normal(size=3))
         b = HeisenbergElement(*rng.normal(size=3))
         c = HeisenbergElement(*rng.normal(size=3))
-        lhs = group_mul(group_mul(a, b), c)
-        rhs = group_mul(a, group_mul(b, c))
+        lhs = (a * b) * c
+        rhs = a * (b * c)
         scale = max(abs(lhs.x), abs(lhs.y), abs(lhs.z), 1.0)
         worst = max(
             worst,
@@ -81,7 +79,7 @@ def test_inverse():
     rng = np.random.default_rng(3)
     for _ in range(100):
         g = HeisenbergElement(*rng.normal(size=3))
-        e = group_mul(g, g.inverse())
+        e = g * group_inverse(g)
         assert max(abs(e.x), abs(e.y), abs(e.z)) < 1e-15
 
 
@@ -104,7 +102,7 @@ def test_group_exp_examples_and_oracle():
         w = AlgebraVector(*rng.normal(size=3))
         t = float(rng.normal())
         want = exp_series_oracle(w, t)
-        got = as_matrix_entries(group_exp(w, t))
+        got = heisenberg_matrix(group_exp(w, t))
         assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -118,7 +116,7 @@ def test_exp_log_round_trip_and_one_parameter_law():
         assert abs(back.w_y - t * w.w_y) <= 1e-12
         assert abs(back.w_z - t * w.w_z) <= 1e-12
         s = float(rng.normal(scale=2.0))
-        lhs = group_mul(group_exp(w, s), group_exp(w, t))
+        lhs = group_exp(w, s) * group_exp(w, t)
         rhs = group_exp(w, s + t)
         assert max(abs(lhs.x - rhs.x), abs(lhs.y - rhs.y), abs(lhs.z - rhs.z)) < 1e-12
 
@@ -146,7 +144,7 @@ def test_reduce_round_trip_and_idempotence():
             g = HeisenbergElement(*rng.normal(scale=5.0, size=3))
             p, lam = reduce_mod_lattice(g, lat)
             assert 0 <= p.g.x < 1 and 0 <= p.g.y < 1 and 0 <= p.g.z < 1.0 / E
-            back = group_mul(lam, p.g)
+            back = lam * p.g
             # the working magnitude includes the x*y cross term
             scale = max(1.0, abs(g.x), abs(g.y), abs(g.z), abs(g.x * g.y))
             assert max(abs(back.x - g.x), abs(back.y - g.y), abs(back.z - g.z)) \
@@ -166,7 +164,7 @@ def test_lattice_equivalent_elements_reduce_together():
             float(rng.integers(-3, 4)),
         )
         p1, _ = reduce_mod_lattice(g, lat)
-        p2, _ = reduce_mod_lattice(group_mul(gamma, g), lat)
+        p2, _ = reduce_mod_lattice(gamma * g, lat)
         assert circle_dist(p1.g.x, p2.g.x) < 1e-12
         assert circle_dist(p1.g.y, p2.g.y) < 1e-12
         assert circle_dist(p1.g.z, p2.g.z) < 1e-12

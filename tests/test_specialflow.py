@@ -1,5 +1,6 @@
 """Roof certification, the suspension flow, and its estimators."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -509,55 +510,55 @@ def test_flow_inverse_round_trip():
 
 def test_sample_measure_deterministic_and_valid():
     roof = certify_roof(mixing_example_roof())
-    a = np.concatenate(_sample_block(roof, 42, 0, 1))
-    b = np.concatenate(_sample_block(roof, 42, 0, 1))
+    q = Cube(0.1, 0.45, 0.2, 0.8, 0.7)
+    a = np.concatenate(_sample_block(roof, 42, 0, 20_000, q))
+    b = np.concatenate(_sample_block(roof, 42, 0, 20_000, q))
     assert np.array_equal(a, b)
-    c = np.concatenate(_sample_block(roof, 43, 0, 1))
+    c = np.concatenate(_sample_block(roof, 43, 0, 20_000, q))
     assert not np.array_equal(a, c)
-    for seed in range(50):
-        xs, ys, zs = _sample_block(roof, seed, 0, 1)
-        assert zs[0] < roof.phi.evaluate(xs[0], ys[0])
+    for seed in range(5):
+        xs, ys, zs = _sample_block(roof, seed, 0, 20_000, q)
+        assert xs.size > 0 and np.all(q.contains(xs, ys, zs))
 
 
-def _y_scaled_roof():
-    """A roof whose y-mode sits near rounding: 1e-14 of the x-modes."""
-    c = 1e-14 * complex(0.1, 0.2)
-    return FiberedTrigPoly.from_modes(
-        {(1, 0): 0.25, (-1, 0): 0.25, (2, 1): c, (-2, -1): c.conjugate(),
-         (0, 0): 2.0},
-        real=True,
-    )
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["example1", "example2", "example3", "coboundary", "constant", "y_scaled"],
-)
-def test_sample_stream_equals_evaluating_every_draw(name):
-    # draws below the certified minimum are accepted without a roof value;
-    # the constant roof has slack 0, so its minimum is its value
-    if name == "y_scaled":
-        phi = _y_scaled_roof()
-    else:
-        _, phi = load_roof(bundled_roof_path(name))
-    roof = certify_roof(phi)
-    for block in (0, 3):
-        got = _sample_block(roof, 17, block, 20_000)
-        want = sample_block_reference(roof, 17, block, 20_000)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+def test_sample_points_keep_uint64_phases():
+    # a side from 0 of width 0.3 maps draws below 2^-12; rounded up to the
+    # 2^-64 grid they keep the block's lanes on uint64 numerators
+    roof = certify_roof(mixing_example_roof())
+    q = Cube(0.0, 0.3, 0.0, 0.3, 0.5)
+    xs, ys, zs = _sample_block(roof, 1, 0, 1_000_000, q)
+    assert np.count_nonzero(np.minimum(xs, ys) < 2.0 ** -12) > 0
+    assert np.all(q.contains(xs, ys, zs))
+    assert PhaseNumerators(GOLDEN, 0.0, xs, ys).k == 64
 
 
 def test_sample_measure_slab_mass():
-    # P(z < h) = h / integral(Phi) for h below the roof minimum
+    # the block holds the draws, of count invariant samples, that land in
+    # the cube: Binomial(count, mu(cube)) of them
     roof = certify_roof(mixing_example_roof())
-    h = 0.5
+    slab = Cube(0.0, 1.0, 0.0, 1.0, 0.5)
     n = 200_000
-    xs, ys, zs = _sample_block(roof, 7, 0, n)
-    frac = np.count_nonzero(zs < h) / n
-    want = h / roof.mean
-    sigma = math.sqrt(want * (1 - want) / n)
-    assert abs(frac - want) <= 4 * sigma
+    xs, _, _ = _sample_block(roof, 7, 0, n, slab)
+    mu = cube_measure(roof, slab)
+    assert abs(xs.size - n * mu) <= 4 * math.sqrt(n * mu * (1 - mu))
+
+
+def test_cube_draw_matches_rejection_then_filter():
+    # the hit fraction at a small t from the cube draw and from the whole
+    # invariant measure with the points outside the cube dropped
+    f = SkewShift(GOLDEN, 0.11)
+    roof = certify_roof(mixing_example_roof())
+    q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
+    n, t = 200_000, 2.0
+    xs, ys, zs = sample_block_reference(roof, 5, 0, n)
+    in1 = q.contains(xs, ys, zs)
+    fractions = []
+    for points in (_sample_block(roof, 5, 0, n, q), (xs[in1], ys[in1], zs[in1])):
+        (fx, fy, fz), = _flow_lanes(roof, f, *points, [t])
+        fractions.append(np.count_nonzero(q.contains(fx, fy, fz)) / n)
+    p = 0.5 * sum(fractions)
+    assert p > 0
+    assert abs(fractions[0] - fractions[1]) <= 4 * math.sqrt(2 * p * (1 - p) / n)
 
 
 # ---------------------------------------------------------------- correlation
@@ -641,6 +642,21 @@ def test_times_in_one_call_equal_single_times():
     ]
 
 
+def test_correlation_reads_no_certificate():
+    # the bounds enter only the check that the cube fits below the roof:
+    # moved by one ulp, or widened to looser valid bounds, the estimates stay
+    f = SkewShift(GOLDEN, 0.0)
+    roof = certify_roof(mixing_example_roof())
+    q = Cube(0.0, 0.5, 0.0, 0.5, 0.5)
+    want = correlate_cubes(roof, f, q, q, [0.0, 3.0], 70_000, seed=2)
+    for lo, hi in (
+        (np.nextafter(roof.certified_min, 0.0), np.nextafter(roof.certified_max, 4.0)),
+        (0.9 * roof.certified_min, 1.1 * roof.certified_max),
+    ):
+        moved = dataclasses.replace(roof, certified_min=lo, certified_max=hi)
+        assert correlate_cubes(moved, f, q, q, [0.0, 3.0], 70_000, seed=2) == want
+
+
 def test_correlation_workers_identical():
     f = SkewShift(GOLDEN, 0.0)
     roof = certify_roof(mixing_example_roof())
@@ -654,10 +670,8 @@ def test_measure_preservation_under_flow():
     f = SkewShift(GOLDEN, 0.11)
     roof = certify_roof(mixing_example_roof())
     cube = Cube(0.1, 0.45, 0.2, 0.8, 0.7)
-    from mixlab.specialflow import _flow_lanes, _sample_block
-
     n = 100_000
-    xs, ys, zs = _sample_block(roof, 8, 0, n)
+    xs, ys, zs = sample_block_reference(roof, 8, 0, n)
     mu = cube_measure(roof, cube)
     for t in (1.0, 10.0, 100.0):
         (fx, fy, fz), = _flow_lanes(roof, f, xs, ys, zs, [-t])
