@@ -140,19 +140,14 @@ def _certificate(roof: specialflow.Roof) -> dict:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_classify(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_classify(args, run, f, phi) -> None:
     report = cohomology.classify_roof(f, phi, tol=args.tol)
     _write_json(run.path("classify_report.json"), report.to_json_dict())
     run.finish({"verdict": report.verdict})
     print(report.verdict)
-    return 0
 
 
-def cmd_solve(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_solve(args, run, f, phi) -> None:
     u, mean = cohomology.solve_roof(f, phi, args.tol)
     skewshift.save_roof(run.path("transfer_u.json"), f, u)
     sup = cohomology.coboundary_residual(f, u, phi, mean)
@@ -162,13 +157,10 @@ def cmd_solve(args) -> int:
     )
     run.finish({"mean": mean})
     print(_fmt(mean))
-    return 0
 
 
-def cmd_stretch(args) -> int:
+def cmd_stretch(args, run, f, phi) -> None:
     """Decay of the measure of {|phi_n| < C} along a list of n."""
-    run = _Run(args)
-    f, phi = _load(args)
     osc, _ = project(phi)
     ns = sorted(set(args.n))
     ks, mats = skewshift.fiber_coefficients_on_grid(f, osc, ns, grid=args.grid)
@@ -181,13 +173,10 @@ def cmd_stretch(args) -> int:
         errors[str(n)] = est.error
     _write_csv(run.path("stretch.csv"), ("n", "measure"), rows)
     run.finish({"grid_errors": errors})
-    return 0
 
 
-def cmd_sublevel(args) -> int:
+def cmd_sublevel(args, run, f, phi) -> None:
     """Small-value measure of phi_n against thresholds, with a log-log slope."""
-    run = _Run(args)
-    f, phi = _load(args)
     osc, _ = project(phi)
     ks, mats = skewshift.fiber_coefficients_on_grid(
         f, osc, [args.n], grid=args.grid
@@ -214,12 +203,9 @@ def cmd_sublevel(args) -> int:
         slope = float(np.polyfit(xs, ysv, 1)[0])
     _write_csv(run.path("sublevel.csv"), ("delta", "measure"), rows)
     run.finish({"slope": slope, "sup_norm_used": sup})
-    return 0
 
 
-def cmd_visits(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_visits(args, run, f, phi) -> None:
     p = TorusPoint(args.x, args.y)
     rows = [
         (N, skewshift.visit_fraction(f, phi, p, args.C, N))
@@ -227,12 +213,9 @@ def cmd_visits(args) -> int:
     ]
     _write_csv(run.path("visits.csv"), ("n", "measure"), rows)
     run.finish()
-    return 0
 
 
-def cmd_correlate(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_correlate(args, run, f, phi) -> None:
     roof = specialflow.certify_roof(phi)
     cube = specialflow.Cube(*args.cube)
     ests = specialflow.correlate_cubes(
@@ -250,12 +233,9 @@ def cmd_correlate(args) -> int:
     run.finish(
         {"mu_cube": specialflow.cube_measure(roof, cube), **_certificate(roof)}
     )
-    return 0
 
 
-def cmd_fiber_profile(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_fiber_profile(args, run, f, phi) -> None:
     arc = (args.arc[0], args.arc[1])
     length = skewshift.arc_length(arc)
     roof = specialflow.certify_roof(phi)
@@ -272,12 +252,9 @@ def cmd_fiber_profile(args) -> int:
             **_certificate(roof),
         }
     )
-    return 0
 
 
-def cmd_hitting(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_hitting(args, run, f, phi) -> None:
     roof = specialflow.certify_roof(phi)
     vals = specialflow.hitting_complement_measures(
         roof, f, args.t, args.C, grid=args.grid,
@@ -285,12 +262,9 @@ def cmd_hitting(args) -> int:
     )
     _write_csv(run.path("hitting.csv"), ("t", "measure"), list(zip(args.t, vals)))
     run.finish(_certificate(roof))
-    return 0
 
 
-def cmd_weyl(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_weyl(args, run, f, phi) -> None:
     osc, _ = project(phi)
     times = cohomology.convergent_times(f.alpha, args.levels)
     rows = []
@@ -299,12 +273,9 @@ def cmd_weyl(args) -> int:
         rows.append((ell, N, val))
     _write_csv(run.path("weyl.csv"), ("ell", "N", "value"), rows)
     run.finish({"partial_quotients": list(times.partial_quotients)})
-    return 0
 
 
-def cmd_l2(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_l2(args, run, f, phi) -> None:
     osc, _ = project(phi)
     _, components = cohomology.decompose_components(osc)
     rows = []
@@ -313,18 +284,14 @@ def cmd_l2(args) -> int:
         rows.append((N, total))
     _write_csv(run.path("l2.csv"), ("n", "measure"), rows)
     run.finish({"components": len(components)})
-    return 0
 
 
-def cmd_return_check(args) -> int:
+def cmd_return_check(args, run, f, phi) -> None:
     from .heisenberg import AlgebraVector, poincare_return, poincare_return_numeric
 
-    run = _Run(args)
     w = AlgebraVector(args.wx, args.wy, args.wz)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64))
-    )
-    draws = rng.random((args.count, 2))       # (x, z) per point, in draw order
+    # (x, z) per point, in draw order
+    draws = specialflow._stream(args.seed, 0).random((args.count, 2))
     got = poincare_return_numeric(w, draws[:, 0], draws[:, 1])
     want = np.array([poincare_return(w, x, z) for x, z in draws.tolist()])
     errs = np.maximum(
@@ -335,12 +302,9 @@ def cmd_return_check(args) -> int:
     rows = [(i, err, terr) for i, err in enumerate(errs)]
     _write_csv(run.path("return_check.csv"), ("i", "coord_err", "time_err"), rows)
     run.finish({"max_coord_err": worst_xy, "max_time_err": terr})
-    return 0
 
 
-def cmd_conjugacy(args) -> int:
-    run = _Run(args)
-    f, phi = _load(args)
+def cmd_conjugacy(args, run, f, phi) -> None:
     roof = specialflow.certify_roof(phi)
     u, mean = cohomology.solve_roof(f, phi, args.tol)
     devs = specialflow.trivial_conjugacy_check(
@@ -348,7 +312,6 @@ def cmd_conjugacy(args) -> int:
     )
     _write_csv(run.path("conjugacy.csv"), ("t", "measure"), list(zip(args.t, devs)))
     run.finish({"mean": mean, **_certificate(roof)})
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -476,7 +439,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         _validate(args)
-        return args.func(args)
+        run = _Run(args)
+        f, phi = _load(args) if "roof" in vars(args) else (None, None)
+        args.func(args, run, f, phi)
+        return 0
     except (InvalidRoofFile, FileNotFoundError, ValueError) as exc:
         print(f"mixlab: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -89,11 +89,9 @@ class ComponentSpectrum:
         """Spectrum of Phi o f: index shift j -> j + 1 with a unit phase."""
         n = self.label.n
         ph = PhaseNumerators(f.alpha, f.beta)
-        a, b = ph.linear_quadratic(np.array([1]))
         out: Dict[int, complex] = {}
         for j, c in self.coeffs.items():
-            theta = float(ph.to_unit(ph.mode(a, b, self.label.m + j * n, n))[0])
-            out[j + 1] = c * cmath.exp(2j * math.pi * theta)
+            out[j + 1] = c * ph.unit_phase(self.label.m + j * n, n)
         return ComponentSpectrum(self.label, out)
 
 

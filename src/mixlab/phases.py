@@ -14,7 +14,9 @@ exact 2^K of inputs with more than 64 fraction bits.
 
 from __future__ import annotations
 
+import cmath
 import copy
+import math
 from typing import Tuple
 
 import numpy as np
@@ -138,6 +140,13 @@ class PhaseNumerators:
         if k == 0:
             return self._mod(self._int(m) * ja)
         return self._mod(self._int(m) * ja + self._int(k) * s)
+
+    def unit_phase(self, m: int, k: int) -> complex:
+        """e(m alpha + k beta) = exp(2 pi i (m alpha + k beta)), the phase
+        reduced exactly mod 1 before its one rounding: the mode (m, k) of
+        the phase pair at j = 1, which is (alpha, beta)."""
+        theta = float(self.to_unit(self.mode(self._a, self._b, m, k))[0])
+        return cmath.exp(2j * math.pi * theta)
 
     def to_unit(self, num: np.ndarray) -> np.ndarray:
         """num / 2^K as floats in [0, 1], each with a single rounding."""

@@ -22,7 +22,6 @@ Phi_n on the G x G lattice one block of whole x-rows at a time
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -460,13 +459,11 @@ def rotation_transfer(
     """
     mean = phi_perp.coeff(0)
     ph = PhaseNumerators(alpha, 0.0)
-    a, b = ph.linear_quadratic(np.array([1]))
     out: Dict[int, complex] = {}
     for m, c in phi_perp.coeffs.items():
         if m == 0:
             continue
-        theta = float(ph.to_unit(ph.mode(a, b, abs(m), 0))[0])
-        w = cmath.exp(2j * math.pi * theta)
+        w = ph.unit_phase(abs(m), 0)
         if m < 0:
             w = w.conjugate()
         div = w - 1.0

@@ -60,10 +60,6 @@ from .trigpoly import FiberedTrigPoly
 # depend only on (seed, i // _BLOCK, i % _BLOCK).
 _BLOCK = 65536
 
-# Lanes climbed together, so that a tile of _SWEEP_BLOCK lane-steps can
-# span 16 steps.
-_LANE_GROUP = _SWEEP_BLOCK // 16
-
 # Fewest steps a climb tile spans, unless the step limit comes first.
 _MIN_TILE = 8
 
@@ -306,8 +302,9 @@ def _climb_lanes(
     With ``backward`` the sums run along the backward orbit instead,
     Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
     limit.  The lanes walk the exact orbit in lock-step, in tiles of at
-    most ``_SWEEP_BLOCK`` lane-steps: a tile takes the orbit numerators of
-    one block of steps (``PhaseNumerators.orbit``), their roof values
+    most ``_SWEEP_BLOCK`` lane-steps, or of one step when there are more
+    lanes than that: a tile takes the orbit numerators of one block of
+    steps (``PhaseNumerators.orbit``), their roof values
     (``FiberedTrigPoly.at``) and a cumulative sum seeded with the running
     totals.
     The sums never decrease, so the count of those below the target is the
@@ -334,37 +331,34 @@ def _climb_lanes(
         if r:
             n[r], total[r] = n[r - 1], total[r - 1]
         nr, tr, limit = n[r], total[r], room[r]         # views of row r
-        todo = np.flatnonzero(nr < limit)
-        for g in range(0, todo.size, _LANE_GROUP):
-            lanes = todo[g : g + _LANE_GROUP]
-            lane_phases = phases.lanes(lanes).moved(
-                -nr[lanes] if backward else nr[lanes]
+        lanes = np.flatnonzero(nr < limit)
+        lane_phases = phases.lanes(lanes).moved(
+            -nr[lanes] if backward else nr[lanes]
+        )
+        done = 0                  # steps taken by every lane still climbing
+        while lanes.size:
+            # no lane can cross in fewer steps than its gap to the target
+            # over the roof's maximum: long tiles far from the crossings,
+            # short ones near them, which saves evaluations past a crossing
+            gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
+            left = limit[lanes] - nr[lanes]
+            block = min(
+                max(1, _SWEEP_BLOCK // lanes.size),
+                max(_MIN_TILE, int(gap)),
+                int(left.max()),
             )
-            done = 0              # steps taken by every lane still climbing
-            while lanes.size:
-                # no lane can cross in fewer steps than its gap to the
-                # target over the roof's maximum: long tiles far from the
-                # crossings, short ones near them, which saves evaluations
-                # past a crossing
-                gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
-                left = limit[lanes] - nr[lanes]
-                block = min(
-                    _SWEEP_BLOCK // lanes.size,
-                    max(_MIN_TILE, int(gap)),
-                    int(left.max()),
-                )
-                j = done + np.arange(block, dtype=np.int64)[:, None]
-                xn, yn = lane_phases.orbit(-1 - j if backward else j)  # (B, L)
-                sums = _running_sums(tr[lanes], roof.phi.at(lane_phases, xn, yn))
-                below = np.minimum(
-                    np.count_nonzero(sums[1:] < target[lanes], axis=0), left
-                )
-                nr[lanes] += below
-                tr[lanes] = sums[below, np.arange(lanes.size)]
-                climbing = (below == block) & (left > block)
-                lanes = lanes[climbing]
-                lane_phases = lane_phases.lanes(climbing)
-                done += block
+            j = done + np.arange(block, dtype=np.int64)[:, None]
+            xn, yn = lane_phases.orbit(-1 - j if backward else j)  # (B, L)
+            sums = _running_sums(tr[lanes], roof.phi.at(lane_phases, xn, yn))
+            below = np.minimum(
+                np.count_nonzero(sums[1:] < target[lanes], axis=0), left
+            )
+            nr[lanes] += below
+            tr[lanes] = sums[below, np.arange(lanes.size)]
+            climbing = (below == block) & (left > block)
+            lanes = lanes[climbing]
+            lane_phases = lane_phases.lanes(climbing)
+            done += block
     return n, total
 
 
@@ -536,8 +530,7 @@ def correlate_cubes(
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
-    _require_cube_fits(roof, q1)
-    _require_cube_fits(roof, q2)
+    product = cube_measure(roof, q1) * cube_measure(roof, q2)
     times = [float(t) for t in times]
 
     def block_counts(b: int) -> List[int]:
@@ -548,7 +541,6 @@ def correlate_cubes(
 
     blocks = range((samples + _BLOCK - 1) // _BLOCK)
     counts = _map(block_counts, blocks, workers)
-    product = cube_measure(roof, q1) * cube_measure(roof, q2)
     out = []
     for i in range(len(times)):
         phat = sum(c[i] for c in counts) / samples

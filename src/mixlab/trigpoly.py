@@ -21,7 +21,6 @@ circle points through ``TrigPoly1D.evaluate_complex``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,9 +98,6 @@ class TrigPoly1D:
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0.0) + c
         return TrigPoly1D(out, real=self.real and other.real)
-
-    def __sub__(self, other: "TrigPoly1D") -> "TrigPoly1D":
-        return self + other.scale(-1.0)
 
     def scale(self, s: complex) -> "TrigPoly1D":
         keep_real = self.real and complex(s).imag == 0.0
@@ -266,22 +262,17 @@ class FiberedTrigPoly:
         """Phi(x + alpha, y + x + beta): mode (m, k) -> (m + k, k) with phase.
 
         The phase e^{2 pi i (m alpha + k beta)} is computed from the exact
-        dyadic reduction of m*alpha + k*beta (``PhaseNumerators``), with
-        conjugate modes phased by explicit conjugation so realness
+        dyadic reduction of m*alpha + k*beta (``PhaseNumerators.unit_phase``),
+        with conjugate modes phased by explicit conjugation so realness
         survives bit-for-bit.
         """
         ph = PhaseNumerators(alpha, beta)
-        a, b = ph.linear_quadratic(np.array([1]))
         out: Dict[Tuple[int, int], complex] = {}
         for m, k, c in self.modes():
-            neg = False
-            mm, kk = m, k
-            if k < 0 or (k == 0 and m < 0):
-                neg, mm, kk = True, -m, -k
-            theta = float(ph.to_unit(ph.mode(a, b, mm, kk))[0])
-            w = cmath.exp(2j * math.pi * theta)
-            if neg:
-                w = w.conjugate()
+            if (k, m) < (0, 0):
+                w = ph.unit_phase(-m, -k).conjugate()
+            else:
+                w = ph.unit_phase(m, k)
             key = (m + k, k)
             out[key] = out.get(key, 0.0) + c * w
         return FiberedTrigPoly.from_modes(out, real=self.real)

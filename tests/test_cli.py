@@ -11,9 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN, coboundary_roof
 from mixlab import specialflow
 from mixlab.cli import bundled_roof_path, main
-from mixlab.skewshift import load_roof
+from mixlab.cohomology import (
+    ComponentSpectrum,
+    OrbitLabel,
+    convergent_times,
+    ergodic_sum_l2,
+)
+from mixlab.skewshift import (
+    SkewShift,
+    TorusPoint,
+    birkhoff_sum,
+    fiber_coefficients,
+    fiber_coefficients_on_grid,
+    load_roof,
+    stretch,
+    visit_fraction,
+)
+from mixlab.trigpoly import FiberedTrigPoly
 
 
 def run(tmp_path, *argv):
@@ -285,6 +302,89 @@ def test_invalid_inputs_exit_2(tmp_path, roofs, capsys):
         tmp_path / "e", "sublevel", "--roof", roofs["example3"], "--n", "0",
     )
     assert code == 2
+
+
+_F = SkewShift(GOLDEN, 0.3)
+_PHI = coboundary_roof(0.3)
+_P = TorusPoint(0.1, 0.2)
+_ARC = (0.0, 1.0)
+_ROOF = specialflow.certify_roof(FiberedTrigPoly.constant(2.0))
+_CUBE = specialflow.Cube(0.0, 0.5, 0.0, 0.5, 1.0)
+
+# The library's own input guards, called directly, each with the message
+# it raises: the CLI's _validate rejects most of these inputs first.
+LIBRARY_GUARDS = {
+    "birkhoff_sum-n": (
+        lambda: birkhoff_sum(_F, _PHI, _P, -1), "n must be >= 0"),
+    "fiber_coefficients-n": (
+        lambda: fiber_coefficients(_F, _PHI, 0.1, 0), "n must be >= 1"),
+    "fiber_coefficients_on_grid-grid": (
+        lambda: fiber_coefficients_on_grid(_F, _PHI, [1], 0),
+        "grid must be >= 1"),
+    "stretch-resolution": (
+        lambda: stretch(_F, _PHI, 0.1, _ARC, 5, resolution=63),
+        "resolution must be >= 64"),
+    "stretch-n": (
+        lambda: stretch(_F, _PHI, 0.1, _ARC, 0), "n must be >= 1"),
+    "visit_fraction-C": (
+        lambda: visit_fraction(_F, _PHI, _P, 0.0, 10), "C must be > 0"),
+    "visit_fraction-N": (
+        lambda: visit_fraction(_F, _PHI, _P, 1.0, 0), "N must be >= 1"),
+    "ergodic_sum_l2-N": (
+        lambda: ergodic_sum_l2(
+            _F, ComponentSpectrum(OrbitLabel(0, 1), {0: 1.0}), 0),
+        "N must be >= 1"),
+    "convergent_times-L": (
+        lambda: convergent_times(GOLDEN, 0), "L must be >= 1"),
+    "certify_roof-not-real": (
+        lambda: specialflow.certify_roof(
+            FiberedTrigPoly.from_modes({(0, 0): 2.0})),
+        "roof must be real-flagged"),
+    "Cube-y-interval": (
+        lambda: specialflow.Cube(0.0, 1.0, 0.6, 0.2, 0.5), "y-interval"),
+    "Cube-height": (
+        lambda: specialflow.Cube(0.0, 1.0, 0.0, 1.0, 0.0),
+        "height must be positive"),
+    "hit_count-t": (
+        lambda: specialflow.hit_count(
+            _ROOF, _F, specialflow.FlowPoint(0.1, 0.2, 0.0), -1.0),
+        "t must be >= 0"),
+    "correlate_cubes-samples": (
+        lambda: specialflow.correlate_cubes(
+            _ROOF, _F, _CUBE, _CUBE, [1.0], 999, 0),
+        "samples must be >= 1000"),
+    "fiber_mixing_profile-resolution": (
+        lambda: specialflow.fiber_mixing_profile(
+            _ROOF, _F, 0.1, _ARC, _CUBE, [1.0], resolution=255),
+        "resolution must be >= 256"),
+    "discrete_iteration_bounds-t": (
+        lambda: specialflow.discrete_iteration_bounds(
+            _ROOF, _F, 0.1, _ARC, 0.0),
+        "t must be > 0"),
+    "hitting_complement_measures-C": (
+        lambda: specialflow.hitting_complement_measures(
+            _ROOF, _F, [1.0], 1.0),
+        "C must be > 1"),
+    "hitting_complement_measures-grid": (
+        lambda: specialflow.hitting_complement_measures(
+            _ROOF, _F, [1.0], 2.0, grid=255),
+        "grid must be >= 256"),
+    "trivial_conjugacy_check-u-not-real": (
+        lambda: specialflow.trivial_conjugacy_check(
+            _ROOF, _F, FiberedTrigPoly.from_modes({(1, 0): 1.0}), 2.0, [1.0]),
+        "transfer function must be real-flagged"),
+    "ComponentSpectrum.support-empty": (
+        lambda: ComponentSpectrum(OrbitLabel(0, 1), {}).support(),
+        "empty spectrum has no support"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", LIBRARY_GUARDS.values(), ids=LIBRARY_GUARDS.keys()
+)
+def test_library_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def exit_code(tmp_path, *argv):

@@ -28,6 +28,7 @@ from mixlab.cohomology import (
     ergodic_sum_l2,
     evaluate_distribution,
     solve_component,
+    solve_roof,
     uniform_bound_scan,
 )
 from mixlab.errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
@@ -233,6 +234,27 @@ def test_solver_output_satisfies_difference_equation_pointwise():
     ) - fu.evaluate(X, Y)
     rhs = fphi.evaluate(X, Y)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+def test_solve_roof_recovers_x_only_modes():
+    # the modes (m, 0) of u go through the circle-rotation divisors, the
+    # others through their frequency blocks
+    f = SkewShift(GOLDEN, 0.456)
+    u_modes = {
+        (1, 0): 0.4 - 0.2j, (-1, 0): 0.4 + 0.2j,
+        (3, 0): 0.1j, (-3, 0): -0.1j,
+        (2, 1): 0.3 + 0.5j, (-2, -1): 0.3 - 0.5j,
+    }
+    u = FiberedTrigPoly.from_modes(u_modes, real=True)
+    phi = skew_coboundary(u, f) + FiberedTrigPoly.constant(2.5)
+    u_out, mean = solve_roof(f, phi)
+    assert u_out.real
+    assert abs(mean - 2.5) <= 1e-12
+    # u is unique up to a constant: compare every other mode
+    got = {(m, k): c for m, k, c in u_out.modes() if (m, k) != (0, 0)}
+    for key in set(got) | set(u_modes):
+        assert abs(got.get(key, 0.0) - u_modes.get(key, 0.0)) <= 1e-9
+    assert coboundary_residual(f, u_out, phi, mean) <= 1e-9
 
 
 def _random_poly(rng, shape: str, real: bool) -> FiberedTrigPoly:

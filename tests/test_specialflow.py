@@ -410,6 +410,22 @@ def test_square_tiles_equal_scalar_paths(t, beta):
     _assert_lanes_match_scalar(f, xs, ys, zs, t, range(256))
 
 
+def test_more_lanes_than_a_tile_equal_chunked_lanes():
+    # 70 000 lanes exceed the 2^16 lane-steps of a tile, so they climb in
+    # one-step tiles; a chunk of 1000 lanes climbs in longer ones
+    f = SkewShift(GOLDEN, 0.31)
+    rng = np.random.default_rng(70)
+    xs, ys = rng.random(70_000), rng.random(70_000)
+    times = [6.0, 2.0]
+    whole = _hit_count_lanes(_KERNEL_ROOF, f, xs, ys, times)
+    chunked = np.concatenate([
+        _hit_count_lanes(_KERNEL_ROOF, f, xs[i : i + 1000], ys[i : i + 1000], times)
+        for i in range(0, xs.size, 1000)
+    ], axis=1)
+    assert whole.shape == (2, 70_000)
+    assert (whole == chunked).all()
+
+
 # overstates the minimum of _KERNEL_ROOF (about 1): from t ~ 20 on, every
 # lane stops at the step limit
 _OVERSTATED_ROOF = Roof(_KERNEL_ROOF.phi, 10.0, 10.0, _KERNEL_ROOF.mean, 0.0)
