@@ -116,6 +116,18 @@ def _theta_phases(label: OrbitLabel, f: SkewShift, js) -> List[float]:
     return ph.to_unit(ph.mode(lin, quad, label.m, label.n)).tolist()
 
 
+def _block_terms(
+    f: SkewShift, S: ComponentSpectrum, js
+) -> Tuple[List[complex], List[complex]]:
+    """(w, r) for every j in ``js``: w_j = e^{2 pi i theta_j}, one
+    exponential per index, and the block term r_j = Phi_j e^{-2 pi i
+    theta_j}, formed as Phi_j conj(w_j), which is that exponential bit for
+    bit; Phi_j is 0 off the support."""
+    w = [cmath.exp(2j * math.pi * t) for t in _theta_phases(S.label, f, js)]
+    r = [S.coeffs.get(j, 0.0) * wj.conjugate() for j, wj in zip(js, w)]
+    return w, r
+
+
 def decompose_components(
     phi: FiberedTrigPoly,
 ) -> Tuple[TrigPoly1D, List[ComponentSpectrum]]:
@@ -144,11 +156,8 @@ def decompose_components(
 
 def evaluate_distribution(f: SkewShift, S: ComponentSpectrum) -> DistributionValue:
     """D(Phi) = sum_j Phi_j e^{-2 pi i theta_j}, phases reduced exactly."""
-    total = 0.0 + 0.0j
-    thetas = _theta_phases(S.label, f, list(S.coeffs))
-    for c, theta in zip(S.coeffs.values(), thetas):
-        total += c * cmath.exp(-2j * math.pi * theta)
-    return DistributionValue(S.label, total)
+    _, r = _block_terms(f, S, list(S.coeffs))
+    return DistributionValue(S.label, sum(r, 0j))
 
 
 def solve_component(
@@ -168,31 +177,25 @@ def solve_component(
     """
     if S.is_zero():
         return ComponentSpectrum(S.label, {})
-    D = evaluate_distribution(f, S)
-    norm = S.l2_norm()
-    if D.magnitude > tol * norm:
-        raise ObstructionNonzero(S.label, D.value, tol * norm)
     lo, hi = S.support()
-    js = range(lo, hi + 1)
-    phases = dict(zip(js, _theta_phases(S.label, f, js)))
-    reduced = {
-        j: S.coeffs.get(j, 0.0) * cmath.exp(-2j * math.pi * phases[j])
-        for j in range(lo, hi + 1)
-    }
+    w, r = _block_terms(f, S, range(lo, hi + 1))
+    D = sum(r, 0j)
+    norm = S.l2_norm()
+    if abs(D) > tol * norm:
+        raise ObstructionNonzero(S.label, D, tol * norm)
     out: Dict[int, complex] = {}
     partial = 0.0 + 0.0j
-    for j in range(lo, hi):
-        partial += reduced[j]
-        out[j] = -cmath.exp(2j * math.pi * phases[j]) * partial
+    for i in range(hi - lo):
+        partial += r[i]
+        out[lo + i] = -w[i] * partial
     # right-sided form; exact identity: left - right = -e^{i theta} D
     tail = 0.0 + 0.0j
     worst = 0.0
-    for j in range(hi - 1, lo - 1, -1):
-        tail += reduced[j + 1]
-        right = cmath.exp(2j * math.pi * phases[j]) * tail
-        worst = max(worst, abs(out[j] - right))
+    for i in range(hi - lo - 1, -1, -1):
+        tail += r[i + 1]
+        worst = max(worst, abs(out[lo + i] - w[i] * tail))
     if worst > tol * norm + 64 * np.finfo(float).eps * (norm + 1.0):
-        raise ObstructionNonzero(S.label, D.value, tol * norm)
+        raise ObstructionNonzero(S.label, D, tol * norm)
     return ComponentSpectrum(S.label, out)
 
 
@@ -265,12 +268,9 @@ def ergodic_sum_l2(f: SkewShift, S: ComponentSpectrum, N: int) -> float:
         raise ValueError("N must be >= 1")
     if S.is_zero():
         return 0.0
-    js = np.array(list(S.coeffs))
-    r = np.array([
-        c * cmath.exp(-2j * math.pi * theta)
-        for c, theta in zip(S.coeffs.values(), _theta_phases(S.label, f, js))
-    ])
-    shared = np.maximum(0.0, float(N) - np.abs(js[:, None] - js[None, :]))
+    js = list(S.coeffs)
+    r = np.array(_block_terms(f, S, js)[1])
+    shared = np.maximum(0.0, float(N) - np.abs(np.subtract.outer(js, js)))
     return float((r @ shared @ r.conj()).real)
 
 
@@ -297,14 +297,13 @@ def solve_roof(
     g, mean = rotation_transfer(perp, f.alpha)
     for m, c in g.coeffs.items():
         modes[(m, 0)] = modes.get((m, 0), 0.0) + c
-    u_total = FiberedTrigPoly.from_modes(modes, real=False)
     if phi.real:
-        # conjugate symmetry holds to rounding; rebuild with the flag
-        sym = {}
-        for (m, k), c in modes.items():
-            sym[(m, k)] = 0.5 * (c + modes.get((-m, -k), 0.0).conjugate())
-        u_total = FiberedTrigPoly.from_modes(sym, real=True)
-    return u_total, float(np.real(mean))
+        # conjugate symmetry holds to rounding; impose it before the flag
+        modes = {
+            (m, k): 0.5 * (c + modes.get((-m, -k), 0.0).conjugate())
+            for (m, k), c in modes.items()
+        }
+    return FiberedTrigPoly.from_modes(modes, real=phi.real), float(np.real(mean))
 
 
 def coboundary_residual(

@@ -95,34 +95,41 @@ def group_exp(w: AlgebraVector, t: float) -> HeisenbergElement:
     )
 
 
+def _reduce(
+    X: Fraction, Y: Fraction, Z: Fraction, E: int
+) -> Tuple[HeisenbergElement, HeisenbergElement]:
+    """Fundamental-domain representative of the exact coset [X, Y, Z] mod
+    the lattice of ``E``, and the lattice element lam with lam * rep =
+    [X, Y, Z] up to the rounding of rep.
+
+    Reduction order is fixed (y, then x, then z) so lam is reproducible:
+    left-multiplying by [0,-by,0] leaves z unchanged, by [-bx,0,0] shifts
+    z by -bx*y, and the final central shift lands z in [0, 1/E).  Each
+    coordinate is rounded once; when its nearest float is the end of the
+    cell it becomes the largest float below 1 (x, y) or below 1.0/E (z).
+    """
+    by = math.floor(Y)
+    Y -= by
+    bx = math.floor(X)
+    X -= bx
+    Z -= bx * Y
+    bz = math.floor(Z * E)
+    Z -= Fraction(bz, E)
+    below_1, below_z = math.nextafter(1.0, 0.0), math.nextafter(1.0 / E, 0.0)
+    rep = HeisenbergElement(
+        min(float(X), below_1), min(float(Y), below_1), min(float(Z), below_z)
+    )
+    return rep, HeisenbergElement(float(bx), float(by), bz / E)
+
+
 def reduce_mod_lattice(
     g: HeisenbergElement, lattice: Lattice = Lattice(1)
 ) -> Tuple[NilPoint, HeisenbergElement]:
-    """Fundamental-domain representative of the coset of ``g``.
-
-    Reduction order is fixed (y, then x, then z) so the returned lattice
-    element is reproducible: left-multiplying by [0,-by,0] leaves z
-    unchanged, by [-bx,0,0] shifts z by -bx*y, and the final central
-    shift lands z in [0, 1/E).  Returns (point, lam) with lam in the
-    lattice and ``lam * point.g == g`` up to rounding.
-    """
-    E = lattice.E
-    by = math.floor(g.y)
-    y = g.y - by
-    bx = math.floor(g.x)
-    x = g.x - bx
-    z = g.z - bx * y
-    bz = math.floor(z * E)
-    z = z - bz / E
-    if z >= 1.0 / E:   # rounding at the cell boundary
-        z -= 1.0 / E
-        bz += 1
-    if z < 0.0:
-        z += 1.0 / E
-        bz -= 1
-    point = NilPoint(HeisenbergElement(x, y, z), lattice)
-    lam = HeisenbergElement(float(bx), float(by), bz / E)
-    return point, lam
+    """Fundamental-domain representative of the coset of ``g`` and the
+    lattice element lam with ``lam * point.g == g`` up to rounding:
+    ``_reduce`` of the exact values of g's coordinates."""
+    rep, lam = _reduce(Fraction(g.x), Fraction(g.y), Fraction(g.z), lattice.E)
+    return NilPoint(rep, lattice), lam
 
 
 def nilflow_at(p: NilPoint, w: AlgebraVector, t: float) -> NilPoint:
@@ -133,24 +140,16 @@ def nilflow_at(p: NilPoint, w: AlgebraVector, t: float) -> NilPoint:
     |t| ~ 10^3 dwarfs the fractional part that survives the lattice
     reduction; computed in floats the result would only be good to
     ~ulp(t^2).  The arithmetic is therefore done on the exact rational
-    values of the float inputs and reduced mod the lattice before
-    converting back, leaving one rounding per coordinate at any t.
+    values of the float inputs and reduced mod the lattice (``_reduce``)
+    before converting back, leaving one rounding per coordinate at any t.
     """
     T = Fraction(t)
     wx, wy, wz = Fraction(w.w_x), Fraction(w.w_y), Fraction(w.w_z)
-    ex, ey = T * wx, T * wy
-    ez = T * wz + T * T * wx * wy / 2
     x0 = Fraction(p.g.x)
-    X = x0 + ex
-    Y = Fraction(p.g.y) + ey
-    Z = Fraction(p.g.z) + ez + x0 * ey
-    Y -= math.floor(Y)
-    bx = math.floor(X)
-    X -= bx
-    Z -= bx * Y
-    E = p.lattice.E
-    Z -= Fraction(math.floor(Z * E), E)
-    return NilPoint(HeisenbergElement(float(X), float(Y), float(Z)), p.lattice)
+    X = x0 + T * wx
+    Y = Fraction(p.g.y) + T * wy
+    Z = Fraction(p.g.z) + T * wz + T * T * wx * wy / 2 + x0 * T * wy
+    return NilPoint(_reduce(X, Y, Z, p.lattice.E)[0], p.lattice)
 
 
 def section_point(x: float, z: float, lattice: Lattice = Lattice(1)) -> NilPoint:
@@ -207,8 +206,7 @@ def poincare_return_numeric(
     wy = Fraction(w.w_y)
 
     def ycoord(t: float) -> float:
-        y = Fraction(t) * wy
-        return float(y - math.floor(y))
+        return _reduce(0, Fraction(t) * wy, 0, 1)[0].y
 
     # Stepping in the direction of the y-winding advances the reduced
     # y-coordinate by exactly +0.25 per step, so the first drop marks the

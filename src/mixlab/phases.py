@@ -54,7 +54,9 @@ class PhaseNumerators:
     halved by an arithmetic shift, so that negative j and j past 2^32 lose
     no bit.  Otherwise K is the largest denominator exponent of any input,
     past 64, and the same expressions run on object arrays of Python
-    integers.
+    integers, several times slower.  K is shared by all lanes, so one base
+    coordinate off the 2^-64 grid sends every lane of the call there,
+    which is why ``specialflow._uniform_in`` rounds its draws.
 
     The base points are L lanes (L = 1 for scalar x and y), stored as a
     row of shape (1, L).  ``orbit`` of a block of steps shared by all

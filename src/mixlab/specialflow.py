@@ -302,9 +302,9 @@ def _climb_lanes(
     With ``backward`` the sums run along the backward orbit instead,
     Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
     limit.  The lanes walk the exact orbit in lock-step, in tiles of at
-    most ``_SWEEP_BLOCK`` lane-steps, or of one step when there are more
-    lanes than that: a tile takes the orbit numerators of one block of
-    steps (``PhaseNumerators.orbit``), their roof values
+    most ``_SWEEP_BLOCK`` lane-steps but of no fewer than ``_MIN_TILE``
+    steps, however many lanes: a tile takes the orbit numerators of one
+    block of steps (``PhaseNumerators.orbit``), their roof values
     (``FiberedTrigPoly.at``) and a cumulative sum seeded with the running
     totals.
     The sums never decrease, so the count of those below the target is the
@@ -343,7 +343,7 @@ def _climb_lanes(
             gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
             left = limit[lanes] - nr[lanes]
             block = min(
-                max(1, _SWEEP_BLOCK // lanes.size),
+                max(_MIN_TILE, _SWEEP_BLOCK // lanes.size),
                 max(_MIN_TILE, int(gap)),
                 int(left.max()),
             )

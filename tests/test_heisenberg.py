@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     NonPositiveTimeChange,
@@ -168,6 +170,46 @@ def test_lattice_equivalent_elements_reduce_together():
         assert circle_dist(p1.g.x, p2.g.x) < 1e-12
         assert circle_dist(p1.g.y, p2.g.y) < 1e-12
         assert circle_dist(p1.g.z, p2.g.z) < 1e-12
+
+
+def _in_cell(g: HeisenbergElement, E: int) -> bool:
+    return 0 <= g.x < 1 and 0 <= g.y < 1 and 0 <= g.z < 1.0 / E
+
+
+def test_nilflow_lands_inside_the_cell_at_its_end():
+    # the exact endpoints lie within 2^-53 of the end of the cell, where
+    # the nearest float is 1.0
+    start = section_point(0.0, 0.0)
+    t = 2 - 2 ** -51
+    q = nilflow_at(start, AlgebraVector(1 + 2 ** -52, 0.7, 0.0), t)
+    assert _in_cell(q.g, 1)
+    q = nilflow_at(start, AlgebraVector(0.3, 1 + 2 ** -52, 0.0), t)
+    assert _in_cell(q.g, 1)
+
+
+# an integer moved by a few units of 2^-51 .. 2^-60: next to a cell edge
+_NEAR_EDGE = st.builds(
+    lambda n, d, s: n + d * 2.0 ** s,
+    st.integers(-3, 3), st.integers(-4, 4), st.sampled_from([-51, -52, -53, -60]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    E=st.sampled_from([1, 2, 3]),
+    g=st.tuples(_NEAR_EDGE, _NEAR_EDGE, _NEAR_EDGE),
+    w=st.tuples(_NEAR_EDGE, _NEAR_EDGE, _NEAR_EDGE),
+    t=_NEAR_EDGE,
+)
+def test_reductions_land_inside_the_cell_near_its_edges(E, g, w, t):
+    g = HeisenbergElement(g[0], g[1], g[2] / E)
+    p, lam = reduce_mod_lattice(g, Lattice(E))
+    assert _in_cell(p.g, E)
+    back = lam * p.g
+    scale = max(1.0, abs(g.x), abs(g.y), abs(g.z), abs(g.x * g.y))
+    assert max(abs(back.x - g.x), abs(back.y - g.y), abs(back.z - g.z)) \
+        <= 4 * np.spacing(scale)
+    assert _in_cell(nilflow_at(p, AlgebraVector(*w), t).g, E)
 
 
 def test_lattice_validation():

@@ -31,6 +31,7 @@ from mixlab.skewshift import (
     load_roof,
 )
 from mixlab.specialflow import (
+    _MIN_TILE,
     _climb_lanes,
     _flow_lanes,
     _hit_count_lanes,
@@ -424,6 +425,27 @@ def test_more_lanes_than_a_tile_equal_chunked_lanes():
     ], axis=1)
     assert whole.shape == (2, 70_000)
     assert (whole == chunked).all()
+
+
+def test_more_lanes_than_a_tile_take_min_tiles(monkeypatch):
+    # past 2^16 lanes a tile still spans _MIN_TILE steps: one orbit call
+    # per tile, and one more to move the lanes to their start
+    calls = 0
+    orbit = PhaseNumerators.orbit
+
+    def counted(self, j):
+        nonlocal calls
+        calls += 1
+        return orbit(self, j)
+
+    monkeypatch.setattr(PhaseNumerators, "orbit", counted)
+    f = SkewShift(GOLDEN, 0.31)
+    rng = np.random.default_rng(71)
+    xs, ys = rng.random(70_000), rng.random(70_000)
+    t = 40.0
+    _hit_count_lanes(_KERNEL_ROOF, f, xs, ys, [t])
+    limit = int(t / _KERNEL_ROOF.certified_min) + 2
+    assert calls <= math.ceil(limit / _MIN_TILE) + 1
 
 
 # overstates the minimum of _KERNEL_ROOF (about 1): from t ~ 20 on, every
