@@ -257,8 +257,7 @@ def cmd_fiber_profile(args, run, f, phi) -> None:
 def cmd_hitting(args, run, f, phi) -> None:
     roof = specialflow.certify_roof(phi)
     vals = specialflow.hitting_complement_measures(
-        roof, f, args.t, args.C, grid=args.grid,
-        y_resolution=args.y_resolution, workers=args.workers,
+        roof, f, args.t, args.C, grid=args.grid, y_resolution=args.y_resolution
     )
     _write_csv(run.path("hitting.csv"), ("t", "measure"), list(zip(args.t, vals)))
     run.finish(_certificate(roof))
@@ -329,7 +328,7 @@ def _add_common(sp, roof=True):
         "--workers",
         type=int,
         default=None,
-        help="parallel workers for Monte-Carlo sampling and hit counting "
+        help="parallel workers for Monte-Carlo sampling "
              "(default: MIXLAB_WORKERS or 1)",
     )
 

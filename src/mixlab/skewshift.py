@@ -163,10 +163,15 @@ def midgrid(G: int) -> np.ndarray:
 
 
 def _grid_sweep(
-    f: SkewShift, phi: FiberedTrigPoly, checkpoints: Sequence[int], grid: int
+    f: SkewShift, phi: FiberedTrigPoly, checkpoints: Iterable[int], grid: int
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (n, c_{k,n} on the midpoint grid) for every distinct checkpoint
-    n in increasing order; the matrix has shape (len(ks), grid).
+    """Yield (n, c_{k,n} on the midpoint grid) for every checkpoint n, in
+    the order given; the matrix has shape (len(ks), grid).
+
+    Checkpoints are taken lazily: the next one is read only after the one
+    before has been yielded, so a caller may choose it from what the sweep
+    has shown so far.  A checkpoint below 0, below the one before or past
+    ``_MAX_STEPS`` raises ValueError when it is read.
 
     Expanding c_k, the term of mode (m, k) at step j is
 
@@ -181,16 +186,9 @@ def _grid_sweep(
 
     one length-G FFT per k.  The cost is O(n) vector work per mode plus
     O(G log G) per checkpoint, in blocks of at most ``_SWEEP_BLOCK`` steps.
-    Raises ValueError for a checkpoint past ``_MAX_STEPS``.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    stops = sorted({int(n) for n in checkpoints})
-    if not stops:
-        raise ValueError("need at least one checkpoint")
-    if stops[0] < 0:
-        raise ValueError("checkpoints must be >= 0")
-    _check_steps(stops[-1])
     ks = sorted(phi.fiber.keys())
     modes = [sorted(phi.c(k).coeffs.items()) for k in ks]
     two_g = 2 * grid
@@ -199,7 +197,11 @@ def _grid_sweep(
     bins_im = np.zeros((len(ks), two_g))
     twiddle = np.exp(1j * np.pi * np.arange(grid) / grid)
     j0 = 0
-    for n in stops:
+    for n in checkpoints:
+        n = int(n)
+        if n < j0:
+            raise ValueError("checkpoints must be >= 0 and must not decrease")
+        _check_steps(n)
         while j0 < n:
             j1 = min(n, j0 + _SWEEP_BLOCK)
             j = np.arange(j0, j1, dtype=np.int64)
@@ -237,18 +239,24 @@ def fiber_coefficients_on_grid(
     gives zeros.  Every phase is reduced exactly before its one rounding,
     and the grid points are the exact rationals (2i + 1)/(2 grid), so the
     error is that of the float sums alone, O(n eps sup|Phi|), for any grid
-    size and step count.
+    size and step count.  Raises ValueError for no checkpoint, a negative
+    one or one past ``_MAX_STEPS`` before any step is taken.
     """
-    return sorted(phi.fiber.keys()), dict(_grid_sweep(f, phi, checkpoints, grid))
+    stops = sorted({int(n) for n in checkpoints})
+    if not stops:
+        raise ValueError("need at least one checkpoint")
+    _check_steps(stops[-1])
+    return sorted(phi.fiber.keys()), dict(_grid_sweep(f, phi, stops, grid))
 
 
 def grid_blocks(
     ks: Sequence[int], coeffs: np.ndarray, real: bool, y_size: int | None = None
 ) -> Iterator[np.ndarray]:
     """Phi_n on the midpoint lattice of coeffs.shape[1] x-points and
-    ``y_size`` y-points (by default the x-size) from its fiber coefficients
-    (``fiber_coefficients_on_grid``), one block of whole x-rows at a time:
-    block[i, q] = Phi_n(x_{i0 + i}, y_q), real parts for a real roof.
+    ``y_size`` y-points (by default the x-size; ValueError below 1) from
+    its fiber coefficients (``fiber_coefficients_on_grid``), one block of
+    whole x-rows at a time: block[i, q] = Phi_n(x_{i0 + i}, y_q), real
+    parts for a real roof.
 
     A block holds about ``_SWEEP_BLOCK`` values and is not kept once
     yielded, so memory stays O(y_size) for any lattice.  Every block has at
@@ -257,7 +265,10 @@ def grid_blocks(
     gemm; products of two or more rows round as that gemm does.
     """
     rows = coeffs.shape[1]
-    y_size = y_size or rows
+    if y_size is None:
+        y_size = rows
+    if y_size < 1:
+        raise ValueError("y_size must be >= 1")
     # e(k y) formed in place, bit for bit np.exp(2j*pi*outer(ks, y))
     ky = np.zeros((len(ks), y_size), complex)
     np.outer(ks, midgrid(y_size), out=ky.imag)

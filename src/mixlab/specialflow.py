@@ -8,7 +8,7 @@ largest n with Phi_n(x, y) < t + z; large oscillation of Phi_n along
 y-fibers shears vertical segments across many fundamental domains, which
 is the mechanism the estimators here quantify.
 
-Every flow and hit count, of one point or of many, runs one kernel
+Every flow and every hit count of a point, one or many, runs one kernel
 (``_climb_lanes``): the lanes walk the exact orbit of their base points
 (``phases.PhaseNumerators``) in tiles of steps, the roof is evaluated on
 the exact orbit numerators (``FiberedTrigPoly.at``), and a cumulative sum
@@ -21,7 +21,11 @@ base point and the running sum Phi_n, bit for bit a fresh climb.  Every
 estimator takes all its times in one call, and the distinct times of
 each sign are the rows of one climb, in ascending |t|.  The trivial-roof
 conjugacy check flows all its points as lanes and reduces them in the
-constant suspension on the same exact orbits.
+constant suspension on the same exact orbits.  The hitting measure needs
+only the least hit count over each fiber of a grid, which is where the
+column maximum of Phi_n crosses t: one grid sweep of the roof finds it for
+every column and time, at checkpoints spaced by the gap to the crossing,
+with no lane and the same counts.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
@@ -303,15 +307,16 @@ def _climb_lanes(
     Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
     limit.  The lanes walk the exact orbit in lock-step, in tiles of at
     most ``_SWEEP_BLOCK`` lane-steps but of no fewer than ``_MIN_TILE``
-    steps, however many lanes: a tile takes the orbit numerators of one
-    block of steps (``PhaseNumerators.orbit``), their roof values
+    steps; a call of more lanes than that allows climbs them in chunks of
+    ``_SWEEP_BLOCK // _MIN_TILE`` lanes.  A tile takes the orbit numerators
+    of one block of steps (``PhaseNumerators.orbit``), their roof values
     (``FiberedTrigPoly.at``) and a cumulative sum seeded with the running
     totals.
     The sums never decrease, so the count of those below the target is the
     strict crossing, ties going to the smaller n; a lane that has crossed
     drops out.  Each lane's sums are sequential and its own, so its result
-    does not depend on the other lanes or on the tiling: one lane is
-    ``hit_count``.
+    does not depend on the other lanes, the chunks or the tiling: one lane
+    is ``hit_count``.
 
     Each lane's targets must not decrease down the rows.  Row r resumes
     where row r - 1 stopped: each lane's phases move to f^{+-n} of its base
@@ -323,6 +328,16 @@ def _climb_lanes(
     """
     targets = np.asarray(targets, dtype=float)
     _check_steps(float(np.max(targets, initial=0.0)) / roof.certified_min)
+    chunk = _SWEEP_BLOCK // _MIN_TILE
+    if targets.shape[1] > chunk:
+        parts = [
+            _climb_lanes(
+                roof, phases.lanes(slice(i, i + chunk)),
+                targets[:, i : i + chunk], backward,
+            )
+            for i in range(0, targets.shape[1], chunk)
+        ]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
     n = np.zeros(targets.shape, dtype=np.int64)
@@ -642,7 +657,6 @@ def hitting_complement_measures(
     C: float,
     grid: int = 256,
     y_resolution: int = 64,
-    workers: int = 1,
 ) -> List[float]:
     """For every t in ``times``, the share of x whose fiber shows no large
     Birkhoff value at the minimal hit count.
@@ -650,9 +664,11 @@ def hitting_complement_measures(
     For each grid x: n(x) = min over a y-grid of the z = 0 hit count at
     time t, then x qualifies when the y-grid maximum of
     |phi_{n(x)}(x, .)| exceeds C (phi the zero-fiber-average part of the
-    roof).  Returns the fraction that fails to qualify, one per time.  The
-    hit counts of a chunk of columns at every time come from one call
-    (``_hit_count_lanes``); each distinct time takes one stop sweep.
+    roof).  Returns the fraction that fails to qualify, one per time.
+    Since Phi > 0, Phi_n(x, y) grows with n, so n(x) is the largest n with
+    max_y Phi_n(x, y) < t, capped at the step limit of ``_climb_lanes``;
+    ``_column_stops`` finds it for every x and time in one grid sweep of
+    the roof, and ``_coeffs_at_stops`` sweeps phi to the stops.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -661,25 +677,14 @@ def hitting_complement_measures(
         raise ValueError("C must be > 1")
     if grid < 256:
         raise ValueError("grid must be >= 256")
+    if y_resolution < 1:
+        raise ValueError("y_resolution must be >= 1")
     osc, _ = project(roof.phi)
     xs = midgrid(grid)
-    ys = midgrid(y_resolution)
-
-    span = 32
-
-    def column_stops(i0: int) -> np.ndarray:
-        cols = xs[i0 : i0 + span]
-        nc = cols.shape[0]
-        X = np.repeat(cols, y_resolution)
-        Y = np.tile(ys, nc)
-        counts = _hit_count_lanes(roof, f, X, Y, times)
-        return counts.reshape(len(times), nc, y_resolution).min(axis=2)
-
-    chunks = _map(column_stops, range(0, grid, span), workers)
+    distinct = np.unique(times)
+    all_stops = _column_stops(roof, f, distinct, grid, y_resolution)
     share = {}
-    for t, stops in zip(times, np.concatenate(chunks, axis=1)):
-        if t in share:
-            continue
+    for t, stops in zip(distinct, all_stops):
         ks, mat = _coeffs_at_stops(f, osc, xs, stops)
         sup = np.concatenate([
             np.abs(v).max(axis=1)
@@ -687,6 +692,56 @@ def hitting_complement_measures(
         ])
         share[t] = 1.0 - int(np.count_nonzero(sup > C)) / grid
     return [share[t] for t in times]
+
+
+def _column_stops(
+    roof: Roof, f: SkewShift, times: np.ndarray, grid: int, y_resolution: int
+) -> np.ndarray:
+    """Stops of shape (T, grid) for ascending distinct times >= 0: at row
+    r, column i holds the largest n with Phi_n(x_i, y) < times[r] at every
+    y of the midpoint y-grid, capped at int(times[r] / certified_min) + 2,
+    as the minimum over y of the hit counts of ``_climb_lanes`` reads.
+
+    One grid sweep of the roof (``_grid_sweep``) takes the column maxima
+    M_n of Phi_n on the grid x y-resolution lattice (``grid_blocks``) at
+    checkpoints chosen as it goes.  A column's stop is the last checkpoint
+    with M_n below the time.  Phi_{n+s} <= Phi_n + s certified_max, so no
+    (time, column) pair still below can cross in fewer than g steps, g the
+    least (t - M_n) / certified_max over those pairs: the checkpoints start
+    at floor(t_min / certified_max) - 1 and advance by max(1, floor(g) - 1),
+    one step short of that bound so that rounding cannot carry a pair past
+    its crossing unseen.  Every crossing is therefore seen one step after
+    the last n below it.  Raises ValueError for a time whose step limit
+    passes 2^40 (``skewshift._check_steps``), before any step.
+    """
+    top = roof.certified_max
+    _check_steps(float(np.max(times, initial=0.0)) / roof.certified_min)
+    limit = (times / roof.certified_min).astype(np.int64) + 2
+    stops = np.zeros((times.size, grid), dtype=np.int64)
+    if not times.size:
+        return stops
+    # below t at every checkpoint so far, and short of the step limit
+    climbing = np.ones(stops.shape, dtype=bool)
+    ks = sorted(roof.phi.fiber.keys())
+    upcoming = [min(max(0, int(times[0] / top) - 1), int(limit[0]))]
+
+    def checkpoints():
+        while upcoming:
+            yield upcoming.pop()
+
+    for n, coeffs in _grid_sweep(f, roof.phi, checkpoints(), grid):
+        col_max = np.concatenate([
+            v.max(axis=1)
+            for v in grid_blocks(ks, coeffs, real=True, y_size=y_resolution)
+        ])
+        climbing &= col_max < times[:, None]            # (T, grid)
+        stops[climbing] = n
+        climbing &= n < limit[:, None]
+        if climbing.any():
+            g = float(np.min((times[:, None] - col_max)[climbing])) / top
+            cap = int(limit[climbing.any(axis=1)].min())
+            upcoming.append(min(n + max(1, int(g) - 1), cap))
+    return stops
 
 
 def _coeffs_at_stops(f, phi, cols, stops):

@@ -183,7 +183,9 @@ def test_weyl_and_hitting_run(tmp_path, roofs):
 
 def test_benchmark_tracer_counts_the_lanes(tmp_path, roofs, capsys):
     # perfbench/tracer.py finds the lane kernels by name and counts their
-    # points from the argument at position 2
+    # points from the argument at position 2; hitting runs for its stop
+    # sweep, the iteration bounds for the hit-count lanes, which no command
+    # calls
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -200,12 +202,16 @@ def test_benchmark_tracer_counts_the_lanes(tmp_path, roofs, capsys):
             tmp_path / "h", "hitting", "--roof", roofs["example1"], "--C", "2",
             "--t", "20,5",
         )[0]))
+        tracer.root(lambda: specialflow.discrete_iteration_bounds(
+            _ROOF, _F, 0.1, _ARC, 5.0
+        ))
     finally:
         tracer.uninstall()
     assert codes == [0, 0]
     assert "mixlab.specialflow." not in capsys.readouterr().err   # all found
     assert tracer.counts["specialflow.flow_lanes.points"] > 0
     assert tracer.counts["specialflow.hit_lanes.points"] > 0
+    assert tracer.counts["skewshift.stop_sweep.lane_steps"] > 0
 
 
 def test_fiber_profile_runs(tmp_path, roofs):
@@ -369,6 +375,10 @@ LIBRARY_GUARDS = {
         lambda: specialflow.hitting_complement_measures(
             _ROOF, _F, [1.0], 2.0, grid=255),
         "grid must be >= 256"),
+    "hitting_complement_measures-y_resolution": (
+        lambda: specialflow.hitting_complement_measures(
+            _ROOF, _F, [1.0], 2.0, y_resolution=0),
+        "y_resolution must be >= 1"),
     "trivial_conjugacy_check-u-not-real": (
         lambda: specialflow.trivial_conjugacy_check(
             _ROOF, _F, FiberedTrigPoly.from_modes({(1, 0): 1.0}), 2.0, [1.0]),

@@ -1,5 +1,6 @@
 """Skew-shift orbits, Birkhoff sums, and the estimators built on them."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -279,6 +280,27 @@ def test_fiber_grid_sweep_checkpoints():
         fiber_coefficients_on_grid(f, phi, [5, 2 ** 40 + 1], grid=128)
 
 
+def test_grid_sweep_reads_checkpoints_lazily_and_rejects_a_decrease():
+    f = SkewShift(GOLDEN, 0.3)
+    phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
+    _, mats = fiber_coefficients_on_grid(f, phi, [3, 7], grid=16)
+    sweep = skewshift._grid_sweep(f, phi, [3, 7, 7, 5], 16)
+    assert [n for n, _ in itertools.islice(sweep, 3)] == [3, 7, 7]
+    with pytest.raises(ValueError, match="must not decrease"):
+        next(sweep)
+    # each checkpoint is read only after the one before has been yielded
+    seen = []
+
+    def checkpoints():
+        for n in (3, 7):
+            seen.append(n)
+            yield n
+
+    for n, coeffs in skewshift._grid_sweep(f, phi, checkpoints(), 16):
+        assert seen[-1] == n
+        assert np.array_equal(coeffs, mats[n])
+
+
 def test_birkhoff_grid_values():
     f = SkewShift(GOLDEN, 0.0)
     phi = mixing_example_roof()
@@ -310,6 +332,15 @@ def test_grid_blocks_hold_whole_rows_of_at_least_two(monkeypatch):
     assert rows(33) == [2] * 15 + [3]
     assert rows(20) == [3] * 6 + [2]
     assert rows(3) == [3] and rows(2) == [2]
+
+
+def test_grid_blocks_y_size_defaults_only_on_none():
+    coeffs = np.ones((1, 4), dtype=complex)
+    assert [b.shape for b in grid_blocks([0], coeffs, True)] == [(4, 4)]
+    assert [b.shape for b in grid_blocks([0], coeffs, True, 3)] == [(4, 3)]
+    for y_size in (0, -2):
+        with pytest.raises(ValueError, match="y_size must be >= 1"):
+            list(grid_blocks([0], coeffs, True, y_size))
 
 
 def test_grid_blocks_stream_a_rectangular_lattice():

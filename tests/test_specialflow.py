@@ -21,18 +21,22 @@ from conftest import (
     orbit_exact,
     sample_block_reference,
 )
+from mixlab import specialflow
 from mixlab.cli import bundled_roof_path
 from mixlab.errors import NonPositiveRoof, NotACoboundary
 from mixlab.phases import PhaseNumerators
 from mixlab.skewshift import (
+    _SWEEP_BLOCK,
     SkewShift,
     TorusPoint,
     birkhoff_sum,
     load_roof,
+    midgrid,
 )
 from mixlab.specialflow import (
     _MIN_TILE,
     _climb_lanes,
+    _column_stops,
     _flow_lanes,
     _hit_count_lanes,
     _sample_block,
@@ -412,8 +416,8 @@ def test_square_tiles_equal_scalar_paths(t, beta):
 
 
 def test_more_lanes_than_a_tile_equal_chunked_lanes():
-    # 70 000 lanes exceed the 2^16 lane-steps of a tile, so they climb in
-    # one-step tiles; a chunk of 1000 lanes climbs in longer ones
+    # 70 000 lanes climb in chunks of 2^13 lanes and tiles of 8 steps; a
+    # call of 1000 lanes climbs in tiles of up to 65 steps
     f = SkewShift(GOLDEN, 0.31)
     rng = np.random.default_rng(70)
     xs, ys = rng.random(70_000), rng.random(70_000)
@@ -428,14 +432,15 @@ def test_more_lanes_than_a_tile_equal_chunked_lanes():
 
 
 def test_more_lanes_than_a_tile_take_min_tiles(monkeypatch):
-    # past 2^16 lanes a tile still spans _MIN_TILE steps: one orbit call
-    # per tile, and one more to move the lanes to their start
-    calls = 0
+    # past 2^13 lanes a call climbs in chunks of 2^13 lanes, so no orbit
+    # call spans more than 2^16 lane-steps; each chunk takes one orbit call
+    # per tile of at least _MIN_TILE steps, and one more to move its lanes
+    # to their start
+    calls = []
     orbit = PhaseNumerators.orbit
 
     def counted(self, j):
-        nonlocal calls
-        calls += 1
+        calls.append(math.prod(np.broadcast_shapes(np.shape(j), self._x.shape)))
         return orbit(self, j)
 
     monkeypatch.setattr(PhaseNumerators, "orbit", counted)
@@ -445,7 +450,9 @@ def test_more_lanes_than_a_tile_take_min_tiles(monkeypatch):
     t = 40.0
     _hit_count_lanes(_KERNEL_ROOF, f, xs, ys, [t])
     limit = int(t / _KERNEL_ROOF.certified_min) + 2
-    assert calls <= math.ceil(limit / _MIN_TILE) + 1
+    chunks = math.ceil(xs.size / (_SWEEP_BLOCK // _MIN_TILE))
+    assert max(calls) <= _SWEEP_BLOCK
+    assert len(calls) <= chunks * (math.ceil(limit / _MIN_TILE) + 1)
 
 
 # overstates the minimum of _KERNEL_ROOF (about 1): from t ~ 20 on, every
@@ -800,12 +807,76 @@ def test_hitting_below_min():
     assert hitting_complement_measures(roof, f, [0.5], 2.0)[0] == 1.0
 
 
-def test_hitting_workers_identical():
-    f = SkewShift(GOLDEN, 0.0)
-    roof = certify_roof(mixing_example_roof())
-    a = hitting_complement_measures(roof, f, [50.0], 2.0, workers=1)[0]
-    b = hitting_complement_measures(roof, f, [50.0], 2.0, workers=4)[0]
-    assert a == b
+def _lane_stops(roof, f, times, grid, y_resolution):
+    """The least hit count over each column's y-grid, from the lanes."""
+    xs = np.repeat(midgrid(grid), y_resolution)
+    ys = np.tile(midgrid(y_resolution), grid)
+    counts = _hit_count_lanes(roof, f, xs, ys, times)
+    return counts.reshape(len(times), grid, y_resolution).min(axis=2)
+
+
+def _random_real_roof(seed):
+    """3 plus four seeded conjugate pairs of modes of total size below 2."""
+    rng = np.random.default_rng(seed)
+    modes = {(0, 0): 3.0}
+    while len(modes) < 9:
+        m, k = (int(v) for v in rng.integers(-3, 4, size=2))
+        if (m, k) != (0, 0) and (m, k) not in modes:
+            c = complex(*rng.normal(scale=0.15, size=2))
+            modes[(m, k)], modes[(-m, -k)] = c, c.conjugate()
+    return FiberedTrigPoly.from_modes(modes, real=True)
+
+
+_STOP_ROOFS = {
+    **{name: load_roof(bundled_roof_path(name))
+       for name in ("example1", "example2", "example3", "coboundary",
+                    "constant")},
+    **{f"random{s}": (SkewShift(GOLDEN, 0.1 + 0.2 * s), _random_real_roof(s))
+       for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STOP_ROOFS))
+def test_column_stops_equal_least_lane_hit_counts(name):
+    f, phi = _STOP_ROOFS[name]
+    roof = certify_roof(phi)
+    times = np.array([0.0, 0.5 * roof.certified_min, 100.0, 1000.0])
+    stops = _column_stops(roof, f, times, 96, 16)
+    assert np.array_equal(stops, _lane_stops(roof, f, times, 96, 16))
+
+
+def test_column_stops_cap_at_the_step_limit():
+    # certified_min = 2.2 overstates example1's minimum (about 1) and even
+    # its mean: at t = 100 some columns, and at t = 1000 all, stop at the
+    # step limit int(t / 2.2) + 2 before their crossing
+    f, phi = load_roof(bundled_roof_path("example1"))
+    cert = certify_roof(phi)
+    roof = Roof(phi, 2.2, cert.certified_max, cert.mean, 0.0)
+    times = np.array([100.0, 1000.0])
+    stops = _column_stops(roof, f, times, 256, 32)
+    assert np.array_equal(stops, _lane_stops(roof, f, times, 256, 32))
+    limit = (times / 2.2).astype(np.int64) + 2
+    assert 0 < np.count_nonzero(stops[0] == limit[0]) < 256
+    assert np.all(stops[1] == limit[1])
+
+
+def test_column_stops_take_few_checkpoints(monkeypatch):
+    # about 5000 steps to t = 1e4, checkpoints spaced by the gap to the
+    # nearest crossing: one checkpoint per step would take 5000
+    checkpoints = []
+    sweep = specialflow._grid_sweep
+
+    def counted(*args):
+        for n, coeffs in sweep(*args):
+            checkpoints.append(n)
+            yield n, coeffs
+
+    monkeypatch.setattr(specialflow, "_grid_sweep", counted)
+    f, phi = load_roof(bundled_roof_path("example1"))
+    roof = certify_roof(phi)
+    stops = _column_stops(roof, f, np.array([1e4]), 256, 64)
+    assert stops.min() > 4000
+    assert len(checkpoints) <= 200
 
 
 def test_hitting_times_equal_single_times():
