@@ -188,7 +188,7 @@ def cmd_sublevel(args, run, f, phi) -> None:
     sup = skewshift.grid_sup(blocks())
     if sup == 0.0:
         raise MixlabError("oscillating part is identically zero")
-    deltas = sorted(args.deltas, reverse=True)
+    deltas = sorted(set(args.deltas), reverse=True)
     ests = skewshift.sublevel_measures((v / sup for v in blocks()), deltas)
     rows = []
     logs = []

@@ -97,10 +97,10 @@ def group_exp(w: AlgebraVector, t: float) -> HeisenbergElement:
 
 def _reduce(
     X: Fraction, Y: Fraction, Z: Fraction, E: int
-) -> Tuple[HeisenbergElement, HeisenbergElement]:
+) -> Tuple[HeisenbergElement, Tuple[int, int, Fraction]]:
     """Fundamental-domain representative of the exact coset [X, Y, Z] mod
-    the lattice of ``E``, and the lattice element lam with lam * rep =
-    [X, Y, Z] up to the rounding of rep.
+    the lattice of ``E``, and the exact coordinates of the lattice element
+    lam with lam * rep = [X, Y, Z] up to the rounding of rep.
 
     Reduction order is fixed (y, then x, then z) so lam is reproducible:
     left-multiplying by [0,-by,0] leaves z unchanged, by [-bx,0,0] shifts
@@ -119,7 +119,7 @@ def _reduce(
     rep = HeisenbergElement(
         min(float(X), below_1), min(float(Y), below_1), min(float(Z), below_z)
     )
-    return rep, HeisenbergElement(float(bx), float(by), bz / E)
+    return rep, (bx, by, Fraction(bz, E))
 
 
 def reduce_mod_lattice(
@@ -129,7 +129,7 @@ def reduce_mod_lattice(
     lattice element lam with ``lam * point.g == g`` up to rounding:
     ``_reduce`` of the exact values of g's coordinates."""
     rep, lam = _reduce(Fraction(g.x), Fraction(g.y), Fraction(g.z), lattice.E)
-    return NilPoint(rep, lattice), lam
+    return NilPoint(rep, lattice), HeisenbergElement(*map(float, lam))
 
 
 def nilflow_at(p: NilPoint, w: AlgebraVector, t: float) -> NilPoint:
@@ -157,12 +157,22 @@ def section_point(x: float, z: float, lattice: Lattice = Lattice(1)) -> NilPoint
     return reduce_mod_lattice(HeisenbergElement(x, 0.0, z), lattice)[0]
 
 
+def _check_generator(w: AlgebraVector) -> None:
+    """Raise DegenerateSection unless the generator crosses the section
+    with a finite return time 1/w_y and finite ratios w_x/w_y, w_z/w_y."""
+    if w.w_y == 0.0:
+        raise DegenerateSection("w_y = 0: generator is tangent to the section")
+    for name, v in (("1/w_y", 1.0 / w.w_y), ("w_x/w_y", w.w_x / w.w_y),
+                    ("w_z/w_y", w.w_z / w.w_y)):
+        if not math.isfinite(v):
+            raise DegenerateSection(f"{name} is not finite for {w}")
+
+
 def poincare_return(
     w: AlgebraVector, x: float, z: float, lattice: Lattice = Lattice(1)
 ) -> Tuple[float, float]:
     """Closed-form section return map, reduced mod (1, 1/E)."""
-    if w.w_y == 0.0:
-        raise DegenerateSection("w_y = 0: generator is tangent to the section")
+    _check_generator(w)
     E = lattice.E
     x1 = frac(x + w.w_x / w.w_y)
     z1 = z + x + w.w_z / w.w_y + w.w_x / (2.0 * w.w_y)
@@ -197,12 +207,8 @@ def poincare_return_numeric(
     and ``time`` is the one return time.  Independent of the closed form
     in ``poincare_return``; used to cross-validate it.
     """
-    if w.w_y == 0.0:
-        raise DegenerateSection("w_y = 0: generator is tangent to the section")
-    sgn = 1.0 if w.w_y > 0 else -1.0
-    dt = sgn * 0.25 / abs(w.w_y)
-    if not math.isfinite(dt):
-        raise DegenerateSection(f"return time 1/w_y overflows: w_y = {w.w_y}")
+    _check_generator(w)
+    dt = 0.25 / w.w_y
     wy = Fraction(w.w_y)
 
     def ycoord(t: float) -> float:

@@ -74,9 +74,9 @@ class Roof:
 
     certified_min <= Phi <= certified_max everywhere, with certified_min
     > 0; ``slack`` is the width of the certification margin actually
-    achieved by the grid + Lipschitz bound and ``slack_target`` the width
-    asked for; ``slack`` exceeds it when the evaluation budget forced a
-    coarser grid.
+    achieved by the lattice + second-order bound and ``slack_target`` the
+    width asked for; ``slack`` exceeds it when the evaluation budget forced
+    a coarser lattice.
     """
 
     phi: FiberedTrigPoly
@@ -87,34 +87,32 @@ class Roof:
     slack_target: Optional[float] = None
 
 
-# Most points certify_roof's grid may hold; past it the slack target is
+# Most points certify_roof's lattice may hold; past it the slack target is
 # relaxed.
 _CERTIFY_BUDGET = 2.5e8
 
-# _grid_extrema evaluates every _COARSE_STRIDE-th x-row first, then bounds
-# the rows between _COARSE_SPAN coarse rows at a time.
-_COARSE_STRIDE = 32
-_COARSE_SPAN = 2 ** 14
-
 
 def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
-    """Certify global bounds of a real roof by a grid plus Lipschitz slack.
+    """Certify global bounds of a real roof by a lattice plus a
+    second-order slack.
 
-    Per-axis Lipschitz constants come from the coefficients
-    (L = 2 pi sum |freq| |c|); the per-axis grid is sized so the combined
-    slack meets ``slack_target``, relaxed by doubling when that would
-    exceed the grid budget; the Roof records both the target and the
-    slack achieved.  The grid values are those of ``grid_blocks``, and
-    their extrema are exact, but only the x-rows that can hold them are
-    evaluated: every 32nd row, then the rows whose Lipschitz bound in x
-    from those reaches past their extrema.  Raises NonPositiveRoof when
-    the certified lower bound is not positive, and ValueError when even
-    the coarsest grid the frequencies allow exceeds the budget.
+    On each cell of the G_x x G_y midpoint lattice, which wraps around the
+    torus, the bilinear interpolant of Phi lies between its corner values
+    and differs from Phi by at most M_x/(8 G_x^2) + M_y/(8 G_y^2), with
+    M_x = 4 pi^2 sum m^2 |c| and M_y = 4 pi^2 sum k^2 |c| bounding the
+    second derivatives (the tensor-product error of linear interpolation;
+    de Boor, A Practical Guide to Splines, rev. ed. 2001).  Each axis is
+    sized for half of ``slack_target``, relaxed by doubling when the
+    lattice would exceed the budget; the Roof records both the target and
+    the slack achieved.  The extrema are those of every lattice value, as
+    ``grid_blocks`` evaluates them.  Raises NonPositiveRoof when the
+    certified lower bound is not positive, and ValueError when even the
+    coarsest lattice the frequencies allow exceeds the budget.
     """
     if not phi.real:
         raise ValueError("roof must be real-flagged")
-    lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
-    lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
+    curv_x = 4.0 * math.pi ** 2 * sum(m * m * abs(c) for m, _, c in phi.modes())
+    curv_y = 4.0 * math.pi ** 2 * sum(k * k * abs(c) for _, k, c in phi.modes())
     floor_x = max(16, 8 * phi.max_freq_x)
     floor_y = max(16, 8 * phi.degree_y)
     if floor_x * floor_y > _CERTIFY_BUDGET:
@@ -124,8 +122,8 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         )
 
     def grids(target: float) -> Tuple[int, int]:
-        gx = max(floor_x, math.ceil(lip_x / target))
-        gy = max(floor_y, math.ceil(lip_y / target))
+        gx = max(floor_x, math.ceil(math.sqrt(curv_x / (4.0 * target))))
+        gy = max(floor_y, math.ceil(math.sqrt(curv_y / (4.0 * target))))
         return gx, gy
 
     target = slack_target
@@ -134,76 +132,19 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         target *= 2.0
         gx, gy = grids(target)
 
-    lo, hi = _grid_extrema(phi, gx, gy, lip_x)
-    slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
+    ks = sorted(phi.fiber.keys())
+    coeff = np.array([phi.c(k).evaluate_complex(midgrid(gx)) for k in ks])
+    lo, hi = math.inf, -math.inf
+    for vals in grid_blocks(ks, coeff, True, gy):
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+        del vals                  # one block at a time on y-heavy lattices
+    slack = curv_x / (8.0 * gx * gx) + curv_y / (8.0 * gy * gy)
     cmin, cmax = lo - slack, hi + slack
     if cmin <= 0.0:
         raise NonPositiveRoof(
             f"certified lower bound {cmin:.6g} is not positive"
         )
     return Roof(phi, cmin, cmax, phi.mean(), slack, slack_target)
-
-
-def _grid_extrema(
-    phi: FiberedTrigPoly, gx: int, gy: int, lip_x: float
-) -> Tuple[float, float]:
-    """Min and max of the real roof over the gx x gy midpoint lattice of
-    ``grid_blocks``, from the x-rows that can hold them.
-
-    Every _COARSE_STRIDE-th x-row is evaluated first.  Along a y-column
-    the roof moves by at most lip_x |x - x'|, so the extrema of every other
-    row lie within that of those of the coarse rows on either side (past
-    the last coarse row, row 0 one period on); only the rows whose bounds
-    reach past the coarse extrema are evaluated.
-    """
-    xs = midgrid(gx)
-    ks = sorted(phi.fiber.keys())
-    coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])   # (n_k, gx)
-
-    def row_extrema(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Min and max of the roof over the y-grid on each given x-row."""
-        # a lone row goes twice: a one-row product rounds differently
-        cols = coeff[:, np.resize(rows, max(2, rows.size))]
-        low, high = [], []
-        for vals in grid_blocks(ks, cols, True, gy):
-            low.append(vals.min(axis=1))
-            high.append(vals.max(axis=1))
-            del vals              # one block at a time on y-heavy lattices
-        n = rows.size
-        return np.concatenate(low)[:n], np.concatenate(high)[:n]
-
-    S = _COARSE_STRIDE
-    coarse = np.arange(0, gx, S)
-    row_lo, row_hi = row_extrema(coarse)
-    lo, hi = float(row_lo.min()), float(row_hi.max())
-    row_lo = np.append(row_lo, row_lo[0])
-    row_hi = np.append(row_hi, row_hi[0])
-    margin = _rounding_margin(phi)
-    r = np.arange(S)                  # row offsets past each coarse row
-    step = lip_x / gx
-    for b0 in range(0, coarse.size, _COARSE_SPAN):
-        b = np.arange(b0, min(b0 + _COARSE_SPAN, coarse.size))[:, None]
-        span = np.minimum(gx - b * S, S)          # rows up to the next one
-        up, down = step * r, step * (span - r)
-        low = np.maximum(row_lo[b] - up, row_lo[b + 1] - down)
-        high = np.minimum(row_hi[b] + up, row_hi[b + 1] + down)
-        reach = (low - margin < lo) | (high + margin > hi)
-        reach &= (r > 0) & (r < span)
-        rows = b0 * S + np.flatnonzero(reach)        # row b * S + r
-        if rows.size:
-            rmin, rmax = row_extrema(rows)
-            lo = min(lo, float(rmin.min()))
-            hi = max(hi, float(rmax.max()))
-    return lo, hi
-
-
-def _rounding_margin(phi: FiberedTrigPoly) -> float:
-    """A margin far above the rounding of the roof values on the
-    certification lattice: 1e-9 sup|Phi| per unit of frequency, where that
-    rounding is a few ulps of sup|Phi| per mode and unit of frequency.
-    ``_grid_extrema`` evaluates every x-row whose Lipschitz bound comes
-    within it of the extrema."""
-    return 1e-9 * (1 + phi.max_freq_x + phi.degree_y) * phi.sup_bound() + 1e-12
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,6 @@ class FiberedTrigPoly:
         """Integral over the torus (the (0,0) coefficient)."""
         return self.c(0).coeff(0).real
 
-    def sup_bound(self) -> float:
-        return sum(abs(c) for _, _, c in self.modes())
-
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for _, _, c in self.modes()))
 

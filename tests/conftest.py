@@ -161,30 +161,34 @@ def sublevel_measure(samples: np.ndarray, C: float) -> SublevelEstimate:
     return SublevelEstimate(inside / total, flips / total, int(ind.shape[0]))
 
 
-def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
-                         stride: int = 1):
+def sup_bound(phi: FiberedTrigPoly) -> float:
+    """sum |c| over the modes: a bound of sup |phi| on the torus."""
+    return sum(abs(c) for _, _, c in phi.modes())
+
+
+def curvature_bounds(phi: FiberedTrigPoly):
+    """(M_x, M_y) = (4 pi^2 sum m^2 |c|, 4 pi^2 sum k^2 |c|): the bounds of
+    sup |Phi_xx| and sup |Phi_yy| that ``certify_roof`` sizes by."""
+    mx = 4.0 * math.pi ** 2 * sum(m * m * abs(c) for m, _, c in phi.modes())
+    my = 4.0 * math.pi ** 2 * sum(k * k * abs(c) for _, k, c in phi.modes())
+    return mx, my
+
+
+def lattice_slack(phi: FiberedTrigPoly, gx: int, gy: int) -> float:
+    """M_x/(8 gx^2) + M_y/(8 gy^2): how far Phi can fall below the least
+    value, or rise above the largest, of the gx x gy midpoint lattice."""
+    mx, my = curvature_bounds(phi)
+    return mx / (8.0 * gx * gx) + my / (8.0 * gy * gy)
+
+
+def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3):
     """(certified_min, certified_max, slack) of ``certify_roof`` from every
-    row of its grid: the same grid sizing, every value evaluated.  With
-    ``stride`` only every stride-th y-column is evaluated."""
-    lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
-    lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
-    floor_x = max(16, 8 * phi.max_freq_x)
-    floor_y = max(16, 8 * phi.degree_y)
-
-    def grids(target):
-        gx = max(floor_x, math.ceil(lip_x / target))
-        gy = max(floor_y, math.ceil(lip_y / target))
-        return gx, gy
-
-    target = slack_target
-    gx, gy = grids(target)
-    while gx * gy > _CERTIFY_BUDGET:
-        target *= 2.0
-        gx, gy = grids(target)
+    value of its lattice (``certify_grid``), in products of whole x-rows."""
+    gx, gy = certify_grid(phi, slack_target)
     xs = midgrid(gx)
     ks = sorted(phi.fiber.keys())
     coeff = np.array([phi.c(k).evaluate_complex(xs) for k in ks])
-    phase = np.exp(2j * np.pi * np.outer(ks, midgrid(gy)[::stride]))
+    phase = np.exp(2j * np.pi * np.outer(ks, midgrid(gy)))
     lo, hi = math.inf, -math.inf
     # whole x-rows over every y-column, at least two rows per product: such
     # products round each value as the whole-lattice product does, while a
@@ -195,7 +199,7 @@ def dense_certify_bounds(phi: FiberedTrigPoly, slack_target: float = 1e-3,
         vals = (coeff[:, part].T @ phase).real
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
-    slack = lip_x / (2.0 * gx) + lip_y / (2.0 * gy)
+    slack = lattice_slack(phi, gx, gy)
     return lo - slack, hi + slack, slack
 
 
@@ -221,26 +225,25 @@ def sample_block_reference(roof, seed: int, block_index: int, count: int):
 
 
 def certify_grid(phi: FiberedTrigPoly, slack_target: float = 1e-3):
-    """(gx, gy): the grid ``certify_roof`` sizes for phi and the target."""
-    lip_x = 2.0 * math.pi * sum(abs(m) * abs(c) for m, _, c in phi.modes())
-    lip_y = 2.0 * math.pi * sum(abs(k) * abs(c) for _, k, c in phi.modes())
+    """(gx, gy): the lattice ``certify_roof`` sizes for phi and the target,
+    half of the target to each axis."""
+    mx, my = curvature_bounds(phi)
     target = slack_target
     while True:
-        gx = max(16, 8 * phi.max_freq_x, math.ceil(lip_x / target))
-        gy = max(16, 8 * phi.degree_y, math.ceil(lip_y / target))
+        gx = max(16, 8 * phi.max_freq_x, math.ceil(math.sqrt(mx / (4 * target))))
+        gy = max(16, 8 * phi.degree_y, math.ceil(math.sqrt(my / (4 * target))))
         if gx * gy <= _CERTIFY_BUDGET:
             return gx, gy
         target *= 2.0
 
 
-def lattice_bounds(phi: FiberedTrigPoly, gx: int, gy: int, stride: int = 1):
-    """(min, max) of a real roof over every stride-th x-row of the gx x gy
-    midpoint lattice, as ``grid_blocks`` evaluates them: the all-rows
-    reference of the pruned certificate."""
+def lattice_bounds(phi: FiberedTrigPoly, gx: int, gy: int):
+    """(min, max) of a real roof over the gx x gy midpoint lattice, as
+    ``grid_blocks`` evaluates it."""
     ks = sorted(phi.fiber.keys())
     coeff = np.array([phi.c(k).evaluate_complex(midgrid(gx)) for k in ks])
     lo, hi = math.inf, -math.inf
-    for vals in grid_blocks(ks, coeff[:, ::stride], True, gy):
+    for vals in grid_blocks(ks, coeff, True, gy):
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     return lo, hi
 

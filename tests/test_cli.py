@@ -279,6 +279,29 @@ def test_return_check_cli(tmp_path):
     assert doc["max_time_err"] <= 1e-10
 
 
+def test_return_check_overflowing_ratio_exits_3(tmp_path, capsys):
+    code, _ = run(
+        tmp_path, "return-check", "--wx", "1e300", "--wy", "1e-300", "--wz",
+        "0", "--count", "1",
+    )
+    assert code == 3
+    assert "DegenerateSection" in capsys.readouterr().err
+
+
+def test_sublevel_deduplicates_thresholds(tmp_path, roofs):
+    argv = ["sublevel", "--roof", roofs["example3"], "--n", "50",
+            "--grid", "256"]
+    code, out = run(tmp_path / "a", *argv, "--deltas", "0.1,0.2,0.1")
+    assert code == 0
+    code, want = run(tmp_path / "b", *argv, "--deltas", "0.2,0.1")
+    assert code == 0
+    assert read(out / "sublevel.csv") == read(want / "sublevel.csv")
+    code, out = run(tmp_path / "c", *argv, "--deltas", "0.2,0.2")
+    assert code == 0
+    assert len(read(out / "sublevel.csv").decode().splitlines()) == 2
+    assert json.loads(read(out / "sublevel_summary.json"))["slope"] is None
+
+
 def test_invalid_inputs_exit_2(tmp_path, roofs, capsys):
     code, _ = run(tmp_path / "a", "classify", "--roof", "/nonexistent.json")
     assert code == 2

@@ -16,6 +16,7 @@ from conftest import (
     coboundary_roof,
     dense_evaluate_complex,
     mixing_example_roof,
+    sup_bound,
     theta_exact,
 )
 from mixlab.cohomology import (
@@ -289,7 +290,7 @@ def test_coboundary_residual_is_the_lattice_sup(seed, shape, real):
     vals = dense_evaluate_complex(residual, xs[:, None], xs[None, :])
     want = np.max(np.abs(vals.real if real else vals))
     got = coboundary_residual(f, u, phi, mean)
-    assert abs(got - want) <= 1e-12 * residual.sup_bound()
+    assert abs(got - want) <= 1e-12 * sup_bound(residual)
 
 
 def test_coboundary_residual_zero_and_one_wrong_mode():

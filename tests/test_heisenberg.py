@@ -1,6 +1,7 @@
 """Group arithmetic, lattice reduction, nilflow, and the section return map."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,6 +283,25 @@ def test_poincare_numeric_bisection_stops_at_adjacent_floats(wy):
     # shrinking before it reaches the tolerance
     res = poincare_return_numeric(AlgebraVector(0.3, wy, -0.2), 0.1, 0.2)
     assert math.isclose(res.time, 1.0 / wy, rel_tol=1e-15)
+
+
+def test_nilflow_and_returns_past_the_float_range():
+    # the lattice element of this flow is past the float range: the result
+    # is still the exact-Fraction representative, and the section returns
+    # reject a ratio w_x/w_y that overflows
+    w, t = AlgebraVector(1e300, 1.0, 0.0), 1e300
+    T, wx, x0, z0 = Fraction(t), Fraction(w.w_x), Fraction(0.3), Fraction(0.2)
+    X, Y, Z = x0 + T * wx, T, z0 + T * T * wx / 2 + x0 * T
+    Y -= math.floor(Y)
+    bx = math.floor(X)
+    X -= bx
+    Z -= bx * Y
+    Z -= math.floor(Z)
+    got = nilflow_at(section_point(0.3, 0.2), w, t).g
+    assert got == HeisenbergElement(float(X), float(Y), float(Z))
+    for fn in (poincare_return, poincare_return_numeric):
+        with pytest.raises(DegenerateSection):
+            fn(AlgebraVector(1e300, 1e-300, 0.0), 0.3, 0.2)
 
 
 def test_poincare_numeric_overflowing_return_time():

@@ -17,6 +17,7 @@ from conftest import (
     dense_certify_bounds,
     dense_evaluate_complex,
     lattice_bounds,
+    lattice_slack,
     mixing_example_roof,
     orbit_exact,
     sample_block_reference,
@@ -84,14 +85,18 @@ def test_certify_bounds_are_global():
     assert np.all(vals <= roof.certified_max + 1e-12)
 
 
-def test_certify_reports_relaxed_slack():
+def test_certify_reports_relaxed_slack(monkeypatch):
     roof = certify_roof(mixing_example_roof())
     assert roof.slack_target == 1e-3 and roof.slack <= roof.slack_target
-    # 2 + cos(2 pi 20000 y): meeting slack 1e-3 needs a 16 x 1.3e8 grid, past
-    # the 2.5e8-point budget, so the target is relaxed and the slack says so
+    # 2 + cos(2 pi 20000 y)/2: meeting slack 1e-3 needs a 16 x 1.4e6
+    # lattice, past a budget of 2^22 points, so the target is relaxed and
+    # the slack says so.  A roof past the real budget would need a y-table
+    # of about 700 MB.
+    monkeypatch.setattr(specialflow, "_CERTIFY_BUDGET", 2 ** 22)
     phi = FiberedTrigPoly.from_modes(
         {(0, 20_000): 0.25, (0, -20_000): 0.25, (0, 0): 2.0}, real=True
     )
+    assert certify_grid(phi) == (16, 1_404_963)
     roof = certify_roof(phi)
     assert roof.slack_target == 1e-3
     assert roof.slack > roof.slack_target
@@ -100,14 +105,14 @@ def test_certify_reports_relaxed_slack():
 
 
 def test_certify_holds_one_lattice_block_at_a_time():
-    # 2 + cos(2 pi y)/2 + cos(2 pi 1500 y)/10 on a 16 x 945,620 lattice in
+    # 2 + cos(2 pi y)/2 + cos(2 pi 30100 y)/10 on a 16 x 945,620 lattice in
     # blocks of two x-rows: the table e(k y) of its 5 fiber modes takes
     # 72 MiB.  Forming it in place, and holding one 29 MiB block at a time,
     # stays under 128 MiB; forming it through a complex temporary, or
     # holding the previous block while the next is formed, does not.
     phi = FiberedTrigPoly.from_modes(
         {(0, 0): 2.0, (0, 1): 0.25, (0, -1): 0.25,
-         (0, 1500): 0.05, (0, -1500): 0.05},
+         (0, 30_100): 0.05, (0, -30_100): 0.05},
         real=True,
     )
     assert certify_grid(phi) == (16, 945_620)
@@ -164,23 +169,20 @@ def test_certify_matches_dense_grid_on_bundled_roofs(name):
     assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
 
 
-_MODE = st.tuples(
-    st.integers(-6, 6),
-    st.integers(-6, 6),
-    st.floats(-0.2, 0.2, allow_subnormal=False),
-    st.floats(-0.2, 0.2, allow_subnormal=False),
-)
+def _modes(freq: int):
+    """Lists of up to 6 modes (m, k, re, im) with |m|, |k| <= freq."""
+    mode = st.tuples(
+        st.integers(-freq, freq),
+        st.integers(-freq, freq),
+        st.floats(-0.2, 0.2, allow_subnormal=False),
+        st.floats(-0.2, 0.2, allow_subnormal=False),
+    )
+    return st.lists(mode, min_size=1, max_size=6)
 
 
-@settings(max_examples=40)
-@given(
-    modes=st.lists(_MODE, min_size=1, max_size=6),
-    y_scale=st.sampled_from([1.0, 1e-14, 1e-15]),
-)
-def test_certify_matches_dense_grid_on_random_roofs(modes, y_scale):
-    # up to 6 conjugate pairs (12 modes), lifted to a positive roof; a
-    # small y_scale leaves y-modes near rounding, so that many grid values
-    # tie for the extrema
+def _positive_roof(modes, y_scale=1.0):
+    """The modes with their conjugates (y-modes scaled by y_scale), lifted
+    to a positive roof by a constant."""
     coeffs = {}
     for m, k, re, im in modes:
         if (m, k) != (0, 0):
@@ -188,28 +190,47 @@ def test_certify_matches_dense_grid_on_random_roofs(modes, y_scale):
             coeffs[(m, k)] = c
             coeffs[(-m, -k)] = c.conjugate()
     coeffs[(0, 0)] = 0.5 + 2.0 * sum(abs(c) for c in coeffs.values())
-    phi = FiberedTrigPoly.from_modes(coeffs, real=True)
+    return FiberedTrigPoly.from_modes(coeffs, real=True)
+
+
+@settings(max_examples=40)
+@given(
+    modes=_modes(6),
+    y_scale=st.sampled_from([1.0, 1e-14, 1e-15]),
+)
+def test_certify_matches_dense_grid_on_random_roofs(modes, y_scale):
+    # up to 6 conjugate pairs (12 modes); a small y_scale leaves y-modes
+    # near rounding, so that many grid values tie for the extrema
+    phi = _positive_roof(modes, y_scale)
     got = _certificate(certify_roof(phi, slack_target=1e-2))
     assert got == dense_certify_bounds(phi, slack_target=1e-2)
 
 
-def test_certify_matches_dense_grid_between_coarse_rows():
-    # with k = 40 and 41 the extrema fall between coarse rows: those of
-    # every 32nd row alone are not the grid's
-    w = np.exp(0.3j)
-    phi = FiberedTrigPoly.from_modes(
-        {(0, 40): 0.5, (0, -40): 0.5, (2, 41): 0.25 * w,
-         (-2, -41): 0.25 * np.conj(w), (0, 0): 3.0},
-        real=True,
-    )
-    want = dense_certify_bounds(phi, slack_target=0.05)
-    coarse = dense_certify_bounds(phi, slack_target=0.05, stride=32)
-    assert coarse[0] > want[0] and coarse[1] < want[1]
-    assert _certificate(certify_roof(phi, slack_target=0.05)) == want
+@settings(max_examples=30)
+@given(
+    modes=_modes(8),
+    slack_target=st.sampled_from([1e-2, 1e-3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_certificate_is_valid_and_tight(modes, slack_target, seed):
+    # the certified bounds enclose the roof on a 1024^2 lattice and at
+    # random points, and lie within slack + the fine lattice's own slack
+    # of the extrema there: the true extrema are within that of them
+    phi = _positive_roof(modes)
+    roof = certify_roof(phi, slack_target=slack_target)
+    assert roof.slack <= slack_target
+    rng = np.random.default_rng(seed)
+    vals = phi.evaluate(rng.random(4096), rng.random(4096))
+    lo, hi = lattice_bounds(phi, 1024, 1024)
+    lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    assert roof.certified_min <= lo and roof.certified_max >= hi
+    reach = roof.slack + lattice_slack(phi, 1024, 1024) + 1e-12
+    assert lo - roof.certified_min <= reach
+    assert roof.certified_max - hi <= reach
 
 
 def test_certify_matches_dense_grid_on_x_only_roofs():
-    # lip_y = 0: every row bounds every other exactly
+    # M_y = 0: every y-column is alike
     phi = FiberedTrigPoly.from_modes(
         {(1, 0): 0.25, (-1, 0): 0.25, (5, 0): -0.15j, (-5, 0): 0.15j,
          (0, 0): 2.0},
@@ -218,27 +239,9 @@ def test_certify_matches_dense_grid_on_x_only_roofs():
     assert _certificate(certify_roof(phi)) == dense_certify_bounds(phi)
 
 
-def test_certify_matches_dense_grid_between_coarse_x_rows():
-    # the x-twin of the test above: with m = 40 and 41 the extrema fall
-    # between coarse x-rows, whose extrema alone are not the grid's
-    w = np.exp(0.3j)
-    phi = FiberedTrigPoly.from_modes(
-        {(40, 0): 0.5, (-40, 0): 0.5, (41, 2): 0.25 * w,
-         (-41, -2): 0.25 * np.conj(w), (0, 0): 3.0},
-        real=True,
-    )
-    gx, gy = certify_grid(phi, slack_target=0.05)
-    lo, hi = lattice_bounds(phi, gx, gy)
-    coarse = lattice_bounds(phi, gx, gy, stride=32)
-    assert coarse[0] > lo and coarse[1] < hi
-    want = dense_certify_bounds(phi, slack_target=0.05)
-    assert want[:2] == (lo - want[2], hi + want[2])
-    assert _certificate(certify_roof(phi, slack_target=0.05)) == want
-
-
 def test_certify_matches_dense_grid_on_y_only_roofs():
-    # lip_x = 0: every x-row bounds every other exactly; the 16 x-rows
-    # hold one coarse row, which a one-row product would round otherwise
+    # M_x = 0: the x-rows are all alike, and the certificate must still
+    # take them in products of at least two rows
     phi = FiberedTrigPoly.from_modes(
         {(0, 1): 0.25, (0, -1): 0.25, (0, 3): 0.1 - 0.2j, (0, -3): 0.1 + 0.2j,
          (0, 5): -0.15j, (0, -5): 0.15j, (0, 0): 2.0},
@@ -248,11 +251,11 @@ def test_certify_matches_dense_grid_on_y_only_roofs():
 
 
 def test_certify_is_the_lattice_of_grid_blocks():
-    # a 2215 x 2555 lattice: a product of part of its y-columns (1894 of
-    # them) may round its trailing columns otherwise than one of all 2555
-    # (by one ulp in the minimum on OpenBLAS 0.3.31); the certificate is
-    # the extrema of every x-row of the lattice through grid_blocks, and
-    # the dense oracle's, which takes all y-columns in every product
+    # a 2032 x 2391 lattice, past 2^22 values: an oracle that split its
+    # y-columns into products of 2^22 values could round their trailing
+    # columns otherwise than one product of all of them; the certificate
+    # is the extrema of every x-row of the lattice through grid_blocks,
+    # and the dense oracle's, which takes all y-columns in every product
     a, b = complex(0.1726766135848326, 0.19264097476525105), complex(
         -0.15017015224047664, 0.19548243676469804)
     phi = FiberedTrigPoly.from_modes(
@@ -260,21 +263,20 @@ def test_certify_is_the_lattice_of_grid_blocks():
          (4, -3): b.conjugate(), (0, 0): 2.5208339000683813},
         real=True,
     )
-    roof = certify_roof(phi, slack_target=1e-2)
-    gx, gy = certify_grid(phi, slack_target=1e-2)
-    assert (gx, gy) == (2215, 2555)
+    roof = certify_roof(phi, slack_target=3e-5)
+    gx, gy = certify_grid(phi, slack_target=3e-5)
+    assert (gx, gy) == (2032, 2391)
     lo, hi = lattice_bounds(phi, gx, gy)
     assert (roof.certified_min, roof.certified_max) == (
         lo - roof.slack, hi + roof.slack)
-    assert _certificate(roof) == dense_certify_bounds(phi, slack_target=1e-2)
+    assert _certificate(roof) == dense_certify_bounds(phi, slack_target=3e-5)
 
 
 @pytest.mark.parametrize("size", [0.2501, 0.251])
 @pytest.mark.parametrize("slack_target", [3e-18, 1e-18])
 def test_certify_matches_dense_grid_within_rounding(size, slack_target):
     # 1.75 + 2 s sin(2 pi y) with 2 s just past half an ulp: the computed
-    # values move by one rounding step on a few rows only, and far less
-    # than that in true value between them and the coarse rows
+    # values move by one rounding step on a few lattice points only
     c = 1j * size * math.ulp(1.75)
     phi = FiberedTrigPoly.from_modes(
         {(0, 1): c, (0, -1): np.conj(c), (0, 0): 1.75}, real=True
