@@ -7,7 +7,8 @@ resolved configuration, the library version, the list of outputs, and
 the wall time; identical configuration and seed reproduce the data
 files byte for byte, for any ``--workers`` value.
 
-Exit codes: 0 success, 2 invalid configuration or input file, 3 numeric
+Exit codes: 0 success; 2 an option value its argparse type rejects (with
+the usage line), a bad roof file or an out-of-range run; 3 numeric
 failure (resonant divisor, nonzero obstruction, non-positive roof, ...).
 """
 
@@ -55,12 +56,43 @@ def _seed(text: str) -> int:
     return v
 
 
-def _parse_floats(text: str) -> List[float]:
-    return [_finite(tok) for tok in text.split(",") if tok]
+def _count(text: str) -> int:
+    """argparse type of every size, count and Birkhoff length: an int >= 1."""
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
+    return v
 
 
-def _parse_ints(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _positive(text: str) -> float:
+    """argparse type of --C and --tol: a finite number > 0."""
+    v = _finite(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
+    return v
+
+
+def _workers(text: str) -> int:
+    """argparse type of --workers, whose default is MIXLAB_WORKERS."""
+    try:
+        return _count(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1 (default: MIXLAB_WORKERS): {text!r}"
+        ) from None
+
+
+def _list(item, size: Optional[int] = None):
+    """argparse type of a comma-separated list of ``item`` values, empty
+    entries skipped; of exactly ``size`` entries when ``size`` is given."""
+
+    def comma_list(text: str) -> list:
+        vals = [item(tok) for tok in text.split(",") if tok]
+        if size is not None and len(vals) != size:
+            raise argparse.ArgumentTypeError(f"needs exactly {size} values")
+        return vals
+
+    return comma_list
 
 
 def bundled_roof_path(name: str) -> str:
@@ -296,7 +328,7 @@ def cmd_return_check(args, run, f, phi) -> None:
     errs = np.maximum(
         circle_distance(got.x, want[:, 0]), circle_distance(got.z, want[:, 1])
     ).tolist()
-    worst_xy = max([0.0, *errs])
+    worst_xy = float(np.max(errs, initial=0.0))
     terr = abs(got.time - 1.0 / w.w_y)
     rows = [(i, err, terr) for i, err in enumerate(errs)]
     _write_csv(run.path("return_check.csv"), ("i", "coord_err", "time_err"), rows)
@@ -316,23 +348,6 @@ def cmd_conjugacy(args, run, f, phi) -> None:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sp, roof=True):
-    if roof:
-        sp.add_argument("--roof", required=True, help="roof JSON file")
-        sp.add_argument("--alpha", type=_finite, default=None,
-                        help="override the file's alpha")
-        sp.add_argument("--beta", type=_finite, default=None,
-                        help="override the file's beta")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel workers for Monte-Carlo sampling "
-             "(default: MIXLAB_WORKERS or 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mixlab",
@@ -341,94 +356,92 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="mixing/trivial verdict for a roof")
-    _add_common(sp)
-    sp.add_argument("--tol", type=_finite, default=1e-9)
-    sp.set_defaults(func=cmd_classify)
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--out", default=".", help="output directory")
+    base.add_argument("--workers", type=_workers,
+                      default=os.environ.get("MIXLAB_WORKERS", "1"),
+                      help="parallel workers for Monte-Carlo sampling "
+                           "(default: MIXLAB_WORKERS or 1)")
+    roofed = argparse.ArgumentParser(add_help=False, parents=[base])
+    roofed.add_argument("--roof", required=True, help="roof JSON file")
+    roofed.add_argument("--alpha", type=_finite, default=None,
+                        help="override the file's alpha")
+    roofed.add_argument("--beta", type=_finite, default=None,
+                        help="override the file's beta")
 
-    sp = sub.add_parser("solve", help="emit the transfer function u")
-    _add_common(sp)
-    sp.add_argument("--tol", type=_finite, default=1e-9)
-    sp.set_defaults(func=cmd_solve)
+    def command(name, func, summary, parents=(roofed,)):
+        sp = sub.add_parser(name, help=summary, parents=parents)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("stretch", help="sublevel-measure decay along n")
-    _add_common(sp)
-    sp.add_argument("--C", type=_finite, required=True)
-    sp.add_argument("--n", type=_parse_ints, required=True,
+    sp = command("classify", cmd_classify, "mixing/trivial verdict for a roof")
+    sp.add_argument("--tol", type=_positive, default=1e-9)
+
+    sp = command("solve", cmd_solve, "emit the transfer function u")
+    sp.add_argument("--tol", type=_positive, default=1e-9)
+
+    sp = command("stretch", cmd_stretch, "sublevel-measure decay along n")
+    sp.add_argument("--C", type=_positive, required=True)
+    sp.add_argument("--n", type=_list(_count), required=True,
                     help="comma-separated Birkhoff lengths")
-    sp.add_argument("--grid", type=int, default=2048)
-    sp.set_defaults(func=cmd_stretch)
+    sp.add_argument("--grid", type=_count, default=2048)
 
-    sp = sub.add_parser("sublevel", help="small-value measure vs threshold")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--deltas", type=_parse_floats,
+    sp = command("sublevel", cmd_sublevel, "small-value measure vs threshold")
+    sp.add_argument("--n", type=_count, default=1)
+    sp.add_argument("--deltas", type=_list(_finite),
                     default=[1e-1, 1e-2, 1e-3, 1e-4])
-    sp.add_argument("--grid", type=int, default=1024)
-    sp.set_defaults(func=cmd_sublevel)
+    sp.add_argument("--grid", type=_count, default=1024)
 
-    sp = sub.add_parser("visits", help="orbit fraction with small phi_n")
-    _add_common(sp)
-    sp.add_argument("--C", type=_finite, required=True)
-    sp.add_argument("--N", type=_parse_ints, required=True)
+    sp = command("visits", cmd_visits, "orbit fraction with small phi_n")
+    sp.add_argument("--C", type=_positive, required=True)
+    sp.add_argument("--N", type=_list(_count), required=True)
     sp.add_argument("--x", type=_finite, default=0.1)
     sp.add_argument("--y", type=_finite, default=0.2)
-    sp.set_defaults(func=cmd_visits)
 
-    sp = sub.add_parser("correlate", help="Monte-Carlo mixing curve")
-    _add_common(sp)
-    sp.add_argument("--cube", type=_parse_floats, required=True,
+    sp = command("correlate", cmd_correlate, "Monte-Carlo mixing curve")
+    sp.add_argument("--cube", type=_list(_finite, 5), required=True,
                     help="x1,x2,y1,y2,h")
-    sp.add_argument("--t", type=_parse_floats, required=True)
-    sp.add_argument("--samples", type=int, default=1_000_000)
+    sp.add_argument("--t", type=_list(_finite), required=True)
+    sp.add_argument("--samples", type=_count, default=1_000_000)
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.set_defaults(func=cmd_correlate)
 
-    sp = sub.add_parser("fiber-profile", help="fiber arc mass carried into a cube")
-    _add_common(sp)
+    sp = command("fiber-profile", cmd_fiber_profile,
+                 "fiber arc mass carried into a cube")
     sp.add_argument("--x", type=_finite, required=True)
-    sp.add_argument("--arc", type=_parse_floats, required=True, help="y1,y2")
-    sp.add_argument("--cube", type=_parse_floats, required=True,
+    sp.add_argument("--arc", type=_list(_finite, 2), required=True,
+                    help="y1,y2")
+    sp.add_argument("--cube", type=_list(_finite, 5), required=True,
                     help="x1,x2,y1,y2,h")
-    sp.add_argument("--t", type=_parse_floats, required=True)
-    sp.add_argument("--resolution", type=int, default=512)
-    sp.set_defaults(func=cmd_fiber_profile)
+    sp.add_argument("--t", type=_list(_finite), required=True)
+    sp.add_argument("--resolution", type=_count, default=512)
 
-    sp = sub.add_parser("hitting", help="measure of fibers without large phi")
-    _add_common(sp)
-    sp.add_argument("--C", type=_finite, required=True)
-    sp.add_argument("--t", type=_parse_floats, required=True)
-    sp.add_argument("--grid", type=int, default=256)
-    sp.add_argument("--y-resolution", dest="y_resolution", type=int, default=64)
-    sp.set_defaults(func=cmd_hitting)
+    sp = command("hitting", cmd_hitting, "measure of fibers without large phi")
+    sp.add_argument("--C", type=_positive, required=True)
+    sp.add_argument("--t", type=_list(_finite), required=True)
+    sp.add_argument("--grid", type=_count, default=256)
+    sp.add_argument("--y-resolution", type=_count, default=64)
 
-    sp = sub.add_parser("weyl", help="sup |phi_N|/sqrt(N) along denominators")
-    _add_common(sp)
-    sp.add_argument("--levels", type=int, default=20)
-    sp.add_argument("--grid", type=int, default=256)
-    sp.set_defaults(func=cmd_weyl)
+    sp = command("weyl", cmd_weyl, "sup |phi_N|/sqrt(N) along denominators")
+    sp.add_argument("--levels", type=_count, default=20)
+    sp.add_argument("--grid", type=_count, default=256)
 
-    sp = sub.add_parser("l2", help="exact squared L2 norms of Birkhoff sums")
-    _add_common(sp)
-    sp.add_argument("--N", type=_parse_ints, required=True)
-    sp.set_defaults(func=cmd_l2)
+    sp = command("l2", cmd_l2, "exact squared L2 norms of Birkhoff sums")
+    sp.add_argument("--N", type=_list(_count), required=True)
 
-    sp = sub.add_parser("return-check", help="section return map cross-check")
-    _add_common(sp, roof=False)
+    sp = command("return-check", cmd_return_check,
+                 "section return map cross-check", parents=(base,))
     sp.add_argument("--wx", type=_finite, required=True)
     sp.add_argument("--wy", type=_finite, required=True)
     sp.add_argument("--wz", type=_finite, required=True)
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=_count, default=100)
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.set_defaults(func=cmd_return_check)
 
-    sp = sub.add_parser("conjugacy", help="shear conjugacy check for trivial roofs")
-    _add_common(sp)
-    sp.add_argument("--t", type=_parse_floats, required=True)
-    sp.add_argument("--points", type=int, default=100)
+    sp = command("conjugacy", cmd_conjugacy,
+                 "shear conjugacy check for trivial roofs")
+    sp.add_argument("--t", type=_list(_finite), required=True)
+    sp.add_argument("--points", type=_count, default=100)
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--tol", type=_finite, default=1e-9)
-    sp.set_defaults(func=cmd_conjugacy)
+    sp.add_argument("--tol", type=_positive, default=1e-9)
 
     return ap
 
@@ -437,7 +450,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _validate(args)
         run = _Run(args)
         f, phi = _load(args) if "roof" in vars(args) else (None, None)
         args.func(args, run, f, phi)
@@ -452,42 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"mixlab: out of memory: {exc}", file=sys.stderr)
         return 3
-
-
-def _validate(args) -> None:
-    if args.workers is None:
-        env = os.environ.get("MIXLAB_WORKERS", "1")
-        try:
-            args.workers = int(env)
-        except ValueError:
-            raise ValueError(
-                f"MIXLAB_WORKERS must be an integer, got {env!r}"
-            ) from None
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
-    for name in ("grid", "samples", "points", "count", "levels", "resolution",
-                 "y_resolution"):
-        v = getattr(args, name, None)
-        if v is not None and v < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive")
-    cube = getattr(args, "cube", None)
-    if cube is not None and len(cube) != 5:
-        raise ValueError("--cube needs exactly x1,x2,y1,y2,h")
-    arc = getattr(args, "arc", None)
-    if arc is not None and len(arc) != 2:
-        raise ValueError("--arc needs exactly y1,y2")
-    for name in ("C", "tol"):
-        v = getattr(args, name, None)
-        if v is not None and v <= 0:
-            raise ValueError(f"--{name} must be positive")
-    ns = getattr(args, "n", None)
-    if isinstance(ns, int):
-        ns = [ns]
-    if ns is not None and any(n < 1 for n in ns):
-        raise ValueError("--n entries must be >= 1")
-    Ns = getattr(args, "N", None)
-    if Ns is not None and any(n < 1 for n in Ns):
-        raise ValueError("--N entries must be >= 1")
 
 
 if __name__ == "__main__":

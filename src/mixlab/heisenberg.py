@@ -126,10 +126,16 @@ def reduce_mod_lattice(
     g: HeisenbergElement, lattice: Lattice = Lattice(1)
 ) -> Tuple[NilPoint, HeisenbergElement]:
     """Fundamental-domain representative of the coset of ``g`` and the
-    lattice element lam with ``lam * point.g == g`` up to rounding:
-    ``_reduce`` of the exact values of g's coordinates."""
+    lattice element lam with ``lam * point.g == g`` up to rounding
+    (ValueError when lam is past the float range): ``_reduce`` of the
+    exact values of g's coordinates."""
     rep, lam = _reduce(Fraction(g.x), Fraction(g.y), Fraction(g.z), lattice.E)
-    return NilPoint(rep, lattice), HeisenbergElement(*map(float, lam))
+    try:
+        return NilPoint(rep, lattice), HeisenbergElement(*map(float, lam))
+    except OverflowError:
+        raise ValueError(
+            f"the lattice element of {g} is past the float range"
+        ) from None
 
 
 def nilflow_at(p: NilPoint, w: AlgebraVector, t: float) -> NilPoint:
@@ -159,11 +165,14 @@ def section_point(x: float, z: float, lattice: Lattice = Lattice(1)) -> NilPoint
 
 def _check_generator(w: AlgebraVector) -> None:
     """Raise DegenerateSection unless the generator crosses the section
-    with a finite return time 1/w_y and finite ratios w_x/w_y, w_z/w_y."""
+    with a finite return time 1/w_y, finite ratios w_x/w_y, w_z/w_y and a
+    finite z-shift w_z/w_y + w_x/(2 w_y) of the return map."""
     if w.w_y == 0.0:
         raise DegenerateSection("w_y = 0: generator is tangent to the section")
     for name, v in (("1/w_y", 1.0 / w.w_y), ("w_x/w_y", w.w_x / w.w_y),
-                    ("w_z/w_y", w.w_z / w.w_y)):
+                    ("w_z/w_y", w.w_z / w.w_y),
+                    ("w_z/w_y + w_x/(2 w_y)",
+                     w.w_z / w.w_y + w.w_x / (2.0 * w.w_y))):
         if not math.isfinite(v):
             raise DegenerateSection(f"{name} is not finite for {w}")
 

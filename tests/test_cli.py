@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN, coboundary_roof
 from mixlab import specialflow
-from mixlab.cli import bundled_roof_path, main
+from mixlab.cli import build_parser, bundled_roof_path, main
 from mixlab.cohomology import (
     ComponentSpectrum,
     OrbitLabel,
@@ -158,7 +159,7 @@ def test_workers_env_default(tmp_path, roofs, monkeypatch):
 def test_workers_env_not_an_integer_exits_2(tmp_path, roofs, monkeypatch,
                                             capsys):
     monkeypatch.setenv("MIXLAB_WORKERS", "abc")
-    code, _ = run(tmp_path, "classify", "--roof", roofs["example1"])
+    code = exit_code(tmp_path, "classify", "--roof", roofs["example1"])
     assert code == 2
     assert "MIXLAB_WORKERS" in capsys.readouterr().err
 
@@ -280,12 +281,15 @@ def test_return_check_cli(tmp_path):
 
 
 def test_return_check_overflowing_ratio_exits_3(tmp_path, capsys):
-    code, _ = run(
-        tmp_path, "return-check", "--wx", "1e300", "--wy", "1e-300", "--wz",
-        "0", "--count", "1",
-    )
-    assert code == 3
-    assert "DegenerateSection" in capsys.readouterr().err
+    for wx, wy, wz, count in [
+        ("1e300", "1e-300", "0", "1"),
+        # every ratio is finite, but the closed form's z-shift overflows
+        ("1.7e308", "1", "1.7e308", "3"),
+    ]:
+        code, _ = run(tmp_path, "return-check", "--wx", wx, "--wy", wy,
+                      "--wz", wz, "--count", count)
+        assert code == 3
+        assert "DegenerateSection" in capsys.readouterr().err
 
 
 def test_sublevel_deduplicates_thresholds(tmp_path, roofs):
@@ -315,19 +319,19 @@ def test_invalid_inputs_exit_2(tmp_path, roofs, capsys):
     assert code == 2
     assert "realness" in capsys.readouterr().err or True
 
-    code, _ = run(
+    code = exit_code(
         tmp_path / "c", "stretch", "--roof", roofs["example1"], "--C", "-1",
         "--n", "10",
     )
     assert code == 2
 
-    code, _ = run(
+    code = exit_code(
         tmp_path / "d", "correlate", "--roof", roofs["example1"],
         "--cube", "0,0.5,0,0.5", "--t", "1", "--samples", "2000",
     )
     assert code == 2
 
-    code, _ = run(
+    code = exit_code(
         tmp_path / "e", "sublevel", "--roof", roofs["example3"], "--n", "0",
     )
     assert code == 2
@@ -341,7 +345,7 @@ _ROOF = specialflow.certify_roof(FiberedTrigPoly.constant(2.0))
 _CUBE = specialflow.Cube(0.0, 0.5, 0.0, 0.5, 1.0)
 
 # The library's own input guards, called directly, each with the message
-# it raises: the CLI's _validate rejects most of these inputs first.
+# it raises: the CLI's option types reject most of these inputs first.
 LIBRARY_GUARDS = {
     "birkhoff_sum-n": (
         lambda: birkhoff_sum(_F, _PHI, _P, -1), "n must be >= 0"),
@@ -702,3 +706,63 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# One FUZZ_BASE value per rule that an option's type states, each just out
+# of range.
+OUT_OF_RANGE = [
+    ("stretch", "--grid", "0"),
+    ("correlate", "--samples", "0"),
+    ("conjugacy", "--points", "0"),
+    ("return-check", "--count", "0"),
+    ("weyl", "--levels", "0"),
+    ("fiber-profile", "--resolution", "0"),
+    ("hitting", "--y-resolution", "0"),
+    ("classify", "--tol", "0"),
+    ("stretch", "--C", "0"),
+    ("visits", "--N", "1,0"),
+    ("stretch", "--n", "1,0"),
+    ("sublevel", "--n", "0"),
+    ("correlate", "--cube", "0,0.5,0,0.5"),
+    ("fiber-profile", "--arc", "0.2"),
+    ("correlate", "--workers", "0"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", OUT_OF_RANGE)
+def test_out_of_range_option_exits_2(tmp_path, capsys, command, option, value):
+    argv = [BUNDLED.get(a, a) for a in FUZZ_BASE[command]]
+    argv[argv.index(option) + 1] = value
+    assert exit_code(tmp_path, command, *argv) == 2
+    err = capsys.readouterr().err
+    # the last line is the error; a usage line above it names every option
+    assert option in err.splitlines()[-1] and "Traceback" not in err
+
+
+_RUN_OPTIONS = ["-h", "--help", "--out", "--workers"]
+_ROOF_OPTIONS = [*_RUN_OPTIONS, "--roof", "--alpha", "--beta"]
+OPTION_SURFACE = {
+    "classify": [*_ROOF_OPTIONS, "--tol"],
+    "solve": [*_ROOF_OPTIONS, "--tol"],
+    "stretch": [*_ROOF_OPTIONS, "--C", "--n", "--grid"],
+    "sublevel": [*_ROOF_OPTIONS, "--n", "--deltas", "--grid"],
+    "visits": [*_ROOF_OPTIONS, "--C", "--N", "--x", "--y"],
+    "correlate": [*_ROOF_OPTIONS, "--cube", "--t", "--samples", "--seed"],
+    "fiber-profile": [*_ROOF_OPTIONS, "--x", "--arc", "--cube", "--t",
+                      "--resolution"],
+    "hitting": [*_ROOF_OPTIONS, "--C", "--t", "--grid", "--y-resolution"],
+    "weyl": [*_ROOF_OPTIONS, "--levels", "--grid"],
+    "l2": [*_ROOF_OPTIONS, "--N"],
+    "return-check": [*_RUN_OPTIONS, "--wx", "--wy", "--wz", "--count",
+                     "--seed"],
+    "conjugacy": [*_ROOF_OPTIONS, "--t", "--points", "--seed", "--tol"],
+}
+
+
+def test_option_surface():
+    # adding or dropping a knob has to change this table
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: sorted(s for a in sp._actions for s in a.option_strings)
+           for name, sp in sub.choices.items()}
+    assert got == {name: sorted(opts) for name, opts in OPTION_SURFACE.items()}

@@ -287,8 +287,9 @@ def test_poincare_numeric_bisection_stops_at_adjacent_floats(wy):
 
 def test_nilflow_and_returns_past_the_float_range():
     # the lattice element of this flow is past the float range: the result
-    # is still the exact-Fraction representative, and the section returns
-    # reject a ratio w_x/w_y that overflows
+    # is still the exact-Fraction representative; reduce_mod_lattice, which
+    # returns the lattice element as floats, raises ValueError on such a
+    # point; and the section returns reject a ratio w_x/w_y that overflows
     w, t = AlgebraVector(1e300, 1.0, 0.0), 1e300
     T, wx, x0, z0 = Fraction(t), Fraction(w.w_x), Fraction(0.3), Fraction(0.2)
     X, Y, Z = x0 + T * wx, T, z0 + T * T * wx / 2 + x0 * T
@@ -299,6 +300,8 @@ def test_nilflow_and_returns_past_the_float_range():
     Z -= math.floor(Z)
     got = nilflow_at(section_point(0.3, 0.2), w, t).g
     assert got == HeisenbergElement(float(X), float(Y), float(Z))
+    with pytest.raises(ValueError, match="past the float range"):
+        reduce_mod_lattice(HeisenbergElement(-1.7e308, 0.9, 1.7e308))
     for fn in (poincare_return, poincare_return_numeric):
         with pytest.raises(DegenerateSection):
             fn(AlgebraVector(1e300, 1e-300, 0.0), 0.3, 0.2)
