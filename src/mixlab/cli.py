@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from importlib import resources
@@ -65,7 +66,7 @@ def _count(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    """argparse type of --C and --tol: a finite number > 0."""
+    """argparse type of --C, --tol and --deltas: a finite number > 0."""
     v = _finite(text)
     if v <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0: {text}")
@@ -348,8 +349,17 @@ def cmd_conjugacy(args, run, f, phi) -> None:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a token led by '-' and a digit, or by '-.'
+    and a digit, as a value (-1e-3, -5,0,5); its subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mixlab",
         description="Experiments on special flows over linear skew-shifts.",
     )
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("sublevel", cmd_sublevel, "small-value measure vs threshold")
     sp.add_argument("--n", type=_count, default=1)
-    sp.add_argument("--deltas", type=_list(_finite),
+    sp.add_argument("--deltas", type=_list(_positive),
                     default=[1e-1, 1e-2, 1e-3, 1e-4])
     sp.add_argument("--grid", type=_count, default=1024)
 

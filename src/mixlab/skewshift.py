@@ -17,7 +17,8 @@ x-independent part of every phase, fold the terms by frequency with a
 bincount and take one FFT per fiber mode, so each term carries its own
 exactly reduced phase at any step count.  The grid estimators then take
 Phi_n on the G x G lattice one block of whole x-rows at a time
-(`grid_blocks`), so no G x G array is formed.
+(`grid_blocks`), so no G x G array is formed.  The stretch of a fiber arc
+is read off its two ends and the roots of the fiber's derivative.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
-    Union,
+    Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -45,6 +45,10 @@ _SWEEP_BLOCK = 1 << 16
 # orbit phases hold to 2^62 steps, but one lane walks ~1e7 steps/s on one
 # core, so 2^40 steps is already more than a day.
 _MAX_STEPS = 2 ** 40
+
+# Highest fiber degree d that ``stretch`` takes: its eigensolve holds a
+# (2d)^2 companion matrix, about 1 s at d = 256 on one core.
+_MAX_STRETCH_DEGREE = 2 ** 9
 
 
 # Smallest divisor |e(m alpha) - 1| that rotation_transfer accepts.
@@ -295,27 +299,6 @@ def grid_sup(blocks: Iterable[np.ndarray]) -> float:
 # --------------------------------------------------------------------------
 
 
-def _golden_extremum(
-    fn: Callable[[float], float], lo: float, hi: float, iters: int = 72
-) -> float:
-    """Golden-section maximum of fn on [lo, hi]; pass -fn for minima."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return max(fc, fd)
-
-
 def arc_length(arc: Tuple[float, float]) -> float:
     """Length of the fiber arc from a to b, read as a circle arc: b <= a
     wraps past 1, and (a, a) is the whole fiber.  Raises ValueError for an
@@ -327,53 +310,39 @@ def arc_length(arc: Tuple[float, float]) -> float:
 
 
 def stretch(
-    f: SkewShift,
-    phi: FiberedTrigPoly,
-    x: float,
-    arc: Tuple[float, float],
+    f: SkewShift, phi: FiberedTrigPoly, x: float, arc: Tuple[float, float],
     n: int,
-    resolution: int = 256,
 ) -> float:
     """Oscillation max - min of y -> Phi_n(x, y) on the arc [a, b].
 
-    Grid values at ``resolution`` points refined once around every local
-    extremum by golden-section search.  The arc runs from a to b on the
-    circle (``arc_length``); (0, 1) is the full fiber.
+    The arc runs from a to b on the circle (``arc_length``); (0, 1) is the
+    full fiber.  The fiber g(y) = Re sum_k c_k e(k y), with c_k the
+    ``fiber_coefficients`` and d = max |k|, takes its extremes on the arc
+    at the arc's ends or where g' = 0, that is where z = e(y) is a root of
+    sum_k k (c_k + conj(c_-k))/2 z^(k+d).  The roots come from one balanced
+    companion-matrix eigensolve (``np.roots``), and g is evaluated once on
+    the ends and the angles of the roots that lie on the arc; a root off
+    the circle adds only a value between the extremes.  Raises ValueError
+    for n < 1 or d past ``_MAX_STRETCH_DEGREE``.
     """
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
     if n < 1:
         raise ValueError("n must be >= 1")
     a = arc[0]
     length = arc_length(arc)
-    coeffs = fiber_coefficients(f, phi, x, n)
-    if not coeffs:
+    d = max(map(abs, phi.fiber), default=0)
+    if d > _MAX_STRETCH_DEGREE:
+        raise ValueError(f"fiber degree {d} is past 2^9")
+    if d == 0:
         return 0.0
-    fiber = TrigPoly1D(coeffs)
-
-    def g(y):
-        return fiber.evaluate_complex(y).real
-
-    full = length >= 1.0
-    denom = resolution if full else resolution - 1
-    ys = a + length * np.arange(resolution) / denom
-    vals = g(ys)
-    best_max = float(np.max(vals))
-    best_min = float(np.min(vals))
-    h = length / denom
-    for i in range(resolution):
-        left = vals[i - 1] if (i > 0 or full) else None
-        right = vals[(i + 1) % resolution] if (i < resolution - 1 or full) else None
-        is_max = (left is None or vals[i] >= left) and (right is None or vals[i] >= right)
-        is_min = (left is None or vals[i] <= left) and (right is None or vals[i] <= right)
-        lo, hi = ys[i] - h, ys[i] + h
-        if not full:
-            lo, hi = max(lo, a), min(hi, a + length)
-        if is_max:
-            best_max = max(best_max, _golden_extremum(g, lo, hi))
-        if is_min:
-            best_min = min(best_min, -_golden_extremum(lambda y: -g(y), lo, hi))
-    return float(best_max - best_min)
+    coeffs = fiber_coefficients(f, phi, x, n)
+    ks = np.arange(-d, d + 1)
+    c = np.array([coeffs.get(k, 0j) for k in ks.tolist()])
+    # z^d g'(y) / (2 pi i) as a polynomial in z, highest power first
+    deriv = (ks * (c + c[::-1].conj()) / 2)[::-1]
+    ys = np.angle(np.roots(deriv)) / (2 * np.pi)
+    ys = np.concatenate([ys[(ys - a) % 1.0 <= length], [a, a + length]])
+    vals = TrigPoly1D(coeffs).evaluate_complex(ys).real
+    return float(vals.max() - vals.min())
 
 
 class SublevelEstimate(NamedTuple):

@@ -570,8 +570,9 @@ def discrete_iteration_bounds(
         S/max(Phi) - max(Phi)/min(Phi) <= n_hi - n_lo
                                        <= S/min(Phi) + max(Phi)/min(Phi).
 
-    The grid is a proxy for the fiber extrema; its error is about one
-    grid cell of Phi_{n_lo} variation.
+    S is exact on the whole arc up to rounding (``skewshift.stretch``);
+    only n_lo and n_hi come from the ``resolution`` midpoints of the arc,
+    so a hit count reached on less than one grid cell may be missed.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -579,7 +580,7 @@ def discrete_iteration_bounds(
     counts = _hit_count_lanes(roof, f, xs, ys, [t])[0]
     n_lo, n_hi = int(counts.min()), int(counts.max())
     if n_lo >= 1:
-        spread = stretch(f, roof.phi, x, arc, n_lo, max(64, resolution))
+        spread = stretch(f, roof.phi, x, arc, n_lo)
     else:
         spread = 0.0
     top, bot = roof.certified_max, roof.certified_min

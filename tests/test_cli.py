@@ -354,9 +354,11 @@ LIBRARY_GUARDS = {
     "fiber_coefficients_on_grid-grid": (
         lambda: fiber_coefficients_on_grid(_F, _PHI, [1], 0),
         "grid must be >= 1"),
-    "stretch-resolution": (
-        lambda: stretch(_F, _PHI, 0.1, _ARC, 5, resolution=63),
-        "resolution must be >= 64"),
+    "stretch-degree": (
+        lambda: stretch(_F, FiberedTrigPoly.from_modes(
+            {(0, 2**9 + 1): 0.5, (0, -2**9 - 1): 0.5}, real=True),
+            0.1, _ARC, 5),
+        "fiber degree 513 is past 2"),
     "stretch-n": (
         lambda: stretch(_F, _PHI, 0.1, _ARC, 0), "n must be >= 1"),
     "visit_fraction-C": (
@@ -667,7 +669,8 @@ FUZZ_BASE = {
                   "--seed", "0", "--tol", "1e-9"],
 }
 
-HOSTILE = ["", "abc", "nan", "-1", "0", "1e400", "0.1,0.2,0.3"]
+HOSTILE = ["", "abc", "nan", "-1", "-1e-3", "-0.5,0.5", "0", "1e400",
+           "0.1,0.2,0.3"]
 
 
 BUNDLED = {name: bundled_roof_path(name)
@@ -723,6 +726,7 @@ OUT_OF_RANGE = [
     ("visits", "--N", "1,0"),
     ("stretch", "--n", "1,0"),
     ("sublevel", "--n", "0"),
+    ("sublevel", "--deltas", "0.1,0"),
     ("correlate", "--cube", "0,0.5,0,0.5"),
     ("fiber-profile", "--arc", "0.2"),
     ("correlate", "--workers", "0"),
@@ -737,6 +741,36 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, command, option, value):
     err = capsys.readouterr().err
     # the last line is the error; a usage line above it names every option
     assert option in err.splitlines()[-1] and "Traceback" not in err
+
+
+# Values led by a dash, which argparse alone reads as an option unless they
+# are plain negative numbers.
+DASH_LED_VALUES = [
+    ("correlate", "--t", "-5,0,5"),
+    ("visits", "--x", "-1e-3"),
+    ("return-check", "--wx", "-1e-3"),
+    ("fiber-profile", "--t", "-5,5"),
+    ("conjugacy", "--t", "-2,2"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", DASH_LED_VALUES)
+def test_dash_led_value_reads_as_its_equals_form(tmp_path, command, option,
+                                                 value):
+    argv = [BUNDLED.get(a, a) for a in FUZZ_BASE[command]]
+    at = argv.index(option)
+    outs = {}
+    for form, given in (("spaced", [option, value]),
+                        ("joined", [f"{option}={value}"])):
+        code, outs[form] = run(
+            tmp_path / form, command, *argv[:at], *given, *argv[at + 2:]
+        )
+        assert code == 0
+    data = sorted(p.name for p in outs["joined"].iterdir()
+                  if not p.name.endswith("_summary.json"))
+    assert data
+    for name in data:
+        assert read(outs["spaced"] / name) == read(outs["joined"] / name)
 
 
 _RUN_OPTIONS = ["-h", "--help", "--out", "--workers"]
