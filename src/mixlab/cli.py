@@ -1,15 +1,18 @@
 """mixlab: command-line experiment harness.
 
 Loads a roof file (JSON: map parameters plus the Fourier coefficients of
-the roof), dispatches one experiment, and writes plot-ready CSV plus a
-JSON report.  Every run also writes a ``*_summary.json`` with the fully
-resolved configuration, the library version, the list of outputs, and
-the wall time; identical configuration and seed reproduce the data
-files byte for byte, for any ``--workers`` value.
+the roof), runs one experiment, and writes plot-ready CSV plus a JSON
+report.  Each ``cmd_*`` returns ``({file name: content}, summary keys)``,
+and ``classify``/``solve`` also the line they print; ``main`` alone writes.
+Only a successful run writes anything: its data files, then a
+``*_summary.json`` with the fully resolved configuration, the library
+version, the list of outputs, and the wall time.  Identical configuration
+and seed reproduce the data files byte for byte, for any ``--workers``.
 
 Exit codes: 0 success; 2 an option value its argparse type rejects (with
-the usage line), a bad roof file or an out-of-range run; 3 numeric
-failure (resonant divisor, nonzero obstruction, non-positive roof, ...).
+the usage line), a bad roof file, an out-of-range run or an output path
+that cannot be written; 3 numeric failure (resonant divisor, nonzero
+obstruction, non-positive roof, ...).
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import re
 import sys
 import time
 from importlib import resources
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__, cohomology, skewshift, specialflow
-from .errors import InvalidRoofFile, MixlabError
+from .errors import MixlabError
 from .phases import circle_distance
 from .skewshift import SkewShift, TorusPoint, project
 from .trigpoly import FiberedTrigPoly
@@ -85,10 +88,13 @@ def _workers(text: str) -> int:
 
 def _list(item, size: Optional[int] = None):
     """argparse type of a comma-separated list of ``item`` values, empty
-    entries skipped; of exactly ``size`` entries when ``size`` is given."""
+    entries skipped; of at least one entry, and of exactly ``size`` entries
+    when ``size`` is given."""
 
     def comma_list(text: str) -> list:
         vals = [item(tok) for tok in text.split(",") if tok]
+        if not vals:
+            raise argparse.ArgumentTypeError("needs at least one value")
         if size is not None and len(vals) != size:
             raise argparse.ArgumentTypeError(f"needs exactly {size} values")
         return vals
@@ -127,37 +133,15 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-class _Run:
-    """Collects output files and writes the run summary."""
-
-    def __init__(self, args):
-        self.args = args
-        self.outputs: List[str] = []
-        self.started = time.perf_counter()
-        os.makedirs(args.out, exist_ok=True)
-
-    def path(self, name: str) -> str:
-        full = os.path.join(self.args.out, name)
-        self.outputs.append(name)
-        return full
-
-    def finish(self, extra: Optional[dict] = None) -> None:
-        config = {
-            k: v
-            for k, v in vars(self.args).items()
-            if k != "func" and not k.startswith("_")
-        }
-        doc = {
-            "experiment": self.args.command,
-            "config": config,
-            "version": __version__,
-            "outputs": self.outputs,
-            "wall_time_s": time.perf_counter() - self.started,
-        }
-        if extra:
-            doc.update(extra)
-        summary = os.path.join(self.args.out, f"{self.args.command}_summary.json")
-        _write_json(summary, doc)
+def _write(out: str, files: dict) -> None:
+    """Write each data file into ``out``: a ``.csv`` name takes
+    ``(header, rows)``, any other name a JSON document."""
+    for name, content in files.items():
+        path = os.path.join(out, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
 
 
 def _certificate(roof: specialflow.Roof) -> dict:
@@ -173,26 +157,23 @@ def _certificate(roof: specialflow.Roof) -> dict:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_classify(args, run, f, phi) -> None:
+def cmd_classify(args, f, phi):
     report = cohomology.classify_roof(f, phi, tol=args.tol)
-    _write_json(run.path("classify_report.json"), report.to_json_dict())
-    run.finish({"verdict": report.verdict})
-    print(report.verdict)
+    files = {"classify_report.json": report.to_json_dict()}
+    return files, {"verdict": report.verdict}, report.verdict
 
 
-def cmd_solve(args, run, f, phi) -> None:
+def cmd_solve(args, f, phi):
     u, mean = cohomology.solve_roof(f, phi, args.tol)
-    skewshift.save_roof(run.path("transfer_u.json"), f, u)
     sup = cohomology.coboundary_residual(f, u, phi, mean)
-    _write_json(
-        run.path("solve_report.json"),
-        {"mean": mean, "residual_sup_128": sup},
-    )
-    run.finish({"mean": mean})
-    print(_fmt(mean))
+    files = {
+        "transfer_u.json": skewshift.roof_to_dict(f, u),
+        "solve_report.json": {"mean": mean, "residual_sup_128": sup},
+    }
+    return files, {"mean": mean}, _fmt(mean)
 
 
-def cmd_stretch(args, run, f, phi) -> None:
+def cmd_stretch(args, f, phi):
     """Decay of the measure of {|phi_n| < C} along a list of n."""
     osc, _ = project(phi)
     ns = sorted(set(args.n))
@@ -204,11 +185,11 @@ def cmd_stretch(args, run, f, phi) -> None:
         (est,) = skewshift.sublevel_measures(blocks, [args.C])
         rows.append((n, est.value))
         errors[str(n)] = est.error
-    _write_csv(run.path("stretch.csv"), ("n", "measure"), rows)
-    run.finish({"grid_errors": errors})
+    files = {"stretch.csv": (("n", "measure"), rows)}
+    return files, {"grid_errors": errors}
 
 
-def cmd_sublevel(args, run, f, phi) -> None:
+def cmd_sublevel(args, f, phi):
     """Small-value measure of phi_n against thresholds, with a log-log slope."""
     osc, _ = project(phi)
     ks, mats = skewshift.fiber_coefficients_on_grid(
@@ -234,21 +215,20 @@ def cmd_sublevel(args, run, f, phi) -> None:
         xs = np.array([p[0] for p in logs])
         ysv = np.array([p[1] for p in logs])
         slope = float(np.polyfit(xs, ysv, 1)[0])
-    _write_csv(run.path("sublevel.csv"), ("delta", "measure"), rows)
-    run.finish({"slope": slope, "sup_norm_used": sup})
+    files = {"sublevel.csv": (("delta", "measure"), rows)}
+    return files, {"slope": slope, "sup_norm_used": sup}
 
 
-def cmd_visits(args, run, f, phi) -> None:
+def cmd_visits(args, f, phi):
     p = TorusPoint(args.x, args.y)
     rows = [
         (N, skewshift.visit_fraction(f, phi, p, args.C, N))
         for N in sorted(set(args.N))
     ]
-    _write_csv(run.path("visits.csv"), ("n", "measure"), rows)
-    run.finish()
+    return {"visits.csv": (("n", "measure"), rows)}, {}
 
 
-def cmd_correlate(args, run, f, phi) -> None:
+def cmd_correlate(args, f, phi):
     roof = specialflow.certify_roof(phi)
     cube = specialflow.Cube(*args.cube)
     ests = specialflow.correlate_cubes(
@@ -258,17 +238,13 @@ def cmd_correlate(args, run, f, phi) -> None:
         (t, est.value, est.std_error, est.samples, est.seed)
         for t, est in zip(args.t, ests)
     ]
-    _write_csv(
-        run.path("correlate.csv"),
-        ("t", "value", "stderr", "samples", "seed"),
-        rows,
-    )
-    run.finish(
-        {"mu_cube": specialflow.cube_measure(roof, cube), **_certificate(roof)}
-    )
+    files = {"correlate.csv": (("t", "value", "stderr", "samples", "seed"),
+                               rows)}
+    return files, {"mu_cube": specialflow.cube_measure(roof, cube),
+                   **_certificate(roof)}
 
 
-def cmd_fiber_profile(args, run, f, phi) -> None:
+def cmd_fiber_profile(args, f, phi):
     arc = (args.arc[0], args.arc[1])
     length = skewshift.arc_length(arc)
     roof = specialflow.certify_roof(phi)
@@ -276,49 +252,44 @@ def cmd_fiber_profile(args, run, f, phi) -> None:
     vals = specialflow.fiber_mixing_profile(
         roof, f, args.x, arc, cube, args.t, resolution=args.resolution,
     )
-    _write_csv(
-        run.path("fiber_profile.csv"), ("t", "measure"), list(zip(args.t, vals))
-    )
-    run.finish(
-        {
-            "target": length * specialflow.cube_measure(roof, cube),
-            **_certificate(roof),
-        }
-    )
+    rows = list(zip(args.t, vals))
+    files = {"fiber_profile.csv": (("t", "measure"), rows)}
+    return files, {"target": length * specialflow.cube_measure(roof, cube),
+                   **_certificate(roof)}
 
 
-def cmd_hitting(args, run, f, phi) -> None:
+def cmd_hitting(args, f, phi):
     roof = specialflow.certify_roof(phi)
     vals = specialflow.hitting_complement_measures(
         roof, f, args.t, args.C, grid=args.grid, y_resolution=args.y_resolution
     )
-    _write_csv(run.path("hitting.csv"), ("t", "measure"), list(zip(args.t, vals)))
-    run.finish(_certificate(roof))
+    files = {"hitting.csv": (("t", "measure"), list(zip(args.t, vals)))}
+    return files, _certificate(roof)
 
 
-def cmd_weyl(args, run, f, phi) -> None:
+def cmd_weyl(args, f, phi):
     osc, _ = project(phi)
     times = cohomology.convergent_times(f.alpha, args.levels)
     rows = []
     for ell, N in enumerate(times.denominators, start=1):
         val = cohomology.uniform_bound_scan(f, osc, N, grid=args.grid)
         rows.append((ell, N, val))
-    _write_csv(run.path("weyl.csv"), ("ell", "N", "value"), rows)
-    run.finish({"partial_quotients": list(times.partial_quotients)})
+    files = {"weyl.csv": (("ell", "N", "value"), rows)}
+    return files, {"partial_quotients": list(times.partial_quotients)}
 
 
-def cmd_l2(args, run, f, phi) -> None:
+def cmd_l2(args, f, phi):
     osc, _ = project(phi)
     _, components = cohomology.decompose_components(osc)
     rows = []
     for N in sorted(set(args.N)):
         total = sum(cohomology.ergodic_sum_l2(f, S, N) for S in components)
         rows.append((N, total))
-    _write_csv(run.path("l2.csv"), ("n", "measure"), rows)
-    run.finish({"components": len(components)})
+    files = {"l2.csv": (("n", "measure"), rows)}
+    return files, {"components": len(components)}
 
 
-def cmd_return_check(args, run, f, phi) -> None:
+def cmd_return_check(args, f, phi):
     from .heisenberg import AlgebraVector, poincare_return, poincare_return_numeric
 
     w = AlgebraVector(args.wx, args.wy, args.wz)
@@ -332,18 +303,18 @@ def cmd_return_check(args, run, f, phi) -> None:
     worst_xy = float(np.max(errs, initial=0.0))
     terr = abs(got.time - 1.0 / w.w_y)
     rows = [(i, err, terr) for i, err in enumerate(errs)]
-    _write_csv(run.path("return_check.csv"), ("i", "coord_err", "time_err"), rows)
-    run.finish({"max_coord_err": worst_xy, "max_time_err": terr})
+    files = {"return_check.csv": (("i", "coord_err", "time_err"), rows)}
+    return files, {"max_coord_err": worst_xy, "max_time_err": terr}
 
 
-def cmd_conjugacy(args, run, f, phi) -> None:
+def cmd_conjugacy(args, f, phi):
     roof = specialflow.certify_roof(phi)
     u, mean = cohomology.solve_roof(f, phi, args.tol)
     devs = specialflow.trivial_conjugacy_check(
         roof, f, u, mean, args.t, points=args.points, seed=args.seed
     )
-    _write_csv(run.path("conjugacy.csv"), ("t", "measure"), list(zip(args.t, devs)))
-    run.finish({"mean": mean, **_certificate(roof)})
+    files = {"conjugacy.csv": (("t", "measure"), list(zip(args.t, devs)))}
+    return files, {"mean": mean, **_certificate(roof)}
 
 
 # ------------------------------------------------------------------ parser
@@ -457,14 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        run = _Run(args)
         f, phi = _load(args) if "roof" in vars(args) else (None, None)
-        args.func(args, run, f, phi)
-        return 0
-    except (InvalidRoofFile, FileNotFoundError, ValueError) as exc:
+        files, extra, *lines = args.func(args, f, phi)
+        os.makedirs(args.out, exist_ok=True)
+        _write(args.out, files)
+        summary = {
+            "experiment": args.command,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
+            "version": __version__,
+            "outputs": list(files),
+            "wall_time_s": time.perf_counter() - started,
+            **extra,
+        }
+        _write(args.out, {f"{args.command}_summary.json": summary})
+    except (ValueError, OSError) as exc:
         print(f"mixlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except MixlabError as exc:
@@ -474,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"mixlab: out of memory: {exc}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

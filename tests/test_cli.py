@@ -642,6 +642,33 @@ def test_malformed_roof_files_exit_2(tmp_path, capsys, name):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["file", "file/out"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("")
+    code = main(["classify", "--roof", BUNDLED["example1"],
+                 "--out", str(tmp_path / target)])
+    assert code == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.splitlines()[-1].startswith("mixlab:")
+    assert "Traceback" not in got.err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["classify", "--roof", "malformed"], 2),
+    (["solve", "--roof", "example1"], 3),
+    (["weyl", "--roof", "example1", "--alpha", "0.5"], 3),
+    (["correlate", "--roof", "example1", "--cube", "0,0.5,0,0.5,5",
+      "--t", "1", "--samples", "1000"], 2),
+])
+def test_failed_run_leaves_no_out(tmp_path, capsys, argv, want):
+    roofs = {**BUNDLED, "malformed": _malformed_roof(tmp_path, "alpha-null")}
+    code, out = run(tmp_path, *[roofs.get(a, a) for a in argv])
+    assert code == want
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 # Every subcommand with tiny work sizes: each option value is a target of
 # the fuzz below.
 FUZZ_BASE = {
@@ -672,6 +699,9 @@ FUZZ_BASE = {
 HOSTILE = ["", "abc", "nan", "-1", "-1e-3", "-0.5,0.5", "0", "1e400",
            "0.1,0.2,0.3"]
 
+# --out targets, relative to the run's directory, where "file" is a file
+HOSTILE_OUT = ["file", "file/out"]
+
 
 BUNDLED = {name: bundled_roof_path(name)
            for name in ("example1", "example2", "constant", "coboundary")}
@@ -679,17 +709,18 @@ BUNDLED = {name: bundled_roof_path(name)
 
 @st.composite
 def hostile_argv(draw):
-    """(argv, malformed): one subcommand with one option value replaced by a
-    hostile token, or, when ``malformed`` names one, its roof replaced by a
-    malformed roof."""
+    """(argv, malformed): one subcommand, with ``--out out`` relative to the
+    run's directory, with one option value replaced by a hostile token, or,
+    when ``malformed`` names one, its roof replaced by a malformed roof."""
     command = draw(st.sampled_from(sorted(FUZZ_BASE)))
-    argv = [BUNDLED.get(a, a) for a in FUZZ_BASE[command]]
+    argv = [BUNDLED.get(a, a) for a in FUZZ_BASE[command]] + ["--out", "out"]
     if "--roof" in argv and draw(st.booleans()):
         return [command, *argv], draw(
             st.sampled_from([*MALFORMED_ROOFS, "directory"])
         )
     at = draw(st.sampled_from(range(1, len(argv), 2)))
-    tokens = HOSTILE + ["18446744073709551616"] * (argv[at - 1] == "--seed")
+    tokens = {"--seed": [*HOSTILE, "18446744073709551616"],
+              "--out": HOSTILE_OUT}.get(argv[at - 1], HOSTILE)
     argv[at] = draw(st.sampled_from(tokens))
     return [command, *argv], None
 
@@ -699,16 +730,21 @@ def hostile_argv(draw):
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
     argv, malformed = case
     work = tmp_path_factory.mktemp("fuzz")
+    (work / "file").write_text("")
     if malformed:
         argv[argv.index("--roof") + 1] = _malformed_roof(work, malformed)
+    at = argv.index("--out") + 1
+    argv[at] = str(work / argv[at])
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
-            code = main([*argv, "--out", str(work / "out")])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a failed run writes nothing
+    assert code == 0 or not (work / "out").exists(), argv
 
 
 # One FUZZ_BASE value per rule that an option's type states, each just out
@@ -730,6 +766,9 @@ OUT_OF_RANGE = [
     ("correlate", "--cube", "0,0.5,0,0.5"),
     ("fiber-profile", "--arc", "0.2"),
     ("correlate", "--workers", "0"),
+    ("correlate", "--t", ","),
+    ("visits", "--N", ","),
+    ("sublevel", "--deltas", ","),
 ]
 
 

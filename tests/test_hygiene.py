@@ -22,6 +22,9 @@ CALLERLESS_API = {
         "exp(tW), the one-parameter subgroup whose translations are the nilflows",
     "skewshift.birkhoff_sum":
         "the paper's Birkhoff sum Phi_n at one point",
+    "skewshift.save_roof":
+        "writes a roof file, the inverse of load_roof; the CLI writes the "
+        "same document through roof_to_dict",
     "specialflow.discrete_iteration_bounds":
         "the hit-count spread bound that acceptance criterion 11 checks",
     "specialflow.flow_at":
