@@ -12,7 +12,7 @@ and seed reproduce the data files byte for byte, for any ``--workers``.
 Exit codes: 0 success; 2 an option value its argparse type rejects (with
 the usage line), a bad roof file, an out-of-range run or an output path
 that cannot be written; 3 numeric failure (resonant divisor, nonzero
-obstruction, non-positive roof, ...).
+obstruction, non-positive roof, rational alpha, ...).
 """
 
 from __future__ import annotations

@@ -243,6 +243,7 @@ def classify_roof(
     change the verdict.  Positivity of the input is NOT required here:
     the classification is a formal Fourier evaluation.
     """
+    _require_irrational(f.alpha)
     osc, _ = project(phi)
     _, components = decompose_components(osc)
     entries = tuple(evaluate_distribution(f, S) for S in components)
@@ -266,8 +267,6 @@ def ergodic_sum_l2(f: SkewShift, S: ComponentSpectrum, N: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if S.is_zero():
-        return 0.0
     js = list(S.coeffs)
     r = np.array(_block_terms(f, S, js)[1])
     shared = np.maximum(0.0, float(N) - np.abs(np.subtract.outer(js, js)))
@@ -282,8 +281,8 @@ def solve_roof(
     Solves block by block on the zero-fiber-average part
     (``solve_component``) and through the circle-rotation divisors on the
     fiber average.  Raises ObstructionNonzero on a block with a large
-    invariant functional and SmallDivisor on a resonant circle frequency.
-    A real Phi gives a real-flagged u.
+    invariant functional, SmallDivisor on a resonant circle frequency, and
+    then RationalAlpha on a rational alpha.  A real Phi gives a real-flagged u.
     """
     osc, perp = project(phi)
     _, components = decompose_components(osc)
@@ -295,6 +294,7 @@ def solve_roof(
             key = (u.label.m + j * n, n)
             modes[key] = modes.get(key, 0.0) + c
     g, mean = rotation_transfer(perp, f.alpha)
+    _require_irrational(f.alpha)
     for m, c in g.coeffs.items():
         modes[(m, 0)] = modes.get((m, 0), 0.0) + c
     if phi.real:
@@ -364,13 +364,24 @@ def convergent_times(alpha: float, L: int) -> ConvergentTimes:
     return ConvergentTimes(alpha, tuple(quotients), tuple(denominators))
 
 
+def _require_irrational(alpha: float) -> None:
+    """Raise RationalAlpha unless alpha's exact value has a continued
+    fraction of more than 16 terms (every float is rational): 0.5 ends
+    after 1, 0.1 after 4, 0.999 after 8, 1e-5 after 13, but pi - 3 runs
+    26, the golden float 53 and each of 2000 random() draws at least 18."""
+    if alpha == 0.0:
+        raise RationalAlpha("alpha 0 is rational")
+    convergent_times(alpha, 17)
+
+
 def uniform_bound_scan(
     f: SkewShift,
     phi: FiberedTrigPoly,
     N: int,
     grid: int = 256,
 ) -> float:
-    """max over a grid x grid lattice of |Phi_N(x, y)| / sqrt(N).
+    """max over a grid x grid lattice of |Phi_N(x, y)| / sqrt(N), read
+    from the real part of a real phi's lattice (``grid_blocks``).
 
     Requires zero fiber average (c_0 = 0).  The grid maximum is a lower
     bound for the true sup and is reported as such.
@@ -382,6 +393,4 @@ def uniform_bound_scan(
     if phi.is_zero():
         return 0.0
     ks, mats = fiber_coefficients_on_grid(f, phi, [N], grid=grid)
-    # the modulus of the complex values, a real roof's rounding-level
-    # imaginary parts included
-    return grid_sup(grid_blocks(ks, mats[N], real=False)) / math.sqrt(N)
+    return grid_sup(grid_blocks(ks, mats[N], phi.real)) / math.sqrt(N)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union,
 )
@@ -57,11 +58,12 @@ _DIVISOR_FLOOR = 1e-12
 
 def _check_steps(n: float) -> None:
     """Raise ValueError for an orbit length past ``_MAX_STEPS`` or not
-    finite."""
+    finite, printed through Decimal: a float overflows on a huge int."""
     if not n <= _MAX_STEPS:
+        length = Decimal(n if isinstance(n, int) else float(n))
         raise ValueError(
-            f"orbit length {n} is out of range: an orbit takes at most "
-            "2^40 steps"
+            f"orbit length {length:.6g} is out of range: an orbit takes at "
+            "most 2^40 steps"
         )
 
 
@@ -82,9 +84,9 @@ class SkewShift:
     """Map parameters alpha, beta, stored reduced mod 1.
 
     Unique ergodicity needs alpha irrational, which floats cannot
-    certify; a rational alpha silently degrades the asymptotic
-    experiments while all finite formulas remain exact.  Orbit points are
-    formed by ``phases.PhaseNumerators``.
+    certify: a verdict refuses an alpha whose continued fraction ends
+    early (``cohomology``), other experiments degrade silently.  Orbit
+    points are formed by ``phases.PhaseNumerators``.
     """
 
     alpha: float
@@ -362,18 +364,18 @@ def sublevel_measures(
 
     The reported error counts grid cells where the indicator flips between
     neighbours along either axis, wrapping around the torus, i.e. cells
-    crossed by the level set.  The first row and each block's last row are
-    kept to compare with the last row and with the next block's first.
+    crossed by the level set.  |g| of the first row and of the row above
+    each block (the first row itself for the first) is kept across blocks.
     """
     if any(C <= 0 for C in levels):
         raise ValueError("C must be > 0")
     inside = [0] * len(levels)
     flips = [0] * len(levels)
-    first: List[np.ndarray] = []
-    last: List[np.ndarray] = []
     rows = 0
     for block in blocks:
         mag = np.abs(block)
+        if not rows:
+            top = above = mag[0].copy()
         for i, C in enumerate(levels):
             ind = mag < C
             inside[i] += int(np.count_nonzero(ind))
@@ -381,25 +383,20 @@ def sublevel_measures(
                 int(np.count_nonzero(ind[:, 1:] != ind[:, :-1]))
                 + int(np.count_nonzero(ind[:, 0] != ind[:, -1]))
                 + int(np.count_nonzero(ind[1:] != ind[:-1]))
+                + int(np.count_nonzero(ind[0] != (above < C)))
             )
-            if rows:
-                flips[i] += int(np.count_nonzero(ind[0] != last[i]))
-                last[i] = ind[-1].copy()
-            else:
-                first.append(ind[0].copy())
-                last.append(ind[-1].copy())
+        above = mag[-1].copy()
         rows += block.shape[0]
-        cols = block.shape[1]
     if not rows:
         raise ValueError("no samples")
-    total = rows * cols
+    total = rows * above.size
     return [
         SublevelEstimate(
             inside[i] / total,
-            (flips[i] + int(np.count_nonzero(first[i] != last[i]))) / total,
+            (flips[i] + int(np.count_nonzero((top < C) != (above < C)))) / total,
             rows,
         )
-        for i in range(len(levels))
+        for i, C in enumerate(levels)
     ]
 
 

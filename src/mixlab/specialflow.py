@@ -299,7 +299,7 @@ def _climb_lanes(
             gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
             left = limit[lanes] - nr[lanes]
             block = min(
-                max(_MIN_TILE, _SWEEP_BLOCK // lanes.size),
+                _SWEEP_BLOCK // lanes.size,
                 max(_MIN_TILE, int(gap)),
                 int(left.max()),
             )
@@ -357,8 +357,6 @@ def _flow_lanes(
     images = {}
     for backward in (False, True):
         chain = sorted({float(t) for t in times if (t < 0) == backward}, key=abs)
-        if not chain:
-            continue
         w = zs + np.array(chain)[:, None]                          # (T, L)
         if not backward:
             n, total = _climb_lanes(roof, phases, w)
@@ -630,7 +628,7 @@ def hitting_complement_measures(
         ks, mat = _coeffs_at_stops(f, osc, xs, stops)
         sup = np.concatenate([
             np.abs(v).max(axis=1)
-            for v in grid_blocks(ks, mat, real=False, y_size=y_resolution)
+            for v in grid_blocks(ks, mat, osc.real, y_size=y_resolution)
         ])
         share[t] = 1.0 - int(np.count_nonzero(sup > C)) / grid
     return [share[t] for t in times]
@@ -767,13 +765,11 @@ def _quotient_distance(f, a, b, height) -> np.ndarray:
     """Distance of two sets of constant-suspension points across sheet
     choices: b is also compared one base step up and down."""
     phases = PhaseNumerators(f.alpha, f.beta, b[0], b[1])
-    best = np.full(np.shape(b[2]), math.inf)
-    for k in (-1, 0, 1):
-        xn, yn = phases.orbit(np.full(np.shape(b[2]), k))
-        x, y = phases.to_unit(xn)[0], phases.to_unit(yn)[0]
-        dist = np.maximum(
-            np.maximum(circle_distance(a[0], x), circle_distance(a[1], y)),
-            np.abs(a[2] - (b[2] - k * height)),
-        )
-        best = np.minimum(best, dist)
-    return best
+    k = np.array([[-1], [0], [1]])
+    xn, yn = phases.orbit(k)                                       # (3, L)
+    dist = np.maximum(
+        np.maximum(circle_distance(a[0], phases.to_unit(xn)),
+                   circle_distance(a[1], phases.to_unit(yn))),
+        np.abs(a[2] - (b[2] - k * height)),
+    )
+    return dist.min(axis=0)

@@ -477,6 +477,44 @@ def test_unreachable_times_exit_2(tmp_path, roofs, capsys, argv):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--roof", "example1", "--alpha", "1e-300", "--levels", "2"],
+    # a first denominator near 1e310, past the largest float
+    ["weyl", "--roof", "example1", "--alpha", "1e-310", "--levels", "1"],
+    ["sublevel", "--roof", "example3", "--n", "9" * 400],
+    ["stretch", "--roof", "example1", "--C", "2", "--n", "9" * 400],
+])
+def test_out_of_range_orbit_length_prints_short(tmp_path, roofs, capsys,
+                                                argv):
+    code = exit_code(tmp_path, *[roofs.get(a, a) for a in argv])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "out of range" in line and len(line) < 200
+
+
+@pytest.mark.parametrize("command, roof", [
+    ("classify", "example1"), ("solve", "coboundary"),
+    ("conjugacy", "coboundary"),
+])
+@pytest.mark.parametrize("alpha", ["0", "0.25", "0.5"])
+def test_rational_alpha_has_no_verdict_exit_3(tmp_path, roofs, capsys,
+                                              command, roof, alpha):
+    extra = ["--t", "1"] if command == "conjugacy" else []
+    code, out = run(tmp_path, command, "--roof", roofs[roof],
+                    "--alpha", alpha, *extra)
+    assert code == 3 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("mixlab: numeric failure: RationalAlpha")
+
+
+def test_sublevel_constant_roof_exits_3(tmp_path, roofs, capsys):
+    code, _ = run(tmp_path, "sublevel", "--roof", roofs["constant"])
+    assert code == 3
+    assert "oscillating part is identically zero" in capsys.readouterr().err
+
+
 def test_out_of_memory_exits_3(tmp_path, roofs, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 14.9 GiB for an array")

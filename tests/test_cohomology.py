@@ -19,6 +19,7 @@ from conftest import (
     sup_bound,
     theta_exact,
 )
+from mixlab.cli import bundled_roof_path
 from mixlab.cohomology import (
     ComponentSpectrum,
     OrbitLabel,
@@ -35,6 +36,7 @@ from mixlab.cohomology import (
 from mixlab.errors import NonzeroFiberAverage, ObstructionNonzero, RationalAlpha
 from mixlab.skewshift import (
     SkewShift,
+    load_roof,
     midgrid,
     skew_coboundary,
 )
@@ -436,6 +438,12 @@ def test_ergodic_sum_l2_matches_window_loop():
         assert abs(ergodic_sum_l2(f, S, N) - want) <= 1e-11 * want
 
 
+def test_ergodic_sum_l2_of_the_empty_spectrum_is_zero():
+    # the closed form on an empty support is an empty product
+    S = ComponentSpectrum(OrbitLabel(1, 3))
+    assert ergodic_sum_l2(SkewShift(GOLDEN, 0.3), S, 10 ** 6) == 0.0
+
+
 def test_ergodic_sum_l2_n1_is_l2_norm():
     rng = np.random.default_rng(5)
     f = SkewShift(GOLDEN, 0.123)
@@ -500,6 +508,21 @@ def test_convergent_times_rational_and_validation():
     # recurrence q_{l+1} = a_{l+1} q_l + q_{l-1}
     for i in range(2, len(qs)):
         assert qs[i] == ct.partial_quotients[i] * qs[i - 1] + qs[i - 2]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+def test_verdicts_refuse_a_rational_alpha(alpha):
+    # the theorem needs an irrational alpha; the finite formula does not
+    f, phi = load_roof(bundled_roof_path("coboundary"))
+    rational = SkewShift(alpha, f.beta)
+    with pytest.raises(RationalAlpha):
+        classify_roof(rational, phi)
+    with pytest.raises(RationalAlpha):
+        solve_roof(rational, phi)
+    _, components = decompose_components(phi)
+    for S in components:                 # a finite formula, still evaluated
+        evaluate_distribution(rational, S)
+    assert classify_roof(f, phi).verdict == "trivial"
 
 
 # ------------------------------------------------------------- uniform scan

@@ -548,7 +548,7 @@ def test_streamed_grid_matches_dense_oracle(grid, modes, real, n, picks):
         deltas = [d for d in deltas if d > 0] or [0.5]
         got = sublevel_measures((v / sup for v in blocks()), deltas)
         assert got == [sublevel_measure(scaled, d) for d in deltas]
-    # the modulus of the complex values, as uniform_bound_scan takes it
+    # the modulus of the complex values, as a complex roof's sup takes it
     ky = np.exp(2j * np.pi * np.outer(ks, midgrid(grid)))
     assert grid_sup(blocks(False)) == float(np.abs(mats[n].T @ ky).max())
 
@@ -613,7 +613,9 @@ def test_visit_fraction_trivial_cases():
     assert visit_fraction(f, phi, p, 2.0, 1) == 1.0
 
 
-@pytest.mark.parametrize("n", [2 ** 40 + 1, 2 ** 63 - 1, 10 ** 20])
+@pytest.mark.parametrize("n", [2 ** 40 + 1, 2 ** 63 - 1, 10 ** 20,
+                               pytest.param(10 ** 400, id="10**400"),
+                               np.int64(2 ** 41)])
 def test_orbit_lengths_past_max_steps_raise(n):
     f = SkewShift(GOLDEN, 0.0)
     phi = mixing_example_roof()
@@ -819,4 +821,12 @@ def test_roof_json_rejects_bad_documents(tmp_path):
     bad = {k: v for k, v in good.items() if k != "beta"}
     with pytest.raises(InvalidRoofFile):
         roof_from_dict(bad)
+    # a JSON list, an entry without "im", and an integer past the float range
+    with pytest.raises(InvalidRoofFile, match="must be a JSON object"):
+        roof_from_dict([good])
+    with pytest.raises(InvalidRoofFile, match="bad coefficient entry"):
+        roof_from_dict(dict(good, coeffs=[{"k": 0, "m": 0, "re": 1.0}]))
+    huge = [{"k": 0, "m": 0, "re": 10 ** 400, "im": 0.0}]
+    with pytest.raises(InvalidRoofFile, match="is not a finite number"):
+        roof_from_dict(dict(good, coeffs=huge))
 

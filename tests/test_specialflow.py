@@ -890,6 +890,12 @@ def test_hitting_times_equal_single_times():
     assert together == alone
 
 
+def test_hitting_without_times_is_empty():
+    roof = certify_roof(mixing_example_roof())
+    f = SkewShift(GOLDEN, 0.0)
+    assert hitting_complement_measures(roof, f, [], 2.0) == []
+
+
 # frozen at development time; the complement measure shrinks with t
 FROZEN_HITTING = {100.0: 0.0546875, 10_000.0: 0.00390625}
 

@@ -102,6 +102,11 @@ EXTRA_ARGVS = [
     ["correlate", "--roof", "@example1", "--cube", "0,0.5,0,0.5,5",
      "--t", "1", "--samples", "1000"],
     ["weyl", "--roof", "@example1", "--alpha", "0.5"],
+    ["weyl", "--roof", "@example1", "--alpha", "1e-300", "--levels", "2"],
+    ["weyl", "--roof", "@example1", "--alpha", "1e-310", "--levels", "1"],
+    ["sublevel", "--roof", "@example3", "--n", "9" * 400],
+    ["classify", "--roof", "@example1", "--alpha", "0.5"],
+    ["solve", "--roof", "@coboundary", "--alpha", "0.5"],
     ["sublevel", "--roof", "@constant"],
     ["stretch", "--roof", "@example1", "--C", "2", "--n", "0"],
     # empty lists
