@@ -279,8 +279,7 @@ def cmd_weyl(args, f, phi):
 
 
 def cmd_l2(args, f, phi):
-    osc, _ = project(phi)
-    _, components = cohomology.decompose_components(osc)
+    _, components = cohomology.decompose_components(phi)
     rows = []
     for N in sorted(set(args.N)):
         total = sum(cohomology.ergodic_sum_l2(f, S, N) for S in components)
@@ -447,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"mixlab: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except MixlabError as exc:
+    except (MixlabError, OverflowError) as exc:
         print(f"mixlab: numeric failure: {exc.__class__.__name__}: {exc}",
               file=sys.stderr)
         return 3

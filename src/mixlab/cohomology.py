@@ -284,8 +284,7 @@ def solve_roof(
     invariant functional, SmallDivisor on a resonant circle frequency, and
     then RationalAlpha on a rational alpha.  A real Phi gives a real-flagged u.
     """
-    osc, perp = project(phi)
-    _, components = decompose_components(osc)
+    perp, components = decompose_components(phi)
     modes: Dict[Tuple[int, int], complex] = {}
     for S in components:
         u = solve_component(f, S, tol=tol)

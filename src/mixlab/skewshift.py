@@ -176,8 +176,9 @@ def _grid_sweep(
 
     Checkpoints are taken lazily: the next one is read only after the one
     before has been yielded, so a caller may choose it from what the sweep
-    has shown so far.  A checkpoint below 0, below the one before or past
-    ``_MAX_STEPS`` raises ValueError when it is read.
+    has shown so far; a list the caller appends to will do.  A checkpoint
+    below 0, below the one before or past ``_MAX_STEPS`` raises ValueError
+    when it is read.
 
     Expanding c_k, the term of mode (m, k) at step j is
 
@@ -199,8 +200,7 @@ def _grid_sweep(
     modes = [sorted(phi.c(k).coeffs.items()) for k in ks]
     two_g = 2 * grid
     phases = PhaseNumerators(f.alpha, f.beta)
-    bins_re = np.zeros((len(ks), two_g))
-    bins_im = np.zeros((len(ks), two_g))
+    bins = np.zeros((len(ks), two_g), dtype=complex)
     twiddle = np.exp(1j * np.pi * np.arange(grid) / grid)
     j0 = 0
     for n in checkpoints:
@@ -214,20 +214,20 @@ def _grid_sweep(
             ja, s = phases.linear_quadratic(j)
             jmod = j % two_g
             for row, k in enumerate(ks):
-                kj = k * jmod
+                # residues first, so the int64 product cannot wrap
+                kj = (k % two_g) * jmod
                 for m, c in modes[row]:
                     num = phases.mode(ja, s, m, k)
                     theta = 2.0 * np.pi * phases.to_unit(num)
                     cos, sin = np.cos(theta), np.sin(theta)
-                    r = (kj + m) % two_g
-                    bins_re[row] += np.bincount(
+                    r = (kj + m % two_g) % two_g
+                    bins.real[row] += np.bincount(
                         r, c.real * cos - c.imag * sin, two_g
                     )
-                    bins_im[row] += np.bincount(
+                    bins.imag[row] += np.bincount(
                         r, c.real * sin + c.imag * cos, two_g
                     )
             j0 = j1
-        bins = bins_re + 1j * bins_im
         folded = (bins[:, :grid] - bins[:, grid:]) * twiddle
         yield n, np.fft.ifft(folded, axis=1, norm="forward")
 
@@ -509,11 +509,11 @@ def roof_from_dict(d: dict) -> Tuple[SkewShift, FiberedTrigPoly]:
 
 
 def _integer(v) -> int:
-    """A JSON integer; anything else, a bool included, raises
-    InvalidRoofFile."""
-    if isinstance(v, int) and not isinstance(v, bool):
+    """A JSON integer of magnitude below 2^63; anything else, a bool
+    included, raises InvalidRoofFile."""
+    if isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63:
         return v
-    raise InvalidRoofFile(f"roof value {v!r} is not an integer")
+    raise InvalidRoofFile(f"roof value {v!r} is not an integer below 2^63")
 
 
 def _number(v) -> float:

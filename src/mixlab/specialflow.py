@@ -214,12 +214,11 @@ def hit_count(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> int:
 
     Strict crossing of the running roof sum; a float tie resolves to the
     smaller n.  Raises ValueError for t < 0 and for a time the step bound
-    cannot reach.  The one-lane case of ``_climb_lanes``.
+    cannot reach.  The one-lane case of ``_hit_count_lanes``.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    phases = PhaseNumerators(f.alpha, f.beta, [p.x], [p.y])
-    return int(_climb_lanes(roof, phases, [[t + p.z]])[0][0, 0])
+    return int(_hit_count_lanes(roof, f, [p.x], [p.y], [t + p.z])[0, 0])
 
 
 def flow_at(roof: Roof, f: SkewShift, p: FlowPoint, t: float) -> FlowPoint:
@@ -389,7 +388,7 @@ def _hit_count_lanes(
     ``times``, in their order; one lane at one time is ``hit_count``.  The
     distinct times are the rows of one climb, in ascending order."""
     distinct, row = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    # t + z at z = 0, as hit_count forms it
+    # t + z at z = 0, one row per distinct time
     targets = np.add.outer(distinct, np.zeros(np.shape(xs)))
     n, _ = _climb_lanes(roof, PhaseNumerators(f.alpha, f.beta, xs, ys), targets)
     return n[row]
@@ -663,13 +662,9 @@ def _column_stops(
     # below t at every checkpoint so far, and short of the step limit
     climbing = np.ones(stops.shape, dtype=bool)
     ks = sorted(roof.phi.fiber.keys())
+    # the sweep reads each item after yielding the last, so appends reach it
     upcoming = [min(max(0, int(times[0] / top) - 1), int(limit[0]))]
-
-    def checkpoints():
-        while upcoming:
-            yield upcoming.pop()
-
-    for n, coeffs in _grid_sweep(f, roof.phi, checkpoints(), grid):
+    for n, coeffs in _grid_sweep(f, roof.phi, upcoming, grid):
         col_max = np.concatenate([
             v.max(axis=1)
             for v in grid_blocks(ks, coeffs, real=True, y_size=y_resolution)

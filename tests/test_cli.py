@@ -642,6 +642,15 @@ def _roof_doc(**changes):
     return doc
 
 
+def _wide_roof_doc(m, k):
+    """2 + 0.2 cos(2 pi (m x + k y)), a real roof with the integers m, k."""
+    return _roof_doc(alpha=GOLDEN, degree_y=max(1, k), coeffs=[
+        {"k": 0, "m": 0, "re": 2.0, "im": 0.0},
+        {"k": k, "m": m, "re": 0.1, "im": 0.0},
+        {"k": -k, "m": -m, "re": 0.1, "im": 0.0},
+    ])
+
+
 MALFORMED_ROOFS = {
     "coeffs-not-a-list": _roof_doc(coeffs=5),
     "alpha-null": _roof_doc(alpha=None),
@@ -733,6 +742,62 @@ FUZZ_BASE = {
     "conjugacy": ["--roof", "constant", "--t", "0.7", "--points", "5",
                   "--seed", "0", "--tol", "1e-9"],
 }
+
+ROOFED = sorted(c for c, argv in FUZZ_BASE.items() if "--roof" in argv)
+
+
+def _roofed_argv(command, roof):
+    """``command`` with its FUZZ_BASE options and the roof file ``roof``."""
+    argv = [command, *FUZZ_BASE[command]]
+    argv[argv.index("--roof") + 1] = str(roof)
+    return argv
+
+
+# integers past int64, which the orbit and grid arithmetic work in
+@pytest.mark.parametrize("m, k", [(2 ** 63, 1), (1, 2 ** 63)],
+                         ids=["m-2^63", "k-2^63"])
+@pytest.mark.parametrize("command", ROOFED)
+def test_roof_integer_past_int64_exits_2(tmp_path, capsys, command, m, k):
+    roof = tmp_path / "wide.json"
+    roof.write_text(json.dumps(_wide_roof_doc(m, k)))
+    assert exit_code(tmp_path / "out", *_roofed_argv(command, roof)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("mixlab: invalid configuration: roof value ")
+
+
+def test_roof_integer_just_inside_int64_runs(tmp_path):
+    roof = tmp_path / "wide.json"
+    roof.write_text(json.dumps(_wide_roof_doc(2 ** 63 - 1, 1)))
+    for command in ("classify", "visits"):
+        code, _ = run(tmp_path / command, *_roofed_argv(command, roof))
+        assert code == 0
+
+
+# a real roof whose lattice size, squared moduli and sums overflow floats
+HUGE_ROOF = _roof_doc(alpha=GOLDEN, degree_y=1, coeffs=[
+    {"k": 0, "m": 0, "re": 1e308, "im": 0.0},
+    {"k": 1, "m": 1, "re": 1e307, "im": 0.0},
+    {"k": -1, "m": -1, "re": 1e307, "im": 0.0},
+])
+
+
+@pytest.mark.parametrize("command", [
+    "classify", "solve", "correlate", "hitting", "fiber-profile",
+    "conjugacy", "return-check",
+])
+def test_arithmetic_overflow_exits_3(tmp_path, capsys, command):
+    if command == "return-check":
+        # 1/w_y is finite, but the crossing march steps past the float range
+        argv = [command, "--wx", "0.3", "--wy", "1e-308", "--wz", "0"]
+    else:
+        roof = tmp_path / "huge.json"
+        roof.write_text(json.dumps(HUGE_ROOF))
+        argv = _roofed_argv(command, roof)
+    code, out = run(tmp_path, *argv)
+    assert code == 3 and not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("mixlab: numeric failure: OverflowError: ")
+
 
 HOSTILE = ["", "abc", "nan", "-1", "-1e-3", "-0.5,0.5", "0", "1e400",
            "0.1,0.2,0.3"]

@@ -16,9 +16,11 @@ from conftest import (
     GOLDEN,
     birkhoff_grid,
     birkhoff_oracle,
+    binom2,
     circle_dist,
     coboundary_roof,
     dense_evaluate_complex,
+    frac_exact,
     mixing_example_roof,
     orbit_exact,
     sublevel_measure,
@@ -259,6 +261,31 @@ def test_fiber_grid_sweep_wide_dyadic_denominator():
     f = SkewShift(GOLDEN, 1e-5)
     phi = FiberedTrigPoly.from_modes(GRID_TEST_ROOF, real=True)
     _assert_grid_matches_scalar(f, phi, [1, 300], 64, (0, 31, 63))
+
+
+@pytest.mark.parametrize("wide", [2 ** 61, 2 ** 63 - 1], ids=["2^61", "2^63-1"])
+def test_fiber_grid_sweep_wide_frequency_against_exact_rationals(wide):
+    # k j overflows int64, and 2G = 2000 does not divide 2^64: a wrapped
+    # product would fold the terms into the wrong bins
+    f = SkewShift(GOLDEN, 0.3)
+    phi = FiberedTrigPoly.from_modes(
+        {(1, wide): 0.5, (-1, -wide): 0.5, (0, 0): 3.0}, real=True
+    )
+    G, n = 1000, 20
+    ks, mats = fiber_coefficients_on_grid(f, phi, [n], grid=G)
+    for r, k in enumerate(ks):
+        for i in range(G):
+            x = Fraction(2 * i + 1, 2 * G)
+            want = sum(
+                c * np.exp(2j * np.pi * frac_exact([
+                    (m * j + k * binom2(j), f.alpha),
+                    (k * j, f.beta),
+                    (m + k * j, x),
+                ]))
+                for m, c in phi.c(k).coeffs.items()
+                for j in range(n)
+            )
+            assert abs(mats[n][r, i] - want) <= 1e-12
 
 
 def test_fiber_grid_sweep_checkpoints():

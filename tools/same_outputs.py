@@ -19,8 +19,9 @@ bundled roofs and on ``workloads.coboundary_roof(seed)`` for seeds 0-7;
 than 64 fraction bits (``--beta 1e-5``), failing runs, empty lists and
 unwritable ``--out`` paths.  ``--long`` adds slower runs.  In an argv,
 ``@NAME`` is the tree's bundled roof ``NAME``, ``@genS`` the coboundary
-roof of seed S, and ``@file`` an existing regular file; ``--out`` is added
-unless the argv has one.
+roof of seed S, ``@wideM`` and ``@wideK`` a roof with a mode m = 2^63 or
+k = 2^63, ``@huge`` a roof whose floats overflow, and ``@file`` an
+existing regular file; ``--out`` is added unless the argv has one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2                    # runs at a time; the machine may have two cores
+
+
+def _roof(const, m, k, c):
+    """const + 2c cos(2 pi (m x + k y)), a real roof file over the golden
+    rotation."""
+    coeffs = [{"m": a, "k": b, "re": re, "im": 0.0}
+              for a, b, re in ((0, 0, const), (m, k, c), (-m, -k, c))]
+    return {"alpha": 0.6180339887498949, "beta": 0.0, "degree_y": abs(k),
+            "real": True, "coeffs": coeffs}
+
+
+# roofs past the int64 and float ranges, written into each work directory
+ROOFS = {
+    "wideM": _roof(2.0, 2 ** 63, 1, 0.1),
+    "wideK": _roof(2.0, 1, 2 ** 63, 0.1),
+    "huge": _roof(1e308, 1, 1, 1e307),
+}
 
 
 def _workloads():
@@ -80,6 +98,7 @@ EXTRA_ARGVS = [
      "--count", "1"],
     ["return-check", "--wx", "1.7e308", "--wy", "1", "--wz", "1.7e308",
      "--count", "3"],
+    ["return-check", "--wx", "0.3", "--wy", "1e-308", "--wz", "0"],
     # negative times, as a separate and as a joined value
     ["correlate", "--roof", "@example1", "--cube", "0,0.5,0,0.5,0.5",
      "--t", "-5,0,5", "--samples", "10000"],
@@ -123,6 +142,12 @@ EXTRA_ARGVS = [
     # an --out that names a file, and one below a file
     ["classify", "--roof", "@example1", "--out", "@file"],
     ["classify", "--roof", "@example1", "--out", "@file/out"],
+    # roof integers past int64, and roof floats that overflow
+    *[[command, "--roof", f"@{name}", *extra]
+      for name in ROOFS
+      for command, extra in (("classify", []),
+                             ("correlate", ["--cube", "0,0.5,0,0.5,0.5",
+                                            "--t", "1", "--samples", "1000"]))],
 ]
 
 LONG_ARGVS = [
@@ -150,9 +175,10 @@ class Tree:
         work.mkdir()
         (work / "file").write_text("")
         workloads = _workloads()
-        for seed in seeds:
-            doc, _, _ = workloads.coboundary_roof(seed)
-            (work / f"gen{seed}.json").write_text(
+        docs = {f"gen{seed}": workloads.coboundary_roof(seed)[0]
+                for seed in seeds}
+        for name, doc in {**docs, **ROOFS}.items():
+            (work / f"{name}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True))
         self.env = {k: v for k, v in os.environ.items() if k != "MIXLAB_WORKERS"}
         self.env.update(PYTHONPATH=str(self.root / "src"),
@@ -163,7 +189,7 @@ class Tree:
         name, _, rest = token[1:].partition("/")
         if name == "file":
             base = self.work / "file"
-        elif name.startswith("gen"):
+        elif name.startswith("gen") or name in ROOFS:
             base = self.work / f"{name}.json"
         else:
             base = self.root / "src" / "mixlab" / "data" / f"{name}.json"
