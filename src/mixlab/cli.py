@@ -12,7 +12,7 @@ and seed reproduce the data files byte for byte, for any ``--workers``.
 Exit codes: 0 success; 2 an option value its argparse type rejects (with
 the usage line), a bad roof file, an out-of-range run or an output path
 that cannot be written; 3 numeric failure (resonant divisor, nonzero
-obstruction, non-positive roof, rational alpha, ...).
+obstruction, non-positive roof, rational alpha, a non-finite result, ...).
 """
 
 from __future__ import annotations
@@ -144,6 +144,14 @@ def _write(out: str, files: dict) -> None:
             _write_json(path, content)
 
 
+def _all_finite(doc) -> bool:
+    """Whether every float in a nested dict, list or tuple is finite."""
+    if isinstance(doc, (dict, list, tuple)):
+        items = doc.values() if isinstance(doc, dict) else doc
+        return all(map(_all_finite, items))
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
 def _certificate(roof: specialflow.Roof) -> dict:
     """The roof's certified bounds, for a run summary."""
     return {
@@ -177,11 +185,11 @@ def cmd_stretch(args, f, phi):
     """Decay of the measure of {|phi_n| < C} along a list of n."""
     osc, _ = project(phi)
     ns = sorted(set(args.n))
-    ks, mats = skewshift.fiber_coefficients_on_grid(f, osc, ns, grid=args.grid)
+    _, mats = skewshift.fiber_coefficients_on_grid(f, osc, ns, grid=args.grid)
     rows = []
     errors = {}
     for n in ns:
-        blocks = skewshift.grid_blocks(ks, mats[n], osc.real)
+        blocks = skewshift.grid_blocks(osc, mats[n])
         (est,) = skewshift.sublevel_measures(blocks, [args.C])
         rows.append((n, est.value))
         errors[str(n)] = est.error
@@ -192,12 +200,10 @@ def cmd_stretch(args, f, phi):
 def cmd_sublevel(args, f, phi):
     """Small-value measure of phi_n against thresholds, with a log-log slope."""
     osc, _ = project(phi)
-    ks, mats = skewshift.fiber_coefficients_on_grid(
-        f, osc, [args.n], grid=args.grid
-    )
+    _, mats = skewshift.fiber_coefficients_on_grid(f, osc, [args.n], args.grid)
 
     def blocks():
-        return skewshift.grid_blocks(ks, mats[args.n], osc.real)
+        return skewshift.grid_blocks(osc, mats[args.n])
 
     sup = skewshift.grid_sup(blocks())
     if sup == 0.0:
@@ -432,9 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         f, phi = _load(args) if "roof" in vars(args) else (None, None)
         files, extra, *lines = args.func(args, f, phi)
-        os.makedirs(args.out, exist_ok=True)
-        _write(args.out, files)
-        summary = {
+        files[f"{args.command}_summary.json"] = {
             "experiment": args.command,
             "config": {k: v for k, v in vars(args).items() if k != "func"},
             "version": __version__,
@@ -442,7 +446,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "wall_time_s": time.perf_counter() - started,
             **extra,
         }
-        _write(args.out, {f"{args.command}_summary.json": summary})
+        for name, doc in files.items():
+            if not _all_finite(doc):
+                raise MixlabError(f"{name} holds a non-finite number")
+        os.makedirs(args.out, exist_ok=True)
+        _write(args.out, files)
     except (ValueError, OSError) as exc:
         print(f"mixlab: invalid configuration: {exc}", file=sys.stderr)
         return 2

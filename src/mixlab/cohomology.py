@@ -174,10 +174,14 @@ def solve_component(
     exactly -D times a unit phase, so truncation is consistent with the
     precondition.  The right-sided sums differ from the left-sided ones
     by exactly D on each index and are evaluated as a consistency check.
+    A support spanning over 2^22 indices raises ValueError first: the walk
+    of 2^22 took 2-3 s and 358 MB on a 2-vCPU VM (2^20: 0.5-0.8 s, 120 MB).
     """
     if S.is_zero():
         return ComponentSpectrum(S.label, {})
     lo, hi = S.support()
+    if hi - lo > 2 ** 22:
+        raise ValueError(f"block {S.label} spans {hi - lo} indices, past 2^22")
     w, r = _block_terms(f, S, range(lo, hi + 1))
     D = sum(r, 0j)
     norm = S.l2_norm()
@@ -313,9 +317,9 @@ def coboundary_residual(
     residual = skew_coboundary(u, f) - (phi + FiberedTrigPoly.constant(-mean))
     if residual.is_zero():
         return 0.0
-    ks = sorted(residual.fiber)
-    rows = np.array([residual.c(k).evaluate_complex(midgrid(128)) for k in ks])
-    return grid_sup(grid_blocks(ks, rows, residual.real))
+    rows = np.array([p.evaluate_complex(midgrid(128))
+                     for p in residual.fiber.values()])
+    return grid_sup(grid_blocks(residual, rows))
 
 
 @dataclass(frozen=True)
@@ -391,5 +395,5 @@ def uniform_bound_scan(
         raise NonzeroFiberAverage("the scan requires c_0 = 0; project first")
     if phi.is_zero():
         return 0.0
-    ks, mats = fiber_coefficients_on_grid(f, phi, [N], grid=grid)
-    return grid_sup(grid_blocks(ks, mats[N], phi.real)) / math.sqrt(N)
+    _, mats = fiber_coefficients_on_grid(f, phi, [N], grid=grid)
+    return grid_sup(grid_blocks(phi, mats[N])) / math.sqrt(N)

@@ -196,11 +196,9 @@ def _grid_sweep(
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    ks = sorted(phi.fiber.keys())
-    modes = [sorted(phi.c(k).coeffs.items()) for k in ks]
     two_g = 2 * grid
     phases = PhaseNumerators(f.alpha, f.beta)
-    bins = np.zeros((len(ks), two_g), dtype=complex)
+    bins = np.zeros((len(phi.fiber), two_g), dtype=complex)
     twiddle = np.exp(1j * np.pi * np.arange(grid) / grid)
     j0 = 0
     for n in checkpoints:
@@ -213,10 +211,10 @@ def _grid_sweep(
             j = np.arange(j0, j1, dtype=np.int64)
             ja, s = phases.linear_quadratic(j)
             jmod = j % two_g
-            for row, k in enumerate(ks):
+            for row, (k, p) in enumerate(phi.fiber.items()):
                 # residues first, so the int64 product cannot wrap
                 kj = (k % two_g) * jmod
-                for m, c in modes[row]:
+                for m, c in p.coeffs.items():
                     num = phases.mode(ja, s, m, k)
                     theta = 2.0 * np.pi * phases.to_unit(num)
                     cos, sin = np.cos(theta), np.sin(theta)
@@ -252,17 +250,17 @@ def fiber_coefficients_on_grid(
     if not stops:
         raise ValueError("need at least one checkpoint")
     _check_steps(stops[-1])
-    return sorted(phi.fiber.keys()), dict(_grid_sweep(f, phi, stops, grid))
+    return list(phi.fiber), dict(_grid_sweep(f, phi, stops, grid))
 
 
 def grid_blocks(
-    ks: Sequence[int], coeffs: np.ndarray, real: bool, y_size: int | None = None
+    phi: FiberedTrigPoly, coeffs: np.ndarray, y_size: int | None = None
 ) -> Iterator[np.ndarray]:
     """Phi_n on the midpoint lattice of coeffs.shape[1] x-points and
     ``y_size`` y-points (by default the x-size; ValueError below 1) from
-    its fiber coefficients (``fiber_coefficients_on_grid``), one block of
-    whole x-rows at a time: block[i, q] = Phi_n(x_{i0 + i}, y_q), real
-    parts for a real roof.
+    the rows of ``fiber_coefficients_on_grid`` (phi's fiber order), one block
+    of whole x-rows at a time: block[i, q] = Phi_n(x_{i0 + i}, y_q), real
+    parts for a real phi.
 
     A block holds about ``_SWEEP_BLOCK`` values and is not kept once
     yielded, so memory stays O(y_size) for any lattice.  Every block has at
@@ -275,12 +273,12 @@ def grid_blocks(
         y_size = rows
     if y_size < 1:
         raise ValueError("y_size must be >= 1")
-    # e(k y) formed in place, bit for bit np.exp(2j*pi*outer(ks, y))
-    ky = np.zeros((len(ks), y_size), complex)
-    np.outer(ks, midgrid(y_size), out=ky.imag)
+    # e(k y) formed in place, bit for bit np.exp(2j*pi*outer(k, y))
+    ky = np.zeros((len(phi.fiber), y_size), complex)
+    np.outer(list(phi.fiber), midgrid(y_size), out=ky.imag)
     ky.imag *= 2 * np.pi
     np.exp(ky, out=ky)
-    take = np.real if real else np.asarray
+    take = np.real if phi.real else np.asarray
     step = max(2, _SWEEP_BLOCK // y_size)
     i0 = 0
     while i0 < rows:
@@ -331,7 +329,7 @@ def stretch(
         raise ValueError("n must be >= 1")
     a = arc[0]
     length = arc_length(arc)
-    d = max(map(abs, phi.fiber), default=0)
+    d = phi.degree_y
     if d > _MAX_STRETCH_DEGREE:
         raise ValueError(f"fiber degree {d} is past 2^9")
     if d == 0:

@@ -132,10 +132,10 @@ def certify_roof(phi: FiberedTrigPoly, slack_target: float = 1e-3) -> Roof:
         target *= 2.0
         gx, gy = grids(target)
 
-    ks = sorted(phi.fiber.keys())
-    coeff = np.array([phi.c(k).evaluate_complex(midgrid(gx)) for k in ks])
+    coeff = np.array([p.evaluate_complex(midgrid(gx))
+                      for p in phi.fiber.values()])
     lo, hi = math.inf, -math.inf
-    for vals in grid_blocks(ks, coeff, True, gy):
+    for vals in grid_blocks(phi, coeff, gy):
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
         del vals                  # one block at a time on y-heavy lattices
     slack = curv_x / (8.0 * gx * gx) + curv_y / (8.0 * gy * gy)
@@ -624,10 +624,10 @@ def hitting_complement_measures(
     all_stops = _column_stops(roof, f, distinct, grid, y_resolution)
     share = {}
     for t, stops in zip(distinct, all_stops):
-        ks, mat = _coeffs_at_stops(f, osc, xs, stops)
+        mat = _coeffs_at_stops(f, osc, xs, stops)
         sup = np.concatenate([
             np.abs(v).max(axis=1)
-            for v in grid_blocks(ks, mat, osc.real, y_size=y_resolution)
+            for v in grid_blocks(osc, mat, y_size=y_resolution)
         ])
         share[t] = 1.0 - int(np.count_nonzero(sup > C)) / grid
     return [share[t] for t in times]
@@ -661,13 +661,12 @@ def _column_stops(
         return stops
     # below t at every checkpoint so far, and short of the step limit
     climbing = np.ones(stops.shape, dtype=bool)
-    ks = sorted(roof.phi.fiber.keys())
     # the sweep reads each item after yielding the last, so appends reach it
     upcoming = [min(max(0, int(times[0] / top) - 1), int(limit[0]))]
     for n, coeffs in _grid_sweep(f, roof.phi, upcoming, grid):
         col_max = np.concatenate([
             v.max(axis=1)
-            for v in grid_blocks(ks, coeffs, real=True, y_size=y_resolution)
+            for v in grid_blocks(roof.phi, coeffs, y_size=y_resolution)
         ])
         climbing &= col_max < times[:, None]            # (T, grid)
         stops[climbing] = n
@@ -680,7 +679,7 @@ def _column_stops(
 
 
 def _coeffs_at_stops(f, phi, cols, stops):
-    """(ks, matrix) with column i holding c_{k,n}(cols[i]) at n = stops[i].
+    """Column i holds c_{k,n}(cols[i]) at n = stops[i], one row per fiber.
 
     ``cols`` is the midpoint grid of size len(cols).  One grid sweep with
     the distinct stops as checkpoints serves every column.
@@ -690,7 +689,7 @@ def _coeffs_at_stops(f, phi, cols, stops):
     for n, coeffs in _grid_sweep(f, phi, np.unique(stops), len(cols)):
         hit = stops == n
         mat[:, hit] = coeffs[:, hit]
-    return np.array(sorted(phi.fiber.keys())), mat
+    return mat
 
 
 # --------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def lattice_bounds(phi: FiberedTrigPoly, gx: int, gy: int):
     ks = sorted(phi.fiber.keys())
     coeff = np.array([phi.c(k).evaluate_complex(midgrid(gx)) for k in ks])
     lo, hi = math.inf, -math.inf
-    for vals in grid_blocks(ks, coeff, True, gy):
+    for vals in grid_blocks(phi, coeff, gy):
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     return lo, hi
 

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 import tracemalloc
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN, coboundary_roof
 from mixlab import specialflow
-from mixlab.cli import build_parser, bundled_roof_path, main
+from mixlab.cli import _all_finite, build_parser, bundled_roof_path, main
 from mixlab.cohomology import (
     ComponentSpectrum,
     OrbitLabel,
@@ -797,6 +798,38 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, command):
     assert code == 3 and not out.exists()
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("mixlab: numeric failure: OverflowError: ")
+
+
+# _wide_roof_doc's mode (m, 1) beside (0, 1): the solver's blocks span m
+@pytest.mark.parametrize("m", [2 ** 63 - 1, 2 ** 40], ids=["2^63-1", "2^40"])
+def test_solve_on_a_block_too_wide_to_walk_exits_2(tmp_path, capsys, m):
+    doc = _wide_roof_doc(m, 1)
+    doc["coeffs"] += [{"k": k, "m": 0, "re": 0.25, "im": 0.0} for k in (1, -1)]
+    roof = tmp_path / "span.json"
+    roof.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "solve", "--roof", str(roof))
+    assert code == 2 and not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("mixlab: invalid configuration: block OrbitLabel(m=0, "
+                    f"n=-1) spans {m} indices, past 2^22")
+
+
+def test_a_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
+    roof = tmp_path / "huge.json"
+    roof.write_text(json.dumps(HUGE_ROOF))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out = run(tmp_path, "l2", "--roof", str(roof), "--N", "1,10")
+    assert code == 3 and not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("mixlab: numeric failure: MixlabError: l2.csv holds a "
+                    "non-finite number")
+
+
+def test_all_finite_reads_every_float_of_a_file():
+    assert _all_finite({"a": [(1, 2.5, "x")], "b": {"c": [None, 0.0]}})
+    for bad in (math.inf, -math.inf, math.nan):
+        assert not _all_finite({"a": [(1, bad)]})
+        assert not _all_finite((("n",), [(1, {"b": [bad]})]))
 
 
 HOSTILE = ["", "abc", "nan", "-1", "-1e-3", "-0.5,0.5", "0", "1e400",

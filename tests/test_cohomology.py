@@ -19,6 +19,7 @@ from conftest import (
     sup_bound,
     theta_exact,
 )
+from mixlab import cohomology
 from mixlab.cli import bundled_roof_path
 from mixlab.cohomology import (
     ComponentSpectrum,
@@ -194,6 +195,22 @@ def test_solve_explicit_coboundary_example():
     u = solve_component(f, S)
     assert set(u.coeffs) == {0}
     assert abs(u.coeffs[0] - 1.0) < 1e-14
+
+
+def test_solve_refuses_a_support_span_past_2_22_before_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked the support")
+
+    monkeypatch.setattr(cohomology, "_block_terms", walk)
+    f = SkewShift(GOLDEN, 0.0)
+
+    def block(span):
+        return ComponentSpectrum(OrbitLabel(0, 1), {0: 1.0, span: 1.0})
+
+    with pytest.raises(ValueError, match=r"spans 4194305 indices, past 2\^22"):
+        solve_component(f, block(2 ** 22 + 1))
+    with pytest.raises(AssertionError, match="walked the support"):
+        solve_component(f, block(2 ** 22))
 
 
 def test_solve_rejects_nonzero_obstruction():

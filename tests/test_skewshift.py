@@ -338,7 +338,7 @@ def test_birkhoff_grid_values():
         direct = birkhoff_sum(f, phi, TorusPoint(float(xs[i]), float(xs[q])), 3)
         assert abs(vals[i, q] - direct) < 1e-11
     ks, mats = fiber_coefficients_on_grid(f, phi, [3], grid=G)
-    assert np.array_equal(np.concatenate(list(grid_blocks(ks, mats[3], True))),
+    assert np.array_equal(np.concatenate(list(grid_blocks(phi, mats[3]))),
                           vals)
 
 
@@ -347,7 +347,7 @@ def test_grid_blocks_hold_whole_rows_of_at_least_two(monkeypatch):
     # so a ragged last row joins the block before it
     def rows(G):
         coeffs = np.ones((1, G), dtype=complex)
-        blocks = list(grid_blocks([0], coeffs, True))
+        blocks = list(grid_blocks(FiberedTrigPoly.constant(1.0), coeffs))
         assert all(b.shape[1] == G for b in blocks)
         return [b.shape[0] for b in blocks]
 
@@ -361,13 +361,28 @@ def test_grid_blocks_hold_whole_rows_of_at_least_two(monkeypatch):
     assert rows(3) == [3] and rows(2) == [2]
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_grid_blocks_read_the_rows_in_ascending_fiber_order(real):
+    # fibers given in descending order: phi keeps them ascending, and the
+    # rows of coeffs follow phi
+    pairs = {(1, k): 0.5 - 0.25j * k for k in (3, 2, -1)}
+    pairs.update({(-m, -k): c.conjugate() for (m, k), c in pairs.items()})
+    phi = FiberedTrigPoly.from_modes(pairs, real=real)
+    rng = np.random.default_rng(4)
+    mat = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
+    dense = mat.T @ np.exp(2j * np.pi * np.outer(sorted(phi.fiber), midgrid(24)))
+    got = np.concatenate(list(grid_blocks(phi, mat, 24)))
+    assert np.array_equal(got, dense.real if real else dense)
+
+
 def test_grid_blocks_y_size_defaults_only_on_none():
+    one = FiberedTrigPoly.constant(1.0)
     coeffs = np.ones((1, 4), dtype=complex)
-    assert [b.shape for b in grid_blocks([0], coeffs, True)] == [(4, 4)]
-    assert [b.shape for b in grid_blocks([0], coeffs, True, 3)] == [(4, 3)]
+    assert [b.shape for b in grid_blocks(one, coeffs)] == [(4, 4)]
+    assert [b.shape for b in grid_blocks(one, coeffs, 3)] == [(4, 3)]
     for y_size in (0, -2):
         with pytest.raises(ValueError, match="y_size must be >= 1"):
-            list(grid_blocks([0], coeffs, True, y_size))
+            list(grid_blocks(one, coeffs, y_size))
 
 
 def test_grid_blocks_stream_a_rectangular_lattice():
@@ -375,8 +390,9 @@ def test_grid_blocks_stream_a_rectangular_lattice():
     # 1024 rows, bit for bit as the whole-lattice product gives them
     rng = np.random.default_rng(8)
     ks = np.array([-3, -1, 2, 5])
+    phi = FiberedTrigPoly.from_modes({(0, int(k)): 1.0 for k in ks})
     mat = rng.normal(size=(4, 3000)) + 1j * rng.normal(size=(4, 3000))
-    blocks = list(grid_blocks(ks, mat, False, 64))
+    blocks = list(grid_blocks(phi, mat, 64))
     assert [b.shape for b in blocks] == [(1024, 64)] * 2 + [(952, 64)]
     sup = np.concatenate([np.abs(b).max(axis=1) for b in blocks])
     ky = np.exp(2j * np.pi * np.outer(ks, midgrid(64)))
@@ -556,8 +572,8 @@ def test_streamed_grid_matches_dense_oracle(grid, modes, real, n, picks):
     f = SkewShift(GOLDEN, 0.3)
     ks, mats = fiber_coefficients_on_grid(f, phi, [n], grid=grid)
 
-    def blocks(real=phi.real):
-        return grid_blocks(ks, mats[n], real)
+    def blocks(poly=phi):
+        return grid_blocks(poly, mats[n])
 
     dense = birkhoff_grid(f, phi, n, grid)
     assert np.array_equal(np.concatenate(list(blocks())), dense)
@@ -577,7 +593,8 @@ def test_streamed_grid_matches_dense_oracle(grid, modes, real, n, picks):
         assert got == [sublevel_measure(scaled, d) for d in deltas]
     # the modulus of the complex values, as a complex roof's sup takes it
     ky = np.exp(2j * np.pi * np.outer(ks, midgrid(grid)))
-    assert grid_sup(blocks(False)) == float(np.abs(mats[n].T @ ky).max())
+    complex_phi = FiberedTrigPoly(phi.fiber, real=False)
+    assert grid_sup(blocks(complex_phi)) == float(np.abs(mats[n].T @ ky).max())
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,6 +1,7 @@
 """Fourier polynomial value types."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def test_realness_invariant_rejected():
         FiberedTrigPoly.from_modes({(1, 1): 1.0}, real=True)
     # consistent data passes
     FiberedTrigPoly.from_modes({(1, 1): 1.0 + 2j, (-1, -1): 1.0 - 2j}, real=True)
+
+
+def test_fibers_and_their_modes_iterate_ascending_from_any_input_order():
+    # the grid sweep and grid_blocks read the fiber rows in this order
+    modes = {(m, k): complex(m, k) + 1.0
+             for m in range(-3, 4) for k in range(-2, 3)}
+    keys = list(modes)
+    random.Random(3).shuffle(keys)
+    shuffled = FiberedTrigPoly.from_modes({key: modes[key] for key in keys})
+    descending = FiberedTrigPoly(
+        {k: TrigPoly1D({m: 1.0 for m in (5, -2, 0)}) for k in (4, 1, -3)}
+    )
+    for phi in (shuffled, descending, shuffled + descending,
+                descending + shuffled, shuffled.scale(2j),
+                descending.compose_skew(0.3, 0.1)):
+        assert list(phi.fiber) == sorted(phi.fiber)
+        for p in phi.fiber.values():
+            assert list(p.coeffs) == sorted(p.coeffs)
 
 
 def test_fibered_evaluate_and_mean():

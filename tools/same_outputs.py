@@ -20,8 +20,9 @@ than 64 fraction bits (``--beta 1e-5``), failing runs, empty lists and
 unwritable ``--out`` paths.  ``--long`` adds slower runs.  In an argv,
 ``@NAME`` is the tree's bundled roof ``NAME``, ``@genS`` the coboundary
 roof of seed S, ``@wideM`` and ``@wideK`` a roof with a mode m = 2^63 or
-k = 2^63, ``@huge`` a roof whose floats overflow, and ``@file`` an
-existing regular file; ``--out`` is added unless the argv has one.
+k = 2^63, ``@wideSpan`` a roof whose solver blocks span 2^63 - 1 indices,
+``@huge`` a roof whose floats overflow, and ``@file`` an existing regular
+file; ``--out`` is added unless the argv has one.
 """
 
 from __future__ import annotations
@@ -40,20 +41,25 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2                    # runs at a time; the machine may have two cores
 
 
-def _roof(const, m, k, c):
-    """const + 2c cos(2 pi (m x + k y)), a real roof file over the golden
-    rotation."""
-    coeffs = [{"m": a, "k": b, "re": re, "im": 0.0}
-              for a, b, re in ((0, 0, const), (m, k, c), (-m, -k, c))]
-    return {"alpha": 0.6180339887498949, "beta": 0.0, "degree_y": abs(k),
-            "real": True, "coeffs": coeffs}
+def _roof(const, *modes):
+    """const + sum of 2c cos(2 pi (m x + k y)) over the (m, k, c) of
+    ``modes``, a real roof file over the golden rotation."""
+    coeffs = [{"m": 0, "k": 0, "re": const, "im": 0.0}]
+    for m, k, c in modes:
+        coeffs += [{"m": a, "k": b, "re": c, "im": 0.0}
+                   for a, b in ((m, k), (-m, -k))]
+    return {"alpha": 0.6180339887498949, "beta": 0.0,
+            "degree_y": max(abs(k) for _, k, _ in modes), "real": True,
+            "coeffs": coeffs}
 
 
-# roofs past the int64 and float ranges, written into each work directory
+# roofs past the int64 and float ranges, and one whose solver blocks span
+# 2^63 - 1 indices, written into each work directory
 ROOFS = {
-    "wideM": _roof(2.0, 2 ** 63, 1, 0.1),
-    "wideK": _roof(2.0, 1, 2 ** 63, 0.1),
-    "huge": _roof(1e308, 1, 1, 1e307),
+    "wideM": _roof(2.0, (2 ** 63, 1, 0.1)),
+    "wideK": _roof(2.0, (1, 2 ** 63, 0.1)),
+    "huge": _roof(1e308, (1, 1, 1e307)),
+    "wideSpan": _roof(2.0, (2 ** 63 - 1, 1, 0.1), (0, 1, 0.25)),
 }
 
 
@@ -148,6 +154,9 @@ EXTRA_ARGVS = [
       for command, extra in (("classify", []),
                              ("correlate", ["--cube", "0,0.5,0,0.5,0.5",
                                             "--t", "1", "--samples", "1000"]))],
+    # a solver block too wide to walk, and a result that overflows to inf
+    ["solve", "--roof", "@wideSpan"],
+    ["l2", "--roof", "@huge", "--N", "1,10"],
 ]
 
 LONG_ARGVS = [
