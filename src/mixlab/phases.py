@@ -7,9 +7,9 @@ passes 2^52; the helpers here instead treat every float input as the
 exact dyadic rational it is and reduce mod 1 in integer arithmetic, so a
 phase is correct to one rounding of the final conversion no matter how
 large the step index gets.  ``PhaseNumerators`` forms the phases, and the
-orbit points of one base point or of many, for whole arrays of step
-indices of either sign, as integer numerators over 2^64, or over the
-exact 2^K of inputs with more than 64 fraction bits.
+orbit points of one base point or of many and their mode phases, for
+whole arrays of step indices of either sign, as integer numerators over
+2^64, or over the exact 2^K of inputs with more than 64 fraction bits.
 """
 
 from __future__ import annotations
@@ -94,8 +94,12 @@ class PhaseNumerators:
         return np.uint64(v % (1 << 64)) if self.dtype == np.uint64 else v
 
     def _mod(self, v: np.ndarray) -> np.ndarray:
-        """v mod 2^K; uint64 arithmetic has wrapped mod 2^64 = 2^K already."""
-        return v if self.dtype == np.uint64 else v & self._mask
+        """v mod 2^K in place; uint64 arithmetic has wrapped mod 2^64 = 2^K."""
+        return v if self.dtype == np.uint64 else np.bitwise_and(v, self._mask, out=v)
+
+    def shape(self, j) -> Tuple[int, ...]:
+        """The shape of ``orbit(j)``: j broadcast against the (1, L) lanes."""
+        return np.broadcast_shapes(np.shape(j), self._x.shape)
 
     def lanes(self, idx: np.ndarray) -> "PhaseNumerators":
         """The same phases for the lanes ``idx`` only."""
@@ -143,6 +147,18 @@ class PhaseNumerators:
             return self._mod(self._int(m) * ja)
         return self._mod(self._int(m) * ja + self._int(k) * s)
 
+    def orbit_mode(self, j: np.ndarray, m: int, k: int, out=None) -> np.ndarray:
+        """``mode(*orbit(j), m, k)``, the numerators of m*x_j + k*y_j mod 1,
+        formed with no orbit point as j*k*x + (m*x + k*y) + (m*j*alpha +
+        k*s_j): one product and two sums of the full shape; into ``out`` if
+        given."""
+        j = np.asarray(j, dtype=np.int64)
+        out = np.empty(self.shape(j), self.dtype) if out is None else out
+        np.multiply(j.astype(self.dtype), self._int(k) * self._x, out=out)
+        out += self.mode(self._x, self._y, m, k)
+        out += self.mode(*self.linear_quadratic(j), m, k)
+        return self._mod(out)
+
     def unit_phase(self, m: int, k: int) -> complex:
         """e(m alpha + k beta) = exp(2 pi i (m alpha + k beta)), the phase
         reduced exactly mod 1 before its one rounding: the mode (m, k) of
@@ -150,13 +166,16 @@ class PhaseNumerators:
         theta = float(self.to_unit(self.mode(self._a, self._b, m, k))[0])
         return cmath.exp(2j * math.pi * theta)
 
-    def to_unit(self, num: np.ndarray) -> np.ndarray:
-        """num / 2^K as floats in [0, 1], each with a single rounding."""
+    def to_unit(self, num: np.ndarray, out=None) -> np.ndarray:
+        """num / 2^K as floats in [0, 1], each with a single rounding; into
+        ``out`` if given."""
+        out = np.empty(np.shape(num)) if out is None else out
         if self.dtype != np.uint64:
-            return np.asarray(num / (1 << self.k), dtype=float)  # int / int
+            out[...] = num / (1 << self.k)                       # int / int
+            return out
         # hi * 2^32 + lo rounds once; numpy's uint64 cast is slow past 2^63
         half = np.ascontiguousarray(num, "<u8").view("<u4")
-        out = half[..., 1::2] * 2.0 ** 32
+        np.multiply(half[..., 1::2], 2.0 ** 32, out=out)
         out += half[..., 0::2]
         out *= 2.0 ** -64
         return out

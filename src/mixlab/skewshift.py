@@ -121,8 +121,7 @@ def _orbit(
     phases = PhaseNumerators(f.alpha, f.beta, x, y)
     for j0 in range(0, n, _SWEEP_BLOCK):
         j = np.arange(j0, min(n, j0 + _SWEEP_BLOCK), dtype=np.int64)
-        xn, yn = phases.orbit(j)                            # (1, B)
-        yield [phi.at(phases, xn, yn)[0] for phi in polys]
+        yield [phi.at(phases, j)[0] for phi in polys]
 
 
 def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):

@@ -10,22 +10,24 @@ is the mechanism the estimators here quantify.
 
 Every flow and every hit count of a point, one or many, runs one kernel
 (``_climb_lanes``): the lanes walk the exact orbit of their base points
-(``phases.PhaseNumerators``) in tiles of steps, the roof is evaluated on
-the exact orbit numerators (``FiberedTrigPoly.at``), and a cumulative sum
-per tile finds each lane's crossing.  A lane's result does not depend on
-the other lanes, so the scalar and the many-lane paths agree bit for bit,
-and no position drifts from the exact orbit at any time.  Time is the
-kernel's leading axis: targets of shape (T, L), each row resuming where
-the one before stopped, from the exact orbit numerators of f^n of each
-base point and the running sum Phi_n, bit for bit a fresh climb.  Every
-estimator takes all its times in one call, and the distinct times of
-each sign are the rows of one climb, in ascending |t|.  The trivial-roof
-conjugacy check flows all its points as lanes and reduces them in the
-constant suspension on the same exact orbits.  The hitting measure needs
-only the least hit count over each fiber of a grid, which is where the
-column maximum of Phi_n crosses t: one grid sweep of the roof finds it for
-every column and time, at checkpoints spaced by the gap to the crossing,
-with no lane and the same counts.
+(``phases.PhaseNumerators``) in tiles of steps, the roof is evaluated at
+a tile's step indices j from each mode's exact phase, a quadratic in j
+(``FiberedTrigPoly.at``), and running sums find each lane's crossing and
+the roof value there, all written in place into buffers the call holds.
+A lane's result does not depend on the other lanes, so the scalar and
+the many-lane paths agree bit for bit, and no position drifts from the
+exact orbit at any time.  Time is the kernel's leading axis: targets of
+shape (T, L), each row resuming where the one before stopped, from the
+exact orbit numerators of f^n of each base point and the running sum
+Phi_n, bit for bit a fresh climb.  Every estimator takes all its times
+in one call, and the distinct times of each sign are the rows of one
+climb, in ascending |t|.  The trivial-roof conjugacy check flows all its
+points as lanes and reduces them in the constant suspension on the same
+exact orbits.  The hitting measure needs only the least hit count over
+each fiber of a grid, which is where the column maximum of Phi_n crosses
+t: one grid sweep of the roof finds it for every column and time, at
+checkpoints spaced by the gap to the crossing, with no lane and the same
+counts.
 
 All Monte-Carlo paths use counter-based streams (one Philox key per
 fixed-size sample block), so estimates are bit-identical for any worker
@@ -235,28 +237,31 @@ def _climb_lanes(
     phases: PhaseNumerators,
     targets,
     backward: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, total) of shape (T, L) for the L lanes of ``phases`` and targets
-    of shape (T, L): n the largest with Phi_n(x, y) < target, and total =
-    Phi_n(x, y).  The step limit of a lane is int(target / certified_min) +
-    2: every climb stops there even when roundoff, or an overstated
-    minimum, would keep it climbing.  Raises ValueError for a target that
-    is not finite or whose limit passes 2^40 (``skewshift._check_steps``).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, total, after) of shape (T, L) for the L lanes of ``phases`` and
+    targets of shape (T, L): n the largest with Phi_n(x, y) < target, total
+    = Phi_n(x, y) and after = Phi(f^n(x, y)), the roof at the step that
+    crosses.  The step limit of a lane is int(target / certified_min) + 2:
+    every climb stops there even when roundoff, or an overstated minimum,
+    would keep it climbing.  Raises ValueError for a target that is not
+    finite or whose limit passes 2^40 (``skewshift._check_steps``).
 
     With ``backward`` the sums run along the backward orbit instead,
-    Phi(f^-1 p) + ... + Phi(f^-n p), and n stops one step short of the
-    limit.  The lanes walk the exact orbit in lock-step, in tiles of at
-    most ``_SWEEP_BLOCK`` lane-steps but of no fewer than ``_MIN_TILE``
-    steps; a call of more lanes than that allows climbs them in chunks of
-    ``_SWEEP_BLOCK // _MIN_TILE`` lanes.  A tile takes the orbit numerators
-    of one block of steps (``PhaseNumerators.orbit``), their roof values
-    (``FiberedTrigPoly.at``) and a cumulative sum seeded with the running
-    totals.
-    The sums never decrease, so the count of those below the target is the
-    strict crossing, ties going to the smaller n; a lane that has crossed
-    drops out.  Each lane's sums are sequential and its own, so its result
-    does not depend on the other lanes, the chunks or the tiling: one lane
-    is ``hit_count``.
+    Phi(f^-1 p) + ... + Phi(f^-n p), after is Phi(f^{-n-1} p), and n stops
+    one step short of the limit.  The lanes walk the exact orbit in
+    lock-step, in tiles of at most ``_SWEEP_BLOCK`` lane-steps but of no
+    fewer than ``_MIN_TILE`` steps; a call of more lanes than that allows
+    climbs them in chunks of ``_SWEEP_BLOCK // _MIN_TILE`` lanes.  A tile
+    takes the roof values at a block of step indices (``FiberedTrigPoly.at``)
+    and their running sums seeded with the totals, in place in buffers the
+    call allocates once (values, sums, and the numerators of ``at``), so
+    the loop allocates no tile-sized array.  The sums never decrease, so
+    the count of those below the target is the strict crossing, ties going
+    to the smaller n; a lane that has crossed drops out, its after read
+    from the tile's values (or evaluated alone when its limit fell on the
+    tile's last step).  Each lane's sums are sequential and its own, so its
+    result does not depend on the other lanes, the chunks or the tiling:
+    one lane is ``hit_count``.
 
     Each lane's targets must not decrease down the rows.  Row r resumes
     where row r - 1 stopped: each lane's phases move to f^{+-n} of its base
@@ -281,11 +286,15 @@ def _climb_lanes(
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
     n = np.zeros(targets.shape, dtype=np.int64)
-    total = np.zeros(targets.shape)
+    total, after = np.zeros((2, *targets.shape))
+    # every tile's buffers: values and sums (one row more) in one block
+    vals_buf, sums_buf = np.split(
+        np.empty(2 * _SWEEP_BLOCK + n.shape[1]), [_SWEEP_BLOCK])
+    scratch = (np.empty(_SWEEP_BLOCK, phases.dtype), sums_buf)
     for r, target in enumerate(targets):
         if r:
-            n[r], total[r] = n[r - 1], total[r - 1]
-        nr, tr, limit = n[r], total[r], room[r]         # views of row r
+            n[r], total[r], after[r] = n[r - 1], total[r - 1], after[r - 1]
+        nr, tr, ar, limit = n[r], total[r], after[r], room[r]   # views of row r
         lanes = np.flatnonzero(nr < limit)
         lane_phases = phases.lanes(lanes).moved(
             -nr[lanes] if backward else nr[lanes]
@@ -303,32 +312,36 @@ def _climb_lanes(
                 int(left.max()),
             )
             j = done + np.arange(block, dtype=np.int64)[:, None]
-            xn, yn = lane_phases.orbit(-1 - j if backward else j)  # (B, L)
-            sums = _running_sums(tr[lanes], roof.phi.at(lane_phases, xn, yn))
+            vals = vals_buf[: block * lanes.size].reshape(block, -1)
+            roof.phi.at(lane_phases, -1 - j if backward else j, vals, scratch)
+            sums = sums_buf[: (block + 1) * lanes.size].reshape(block + 1, -1)
+            sums[0] = tr[lanes]
+            # one sequential sum down each column: from 64 lanes on, row by
+            # row is several times faster than cumsum, in the same order
+            if lanes.size < 64:
+                sums[1:] = vals
+                np.cumsum(sums, axis=0, out=sums)
+            else:
+                for i, row in enumerate(vals):
+                    np.add(sums[i], row, out=sums[i + 1])
             below = np.minimum(
                 np.count_nonzero(sums[1:] < target[lanes], axis=0), left
             )
+            cols = np.arange(lanes.size)
             nr[lanes] += below
-            tr[lanes] = sums[below, np.arange(lanes.size)]
+            tr[lanes] = sums[below, cols]
+            seen = below < block          # the crossing step is in this tile
+            ar[lanes[seen]] = vals[below[seen], cols[seen]]
             climbing = (below == block) & (left > block)
+            done += block
+            edge = ~(seen | climbing)   # stopped at the limit on the last step
+            if edge.any():
+                ar[lanes[edge]] = roof.phi.at(
+                    lane_phases.lanes(edge), -1 - done if backward else done
+                )[0]
             lanes = lanes[climbing]
             lane_phases = lane_phases.lanes(climbing)
-            done += block
-    return n, total
-
-
-def _running_sums(start: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Rows start, start + vals[0], (start + vals[0]) + vals[1], ...: one
-    sequential sum down each column.  Tiles of 64 lanes or more add row by
-    row, which numpy does several times faster than a cumulative sum down
-    the columns; both add in the same order."""
-    if vals.shape[1] < 64:
-        return np.cumsum(np.concatenate((start[None], vals)), axis=0)
-    sums = np.empty((vals.shape[0] + 1, vals.shape[1]))
-    sums[0] = start
-    for i, row in enumerate(vals):
-        np.add(sums[i], row, out=sums[i + 1])
-    return sums
+    return n, total, after
 
 
 def _flow_lanes(
@@ -358,19 +371,16 @@ def _flow_lanes(
         chain = sorted({float(t) for t in times if (t < 0) == backward}, key=abs)
         w = zs + np.array(chain)[:, None]                          # (T, L)
         if not backward:
-            n, total = _climb_lanes(roof, phases, w)
+            n, total, after = _climb_lanes(roof, phases, w)
             z = w - total
-            xn, yn = phases.orbit(n)
-            tie = z >= roof.phi.at(phases, xn, yn)
-            if np.any(tie):
-                xn, yn = phases.orbit(n + tie)
-                z = np.where(tie, 0.0, z)
+            tie = z >= after
+            xn, yn = phases.orbit(n + tie)
+            z = np.where(tie, 0.0, z)
         else:
-            n, total = _climb_lanes(roof, phases, -w, backward=True)
+            n, total, last = _climb_lanes(roof, phases, -w, backward=True)
             down = w < 0.0
             n = n + down                 # the step that crosses height 0
             xn, yn = phases.orbit(-n)
-            last = roof.phi.at(phases, xn, yn)
             z = np.where(down, w + (total + last), w)
         x, y = phases.to_unit(xn), phases.to_unit(yn)
         images.update((t, (x[r], y[r], z[r])) for r, t in enumerate(chain))
@@ -390,7 +400,7 @@ def _hit_count_lanes(
     distinct, row = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     # t + z at z = 0, one row per distinct time
     targets = np.add.outer(distinct, np.zeros(np.shape(xs)))
-    n, _ = _climb_lanes(roof, PhaseNumerators(f.alpha, f.beta, xs, ys), targets)
+    n, _, _ = _climb_lanes(roof, PhaseNumerators(f.alpha, f.beta, xs, ys), targets)
     return n[row]
 
 

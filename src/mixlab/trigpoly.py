@@ -11,12 +11,13 @@ c_{-m} = conj(c_m) (coefficientwise across both indices for the fibered
 type); evaluation then returns the real part.  Violations raise at
 construction time, so downstream code can trust the flag.
 
-``FiberedTrigPoly.at`` is the one evaluator on torus points: it takes the
-exact numerators of ``phases.PhaseNumerators`` and reduces every phase
-m x + k y mod 1 before its single rounding; ``evaluate`` is ``at`` on
-float points.  Lattices, the Birkhoff-sum grids and the roof
-certification grid alike, go through ``skewshift.grid_blocks``, and
-circle points through ``TrigPoly1D.evaluate_complex``.
+``FiberedTrigPoly.at`` is the one evaluator on torus points: at step
+indices j of the lanes of a ``phases.PhaseNumerators``, it reduces every
+phase m x_j + k y_j of the orbit points f^j exactly mod 1 before its one
+rounding; ``evaluate`` is ``at`` at j = 0 on float points.  Lattices, the
+Birkhoff-sum grids and the roof certification grid alike, go through
+``skewshift.grid_blocks``, and circle points through
+``TrigPoly1D.evaluate_complex``.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class FiberedTrigPoly:
         a numpy scalar."""
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         ph = PhaseNumerators(0.0, 0.0, np.atleast_1d(x), np.atleast_1d(y))
-        return self.at(ph, *ph.orbit(0))[0].reshape(shape)[()]
+        return self.at(ph, 0)[0].reshape(shape)[()]
 
     @cached_property
     def independent_modes(self) -> tuple:
@@ -213,31 +214,41 @@ class FiberedTrigPoly:
         )
         return self.c(0).coeff(0).real, terms
 
-    def at(self, phases: PhaseNumerators, xn, yn) -> np.ndarray:
-        """Values at the points with numerators (xn, yn) over 2^K.
+    def at(self, phases: PhaseNumerators, j, out=None, scratch=None) -> np.ndarray:
+        """Values at the orbit points f^j of the lanes of ``phases``, of
+        shape ``phases.shape(j)``: j is an integer step index of either
+        sign, a (B, 1) block shared by the lanes or one index per lane.
 
-        Each phase m x + k y is reduced exactly mod 1 before its one
-        rounding.  A real poly costs one cos or sin per conjugate pair (both
-        for a complex pair coefficient) and returns floats; a complex one
-        costs one e(theta) per mode.  Every orbit path evaluates here, so
-        one point always gets one value.
+        Each phase m x_j + k y_j is reduced exactly mod 1 before its one
+        rounding (``PhaseNumerators.orbit_mode``).  A real poly costs one
+        cos or sin per conjugate pair (both for a complex pair coefficient)
+        and returns floats; a complex one costs one e(theta) per mode.
+        Every orbit path evaluates here, so one point always gets one
+        value.  The values go to ``out`` if given, the numerators and the
+        terms to ``scratch``: two flat arrays, as long at least, of the
+        numerator dtype and float, which a caller can hold.
         """
         const, terms = self.independent_modes
-        shape = np.broadcast(xn, yn).shape
-        if not self.real:
-            vals = np.full(shape, const, dtype=complex)
-            for m, k, c in terms:
-                theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
-                vals += c * np.exp(1j * theta)
-            return vals
-        vals = np.full(shape, const)
+        shape = phases.shape(j)
+        size = math.prod(shape)
+        if scratch is None:
+            scratch = (np.empty(size, phases.dtype), np.empty(size))
+        num, term = (a[:size].reshape(shape) for a in scratch)
+        if out is None:
+            out = np.empty(shape, float if self.real else complex)
+        out[...] = const
         for m, k, c in terms:
-            theta = 2.0 * np.pi * phases.to_unit(phases.mode(xn, yn, m, k))
-            if c.real:
-                vals += c.real * np.cos(theta)
-            if c.imag:
-                vals -= c.imag * np.sin(theta)
-        return vals
+            phases.orbit_mode(j, m, k, out=num)
+            if not self.real:
+                out += c * np.exp(1j * (2.0 * np.pi * phases.to_unit(num)))
+                continue
+            # out - c.imag * sin is out + (-c.imag) * sin, bit for bit
+            for part, wave in ((c.real, np.cos), (-c.imag, np.sin)):
+                if part:
+                    theta = phases.to_unit(num, out=term)
+                    theta *= 2.0 * np.pi
+                    out += np.multiply(wave(theta, out=theta), part, out=theta)
+        return out
 
     # ---- algebra -----------------------------------------------------------------
 

@@ -60,6 +60,25 @@ def theta_exact(label, f, j: int) -> float:
     ])
 
 
+def at_reference(phi: FiberedTrigPoly, ph, j) -> np.ndarray:
+    """``phi.at(ph, j)`` the long way: the orbit numerators (x_j, y_j) of
+    every lane first, then m x_j + k y_j of each independent mode from
+    them, its unit phase, and one cos or sin (or e(theta)) per mode."""
+    xn, yn = ph.orbit(j)
+    const, terms = phi.independent_modes
+    vals = np.full(xn.shape, const, dtype=float if phi.real else complex)
+    for m, k, c in terms:
+        theta = 2.0 * np.pi * ph.to_unit(ph.mode(xn, yn, m, k))
+        if not phi.real:
+            vals += c * np.exp(1j * theta)
+            continue
+        if c.real:
+            vals += c.real * np.cos(theta)
+        if c.imag:
+            vals -= c.imag * np.sin(theta)
+    return vals
+
+
 def circle_dist(a: float, b: float) -> float:
     """Distance on R/Z."""
     d = abs(a - b) % 1.0

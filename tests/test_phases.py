@@ -154,7 +154,7 @@ def test_scalar_base_point_is_one_lane():
     assert Fraction(int(xn[0, 0]), 2 ** ph.k) == (x0 + j * a) % 1
     assert Fraction(int(yn[0, 0]), 2 ** ph.k) == (
         y0 + j * x0 + j * b + binom2(j) * a) % 1
-    val = FiberedTrigPoly.from_modes({(70, 20): 1.0}).at(ph, *ph.orbit(0))
+    val = FiberedTrigPoly.from_modes({(70, 20): 1.0}).at(ph, 0)
     assert val.shape == (1, 1)
     theta = 2.0 * np.pi * frac_exact([(70, 0.3), (20, 0.7)])
     assert val[0, 0] == np.exp(1j * theta)

@@ -145,14 +145,14 @@ def test_roof_independent_modes_match_evaluate():
     rng = np.random.default_rng(4)
     xs, ys = rng.random(500), rng.random(500)
     ph = PhaseNumerators(GOLDEN, 0.3, xs, ys)
-    xn, yn = ph.orbit(np.zeros(500, dtype=np.int64))
-    vals = roof.phi.at(ph, xn, yn)[0]
+    j = np.zeros(500, dtype=np.int64)
+    vals = roof.phi.at(ph, j)[0]
     want = dense_evaluate_complex(roof.phi, xs, ys).real
     assert np.allclose(vals, want, rtol=0, atol=1e-14)
     # one fiber alone is a complex poly: one e(theta) per mode
     fiber = FiberedTrigPoly({1: roof.phi.c(1)})
     want = dense_evaluate_complex(fiber, xs, ys)
-    assert np.allclose(fiber.at(ph, xn, yn)[0], want, rtol=0, atol=1e-14)
+    assert np.allclose(fiber.at(ph, j)[0], want, rtol=0, atol=1e-14)
     _, terms = certify_roof(mixing_example_roof()).phi.independent_modes
     assert len(terms) == 1    # one sin
 
@@ -434,18 +434,18 @@ def test_more_lanes_than_a_tile_equal_chunked_lanes():
 
 
 def test_more_lanes_than_a_tile_take_min_tiles(monkeypatch):
-    # past 2^13 lanes a call climbs in chunks of 2^13 lanes, so no orbit
-    # call spans more than 2^16 lane-steps; each chunk takes one orbit call
-    # per tile of at least _MIN_TILE steps, and one more to move its lanes
-    # to their start
+    # past 2^13 lanes a call climbs in chunks of 2^13 lanes, so no tile
+    # evaluates the roof at more than 2^16 points; each chunk evaluates one
+    # tile per at least _MIN_TILE steps, and once more for the lanes that
+    # stop at their step limit on a tile's last step
     calls = []
-    orbit = PhaseNumerators.orbit
+    at = FiberedTrigPoly.at
 
-    def counted(self, j):
-        calls.append(math.prod(np.broadcast_shapes(np.shape(j), self._x.shape)))
-        return orbit(self, j)
+    def counted(self, phases, j, *args):
+        calls.append(math.prod(phases.shape(j)))
+        return at(self, phases, j, *args)
 
-    monkeypatch.setattr(PhaseNumerators, "orbit", counted)
+    monkeypatch.setattr(FiberedTrigPoly, "at", counted)
     f = SkewShift(GOLDEN, 0.31)
     rng = np.random.default_rng(71)
     xs, ys = rng.random(70_000), rng.random(70_000)
@@ -479,11 +479,34 @@ def test_resumed_climb_equals_fresh_climb(t1, dt, backward, overstated, lanes, s
     zs = _KERNEL_ROOF.certified_min * rng.random(lanes)
     phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
     targets = zs + np.array([[t1], [t1 + dt]])
-    n, total = _climb_lanes(roof, phases, targets, backward)
+    n, total, after = _climb_lanes(roof, phases, targets, backward)
     for r in range(2):
-        want_n, want_total = _climb_lanes(roof, phases, targets[r : r + 1], backward)
+        want_n, want_total, want_after = _climb_lanes(
+            roof, phases, targets[r : r + 1], backward)
         assert np.array_equal(n[r], want_n[0])
         assert np.array_equal(total[r], want_total[0])
+        assert np.array_equal(after[r], want_after[0])
+
+
+@settings(max_examples=20)
+@given(t=st.floats(0.0, 300.0),
+       backward=st.booleans(),
+       overstated=st.booleans(),
+       lanes=st.sampled_from([1, 7, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_climb_after_is_the_roof_past_n(t, backward, overstated, lanes, seed):
+    # after is read from the tile that crossed, or evaluated alone for a
+    # lane whose step limit (reached by every lane under the overstated
+    # minimum) fell on its tile's last step; either way it is the value at
+    # the next step of the exact orbit, Phi(f^n p) or Phi(f^{-n-1} p)
+    roof = _OVERSTATED_ROOF if overstated else _KERNEL_ROOF
+    f = SkewShift(GOLDEN, 0.31)
+    rng = np.random.default_rng(seed)
+    phases = PhaseNumerators(f.alpha, f.beta, rng.random(lanes), rng.random(lanes))
+    targets = t + _KERNEL_ROOF.certified_min * rng.random((1, lanes))
+    n, _, after = _climb_lanes(roof, phases, targets, backward)
+    step = -1 - n[0] if backward else n[0]
+    assert np.array_equal(after, roof.phi.at(phases, step))
 
 
 def test_flow_identity_and_constant_suspension():

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import sup_bound
+from conftest import at_reference, sup_bound
 from mixlab.phases import PhaseNumerators
 from mixlab.trigpoly import FiberedTrigPoly, TrigPoly1D
 
@@ -81,7 +83,7 @@ def test_evaluate_is_at_on_float_points():
         def at(x, y):
             """``at`` on the one point (x, y), a lane of its own."""
             ph = PhaseNumerators(0.0, 0.0, [x], [y])
-            return phi.at(ph, *ph.orbit(0))[0, 0]
+            return phi.at(ph, 0)[0, 0]
 
         v = phi.evaluate(xs[0], ys[0])
         assert isinstance(v, np.generic) and v == at(xs[0], ys[0])
@@ -115,3 +117,37 @@ def test_compose_skew_pointwise():
     for x, y in rng.random((25, 2)):
         direct = phi.evaluate((x + alpha) % 1, (y + x + beta) % 1)
         assert abs(comp.evaluate(x, y) - direct) < 1e-12
+
+
+@settings(max_examples=40)
+@given(beta=st.sampled_from([0.31, 1e-5]),
+       real=st.booleans(),
+       lanes=st.integers(1, 5),
+       js=st.lists(st.integers(-(2 ** 40), 2 ** 40), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_at_equals_the_orbit_reference(beta, real, lanes, js, seed):
+    # the phase of each mode as a quadratic in j is the same integer as
+    # m x_j + k y_j from the orbit point, so every value is bit-equal
+    rng = np.random.default_rng(seed)
+    modes = {(0, 0): 1.5}
+    for m, k in zip(rng.integers(-5, 6, 4), rng.integers(-4, 5, 4)):
+        c = complex(*rng.normal(size=2))
+        modes[(int(m), int(k))] = c
+        if real and (m, k) != (0, 0):
+            modes[(-int(m), -int(k))] = c.conjugate()
+    if real:
+        modes[(0, 0)] = modes[(0, 0)].real
+    phi = FiberedTrigPoly.from_modes(modes, real=real)
+    ph = PhaseNumerators(0.6180339887498949, beta, rng.random(lanes), rng.random(lanes))
+    assert (ph.k > 64) == (beta == 1e-5)
+    per_lane = rng.integers(-(2 ** 40), 2 ** 40, lanes)
+    for j in (js[0], -abs(js[0]), np.array(js)[:, None], per_lane):
+        want = at_reference(phi, ph, j)
+        for m, k, _ in phi.independent_modes[1]:
+            assert np.array_equal(ph.orbit_mode(j, m, k), ph.mode(*ph.orbit(j), m, k))
+        assert np.array_equal(phi.at(ph, j), want)
+        # into buffers larger than the values, as a climb tile writes
+        out = np.empty(want.shape, want.dtype)
+        scratch = (np.empty(want.size + 3, ph.dtype), np.empty(want.size + 3))
+        assert phi.at(ph, j, out, scratch) is out
+        assert np.array_equal(out, want)

@@ -8,8 +8,10 @@ its ``run_seconds``, once in each tree, from that tree's root, one run at
 a time; the parent goes first in even pairs and the change in odd ones,
 so a drift of the machine falls on both sides alike.  Each run's minor page
 faults are read from ``resource.getrusage(RUSAGE_CHILDREN)`` around it,
-which counts the run and the driver processes it waited for: its set-up
-probes and every pass, so a tree that makes more passes reads more.
+which counts the run and the driver processes it waited for, its set-up
+probes and every pass, and are reported per attempted operation (the
+run's ``attempted`` count), so that a tree which makes more passes in the
+same seconds does not read as faulting more.
 
 Per workload it prints one table: for every end-to-end metric of that
 file, and for the minor faults, the median of each tree's runs, the
@@ -42,7 +44,7 @@ def benchmark() -> dict:
 
 def directions(bench: dict) -> dict:
     """{metric: "lower" or "higher"} for every end-to-end metric of
-    ``bench``, and the minor faults."""
+    ``bench``, and the minor faults per attempted operation."""
     return {**{m["name"]: m["better"] for m in bench["end_to_end"]},
             FAULTS: "lower"}
 
@@ -62,7 +64,7 @@ def run_once(tree: Path, workload: str, seconds: float):
         return None
     doc = json.loads(lines[-1])
     figures = {k: v["value"] for k, v in doc["metrics"].items()}
-    figures[FAULTS] = faults
+    figures[FAULTS] = faults / doc["attempted"]
     return figures, doc["attempted"], doc["failed"]
 
 
