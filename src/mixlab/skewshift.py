@@ -114,14 +114,19 @@ def _orbit(
     f: SkewShift, polys: Sequence[FiberedTrigPoly], x: float, y: float, n: int
 ) -> Iterator[List[np.ndarray]]:
     """Yield the values of every poly in ``polys`` on f^j(x, y), j < n, in
-    blocks of at most ``_SWEEP_BLOCK`` steps: one array per poly, from the
-    exact orbit numerators (``FiberedTrigPoly.at``), so every phase rounds
-    once at any step count.  Raises ValueError for n past ``_MAX_STEPS``."""
+    blocks of at most ``_SWEEP_BLOCK`` steps, from the exact orbit
+    numerators (``FiberedTrigPoly.at``): one array per poly, in buffers the
+    walk holds, so the next block overwrites it.  Every phase rounds once
+    at any step count.  Raises ValueError for n past ``_MAX_STEPS``."""
     _check_steps(n)
     phases = PhaseNumerators(f.alpha, f.beta, x, y)
-    for j0 in range(0, n, _SWEEP_BLOCK):
-        j = np.arange(j0, min(n, j0 + _SWEEP_BLOCK), dtype=np.int64)
-        yield [phi.at(phases, j)[0] for phi in polys]
+    block = _SWEEP_BLOCK
+    outs = [np.empty((1, block), float if phi.real else complex) for phi in polys]
+    scratch = (np.empty(block, phases.dtype), np.empty(block))
+    for j0 in range(0, n, block):
+        j = np.arange(j0, min(n, j0 + block), dtype=np.int64)
+        yield [phi.at(phases, j, out[:, : j.size], scratch)[0]
+               for phi, out in zip(polys, outs)]
 
 
 def birkhoff_sum(f: SkewShift, phi: FiberedTrigPoly, p: TorusPoint, n: int):
@@ -171,7 +176,7 @@ def _grid_sweep(
     f: SkewShift, phi: FiberedTrigPoly, checkpoints: Iterable[int], grid: int
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (n, c_{k,n} on the midpoint grid) for every checkpoint n, in
-    the order given; the matrix has shape (len(ks), grid).
+    the order given; the matrix has shape (len(phi.fiber), grid).
 
     Checkpoints are taken lazily: the next one is read only after the one
     before has been yielded, so a caller may choose it from what the sweep

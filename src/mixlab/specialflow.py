@@ -248,20 +248,22 @@ def _climb_lanes(
 
     With ``backward`` the sums run along the backward orbit instead,
     Phi(f^-1 p) + ... + Phi(f^-n p), after is Phi(f^{-n-1} p), and n stops
-    one step short of the limit.  The lanes walk the exact orbit in
-    lock-step, in tiles of at most ``_SWEEP_BLOCK`` lane-steps but of no
-    fewer than ``_MIN_TILE`` steps; a call of more lanes than that allows
-    climbs them in chunks of ``_SWEEP_BLOCK // _MIN_TILE`` lanes.  A tile
-    takes the roof values at a block of step indices (``FiberedTrigPoly.at``)
-    and their running sums seeded with the totals, in place in buffers the
-    call allocates once (values, sums, and the numerators of ``at``), so
-    the loop allocates no tile-sized array.  The sums never decrease, so
-    the count of those below the target is the strict crossing, ties going
-    to the smaller n; a lane that has crossed drops out, its after read
-    from the tile's values (or evaluated alone when its limit fell on the
-    tile's last step).  Each lane's sums are sequential and its own, so its
-    result does not depend on the other lanes, the chunks or the tiling:
-    one lane is ``hit_count``.
+    one step short of the limit.  In each row the lanes still below their
+    limit climb in chunks of ``_SWEEP_BLOCK // _MIN_TILE`` lanes, each
+    chunk's lanes walking the exact orbit in lock-step, in tiles of at most
+    ``_SWEEP_BLOCK`` lane-steps but of no fewer than ``_MIN_TILE`` steps.
+    A tile takes the roof values at a block of step indices
+    (``FiberedTrigPoly.at``) and their running sums seeded with the totals,
+    in place in buffers the call allocates once (values, sums, and the
+    numerators of ``at``), so the loop allocates no tile-sized array.  The
+    sums never decrease, so the count of those below the target is the
+    strict crossing, ties going to the smaller n.  A tile reaches one step
+    past every lane's limit, so a lane leaves it at the step where it
+    crossed or stopped, its after read from the tile's values; a lane whose
+    limit fell on a tile's last step stops at the first step of the next.
+    Each lane's sums are sequential and its own, so its result does not
+    depend on the other lanes, the chunks or the tiling: one lane is
+    ``hit_count``.
 
     Each lane's targets must not decrease down the rows.  Row r resumes
     where row r - 1 stopped: each lane's phases move to f^{+-n} of its base
@@ -273,74 +275,60 @@ def _climb_lanes(
     """
     targets = np.asarray(targets, dtype=float)
     _check_steps(float(np.max(targets, initial=0.0)) / roof.certified_min)
-    chunk = _SWEEP_BLOCK // _MIN_TILE
-    if targets.shape[1] > chunk:
-        parts = [
-            _climb_lanes(
-                roof, phases.lanes(slice(i, i + chunk)),
-                targets[:, i : i + chunk], backward,
-            )
-            for i in range(0, targets.shape[1], chunk)
-        ]
-        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
     room = (np.maximum(targets, 0.0) / roof.certified_min).astype(np.int64)
     room += 1 if backward else 2
     n = np.zeros(targets.shape, dtype=np.int64)
     total, after = np.zeros((2, *targets.shape))
+    chunk = _SWEEP_BLOCK // _MIN_TILE
     # every tile's buffers: values and sums (one row more) in one block
     vals_buf, sums_buf = np.split(
-        np.empty(2 * _SWEEP_BLOCK + n.shape[1]), [_SWEEP_BLOCK])
+        np.empty(2 * _SWEEP_BLOCK + min(chunk, n.shape[1])), [_SWEEP_BLOCK])
     scratch = (np.empty(_SWEEP_BLOCK, phases.dtype), sums_buf)
     for r, target in enumerate(targets):
         if r:
             n[r], total[r], after[r] = n[r - 1], total[r - 1], after[r - 1]
         nr, tr, ar, limit = n[r], total[r], after[r], room[r]   # views of row r
-        lanes = np.flatnonzero(nr < limit)
-        lane_phases = phases.lanes(lanes).moved(
-            -nr[lanes] if backward else nr[lanes]
-        )
-        done = 0                  # steps taken by every lane still climbing
-        while lanes.size:
-            # no lane can cross in fewer steps than its gap to the target
-            # over the roof's maximum: long tiles far from the crossings,
-            # short ones near them, which saves evaluations past a crossing
-            gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
-            left = limit[lanes] - nr[lanes]
-            block = min(
-                _SWEEP_BLOCK // lanes.size,
-                max(_MIN_TILE, int(gap)),
-                int(left.max()),
+        waiting = np.flatnonzero(nr < limit)
+        for lanes in np.split(waiting, range(chunk, waiting.size, chunk)):
+            lane_phases = phases.lanes(lanes).moved(
+                -nr[lanes] if backward else nr[lanes]
             )
-            j = done + np.arange(block, dtype=np.int64)[:, None]
-            vals = vals_buf[: block * lanes.size].reshape(block, -1)
-            roof.phi.at(lane_phases, -1 - j if backward else j, vals, scratch)
-            sums = sums_buf[: (block + 1) * lanes.size].reshape(block + 1, -1)
-            sums[0] = tr[lanes]
-            # one sequential sum down each column: from 64 lanes on, row by
-            # row is several times faster than cumsum, in the same order
-            if lanes.size < 64:
-                sums[1:] = vals
-                np.cumsum(sums, axis=0, out=sums)
-            else:
-                for i, row in enumerate(vals):
-                    np.add(sums[i], row, out=sums[i + 1])
-            below = np.minimum(
-                np.count_nonzero(sums[1:] < target[lanes], axis=0), left
-            )
-            cols = np.arange(lanes.size)
-            nr[lanes] += below
-            tr[lanes] = sums[below, cols]
-            seen = below < block          # the crossing step is in this tile
-            ar[lanes[seen]] = vals[below[seen], cols[seen]]
-            climbing = (below == block) & (left > block)
-            done += block
-            edge = ~(seen | climbing)   # stopped at the limit on the last step
-            if edge.any():
-                ar[lanes[edge]] = roof.phi.at(
-                    lane_phases.lanes(edge), -1 - done if backward else done
-                )[0]
-            lanes = lanes[climbing]
-            lane_phases = lane_phases.lanes(climbing)
+            done = 0              # steps taken by every lane still climbing
+            while lanes.size:
+                # no lane can cross in fewer steps than its gap to the target
+                # over the roof's maximum: long tiles far from the crossings,
+                # short ones near them, which saves evaluations past a crossing
+                gap = float(np.min(target[lanes] - tr[lanes])) / roof.certified_max
+                left = limit[lanes] - nr[lanes]
+                block = min(
+                    _SWEEP_BLOCK // lanes.size,
+                    max(_MIN_TILE, int(gap)),
+                    int(left.max()) + 1,
+                )
+                j = done + np.arange(block, dtype=np.int64)[:, None]
+                vals = vals_buf[: block * lanes.size].reshape(block, -1)
+                roof.phi.at(lane_phases, -1 - j if backward else j, vals, scratch)
+                sums = sums_buf[: (block + 1) * lanes.size].reshape(block + 1, -1)
+                sums[0] = tr[lanes]
+                # one sequential sum down each column: from 64 lanes on, row
+                # by row is several times faster than cumsum, in the same order
+                if lanes.size < 64:
+                    sums[1:] = vals
+                    np.cumsum(sums, axis=0, out=sums)
+                else:
+                    for i, row in enumerate(vals):
+                        np.add(sums[i], row, out=sums[i + 1])
+                below = np.minimum(
+                    np.count_nonzero(sums[1:] < target[lanes], axis=0), left
+                )
+                cols = np.arange(lanes.size)
+                nr[lanes] += below
+                tr[lanes] = sums[below, cols]
+                seen = below < block      # crossed or stopped in this tile
+                ar[lanes[seen]] = vals[below[seen], cols[seen]]
+                done += block
+                lanes = lanes[~seen]
+                lane_phases = lane_phases.lanes(~seen)
     return n, total, after
 
 

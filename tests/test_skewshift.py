@@ -710,6 +710,44 @@ def test_visit_fraction_across_orbit_blocks_against_exact_iteration():
     assert visit_fraction(f, phi, p, C, N) == count / N
 
 
+def test_orbit_walk_in_held_buffers_equals_fresh_blocks(monkeypatch):
+    # at 64-step blocks a 200-step walk overwrites its buffers three times;
+    # each caller reduces a block before the next, as from fresh arrays
+    monkeypatch.setattr(skewshift, "_SWEEP_BLOCK", 64)
+    f = SkewShift(GOLDEN, 0.3)
+    phi = FiberedTrigPoly.from_modes(
+        {(1, 1): 0.3 - 0.2j, (-1, -1): 0.3 + 0.2j, (0, 2): 0.25j, (0, -2): -0.25j,
+         (2, 0): 0.1, (-2, 0): 0.1},
+        real=True,
+    )
+    p, n, C = TorusPoint(0.377, 0.61), 200, 0.5
+
+    def blocks(poly, y):
+        phases = PhaseNumerators(f.alpha, f.beta, p.x, y)
+        return [poly.at(phases, np.arange(j0, min(n, j0 + 64)))[0]
+                for j0 in range(0, n, 64)]
+
+    acc = 0.0
+    for vals in blocks(phi, p.y):
+        acc += np.sum(vals)
+    assert birkhoff_sum(f, phi, p, n) == acc
+
+    want = {}
+    for k, c in phi.fiber.items():
+        want[k] = 0.0j
+        for vals in blocks(FiberedTrigPoly({k: c}), 0.0):
+            want[k] = want[k] + np.sum(vals)
+    assert fiber_coefficients(f, phi, p.x, n) == want
+
+    count, acc = 0, 0.0
+    for vals in blocks(project(phi)[0], p.y):
+        sums = np.cumsum(np.concatenate(([acc], vals)))
+        count += int(np.count_nonzero(np.abs(sums[:-1]) < C))
+        acc = sums[-1]
+    assert 0 < count < n
+    assert visit_fraction(f, phi, p, C, n) == count / n
+
+
 # frozen from the direct-iteration oracle at development time
 FROZEN_VISIT_100 = 0.15
 FROZEN_VISIT_10000 = 0.046

@@ -434,10 +434,10 @@ def test_more_lanes_than_a_tile_equal_chunked_lanes():
 
 
 def test_more_lanes_than_a_tile_take_min_tiles(monkeypatch):
-    # past 2^13 lanes a call climbs in chunks of 2^13 lanes, so no tile
+    # past 2^13 lanes a row climbs in chunks of 2^13 lanes, so no tile
     # evaluates the roof at more than 2^16 points; each chunk evaluates one
-    # tile per at least _MIN_TILE steps, and once more for the lanes that
-    # stop at their step limit on a tile's last step
+    # tile per at least _MIN_TILE steps, and one more tile for the lanes
+    # whose step limit fell on a tile's last step
     calls = []
     at = FiberedTrigPoly.at
 
@@ -495,10 +495,11 @@ def test_resumed_climb_equals_fresh_climb(t1, dt, backward, overstated, lanes, s
        lanes=st.sampled_from([1, 7, 300]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_climb_after_is_the_roof_past_n(t, backward, overstated, lanes, seed):
-    # after is read from the tile that crossed, or evaluated alone for a
-    # lane whose step limit (reached by every lane under the overstated
-    # minimum) fell on its tile's last step; either way it is the value at
-    # the next step of the exact orbit, Phi(f^n p) or Phi(f^{-n-1} p)
+    # after is read from the tile where the lane crossed or stopped at its
+    # step limit (reached by every lane under the overstated minimum), the
+    # next tile's first step when the limit fell on a tile's last step;
+    # either way it is the value at the next step of the exact orbit,
+    # Phi(f^n p) or Phi(f^{-n-1} p)
     roof = _OVERSTATED_ROOF if overstated else _KERNEL_ROOF
     f = SkewShift(GOLDEN, 0.31)
     rng = np.random.default_rng(seed)
@@ -507,6 +508,28 @@ def test_climb_after_is_the_roof_past_n(t, backward, overstated, lanes, seed):
     n, _, after = _climb_lanes(roof, phases, targets, backward)
     step = -1 - n[0] if backward else n[0]
     assert np.array_equal(after, roof.phi.at(phases, step))
+
+
+@pytest.mark.parametrize("beta", [0.31, 1e-5])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("overstated", [False, True])
+def test_climb_does_not_depend_on_its_tiling(monkeypatch, overstated, backward, beta):
+    # with tiles of at most 256 lane-steps and at least 2 steps, each row of
+    # 300 lanes climbs in chunks of 128, 128 and 44 lanes (both ways of
+    # summing) and in many short tiles; the overstated minimum stops many
+    # lanes at their step limit, the kernel roof none
+    roof = _OVERSTATED_ROOF if overstated else _KERNEL_ROOF
+    rng = np.random.default_rng(72)
+    phases = PhaseNumerators(GOLDEN, beta, rng.random(300), rng.random(300))
+    targets = np.sort(60.0 * rng.random((2, 300)), axis=0)
+    want = _climb_lanes(roof, phases, targets, backward)
+    monkeypatch.setattr(specialflow, "_SWEEP_BLOCK", 256)
+    monkeypatch.setattr(specialflow, "_MIN_TILE", 2)
+    got = _climb_lanes(roof, phases, targets, backward)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    limit = (targets / roof.certified_min).astype(int) + (1 if backward else 2)
+    assert (got[0] == limit).any() == overstated
 
 
 def test_flow_identity_and_constant_suspension():

@@ -15,14 +15,15 @@ is not 0.
 The list holds every argv of ``perfbench/workloads.py`` at seeds 3 and 7
 with ``--workers`` 1 and 2; ``classify``, ``solve`` and ``l2`` on the
 bundled roofs and on ``workloads.coboundary_roof(seed)`` for seeds 0-7;
-``return-check`` cases, negative times in both argv forms, a run with more
-than 64 fraction bits (``--beta 1e-5``), failing runs, empty lists and
-unwritable ``--out`` paths.  ``--long`` adds slower runs.  In an argv,
-``@NAME`` is the tree's bundled roof ``NAME``, ``@genS`` the coboundary
-roof of seed S, ``@wideM`` and ``@wideK`` a roof with a mode m = 2^63 or
-k = 2^63, ``@wideSpan`` a roof whose solver blocks span 2^63 - 1 indices,
-``@huge`` a roof whose floats overflow, and ``@file`` an existing regular
-file; ``--out`` is added unless the argv has one.
+``return-check`` cases, negative times in both argv forms, a
+``fiber-profile`` of 20 000 lanes (a climb in chunks of 2^13 lanes), a run
+with more than 64 fraction bits (``--beta 1e-5``), failing runs, empty
+lists and unwritable ``--out`` paths.  ``--long`` adds slower runs.  In an
+argv, ``@NAME`` is the tree's bundled roof ``NAME``, ``@genS`` the
+coboundary roof of seed S, ``@wideM`` and ``@wideK`` a roof with a mode
+m = 2^63 or k = 2^63, ``@wideSpan`` a roof whose solver blocks span
+2^63 - 1 indices, ``@huge`` a roof whose floats overflow, and ``@file`` an
+existing regular file; ``--out`` is added unless the argv has one.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ EXTRA_ARGVS = [
      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t=-5,5"],
     ["conjugacy", "--roof", "@coboundary", "--t", "-2,2"],
     ["conjugacy", "--roof", "@coboundary", "--t=-2,2"],
+    # 20 000 lanes: each row of the climb runs in chunks of 2^13 lanes
+    ["fiber-profile", "--roof", "@example1", "--x", "0.3", "--arc", "0.15,0.85",
+     "--cube", "0.2,0.6,0.1,0.7,0.5", "--t=-50,5,200", "--resolution", "20000"],
     # more than 64 fraction bits
     ["visits", "--roof", "@example1", "--beta", "1e-5", "--C", "2",
      "--N", "100,10000"],
