@@ -141,10 +141,6 @@ class PhaseNumerators:
     def mode(self, ja: np.ndarray, s: np.ndarray, m: int, k: int) -> np.ndarray:
         """Numerators of m*a + k*b mod 1 for numerators a, b: the mode (m, k)
         of the phase pair from ``linear_quadratic``, or of a point."""
-        if m == 0:
-            return self._mod(self._int(k) * s)
-        if k == 0:
-            return self._mod(self._int(m) * ja)
         return self._mod(self._int(m) * ja + self._int(k) * s)
 
     def orbit_mode(self, j: np.ndarray, m: int, k: int, out=None) -> np.ndarray:

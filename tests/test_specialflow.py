@@ -981,6 +981,46 @@ def test_conjugacy_constant_roof_exact():
     assert dev == 0.0
 
 
+def _grid64(v: float) -> float:
+    """v rounded down to a multiple of 2^-64."""
+    return math.ldexp(math.floor(math.ldexp(v, 64)), -64)
+
+
+_on_grid64 = st.floats(0.0, 1.0, exclude_max=True).map(_grid64)
+
+
+@settings(max_examples=40)
+@given(
+    alpha=_on_grid64,
+    beta=st.one_of(_on_grid64, st.just(1e-5)),     # 1e-5: past 2^64
+    height=st.sampled_from([1.1, 3.0, 0.6180339887498949]),
+    lanes=st.lists(
+        st.tuples(_on_grid64, _on_grid64, st.integers(-10 ** 6, 10 ** 6),
+                  st.floats(0.1, 0.9)),
+        min_size=1, max_size=4,
+    ),
+)
+@example(alpha=GOLDEN, beta=1e-5, height=3.0,
+         lanes=[(0.25, 0.5, -10 ** 6, 0.1), (0.75, 0.125, 10 ** 6, 0.9)])
+def test_constant_quotient_sheets_match_exact_rationals(alpha, beta, height, lanes):
+    # heights (q + s) * height sit inside sheet q, away from its edges, so
+    # the floor is q; sheet k is f^(q+k) of the point, each coordinate
+    # rounded once, at height z - q * height - k * height
+    f = SkewShift(alpha, beta)
+    xs, ys, qs, ss = (np.array(v) for v in zip(*lanes))
+    zs = (qs + ss) * height
+    phases = PhaseNumerators(f.alpha, f.beta, xs, ys)
+    sheets = np.array([[-1], [0], [1]])
+    gx, gy, gz = specialflow._reduce_constant_quotient(phases, zs, height, sheets)
+    z = zs - qs.astype(float) * height
+    for i, k in enumerate((-1, 0, 1)):
+        want = [orbit_exact(f, TorusPoint(float(x), float(y)), int(q) + k)
+                for x, y, q in zip(xs, ys, qs)]
+        assert gx[i].tolist() == [p.x for p in want]
+        assert gy[i].tolist() == [p.y for p in want]
+        assert gz[i].tolist() == (z - k * height).tolist()
+
+
 def test_conjugacy_explicit_coboundary():
     beta = 0.25
     f = SkewShift(GOLDEN, beta)

@@ -16,7 +16,9 @@ The list holds every argv of ``perfbench/workloads.py`` at seeds 3 and 7
 with ``--workers`` 1 and 2; ``classify``, ``solve`` and ``l2`` on the
 bundled roofs and on ``workloads.coboundary_roof(seed)`` for seeds 0-7;
 ``return-check`` cases, negative times in both argv forms, a
-``fiber-profile`` of 20 000 lanes (a climb in chunks of 2^13 lanes), a run
+``fiber-profile`` of 20 000 lanes (a climb in chunks of 2^13 lanes), a
+``conjugacy`` check of 2000 points at times from -40 to 300 (constant-side
+points reduced up to 100 sheets from where they start), a run
 with more than 64 fraction bits (``--beta 1e-5``), failing runs, empty
 lists and unwritable ``--out`` paths.  ``--long`` adds slower runs.  In an
 argv, ``@NAME`` is the tree's bundled roof ``NAME``, ``@genS`` the
@@ -117,6 +119,9 @@ EXTRA_ARGVS = [
      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t=-5,5"],
     ["conjugacy", "--roof", "@coboundary", "--t", "-2,2"],
     ["conjugacy", "--roof", "@coboundary", "--t=-2,2"],
+    # constant-side points reduced up to 100 sheets from where they start
+    ["conjugacy", "--roof", "@coboundary", "--t=-40,0.7,300", "--points",
+     "2000", "--seed", "3"],
     # 20 000 lanes: each row of the climb runs in chunks of 2^13 lanes
     ["fiber-profile", "--roof", "@example1", "--x", "0.3", "--arc", "0.15,0.85",
      "--cube", "0.2,0.6,0.1,0.7,0.5", "--t=-50,5,200", "--resolution", "20000"],
